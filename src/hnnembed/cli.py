@@ -67,6 +67,14 @@ def _read(path: str) -> str:
         raise CliError(str(e)) from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:
+        raise CliError(str(e)) from None
+
+
 def _load(path: str):
     try:
         return parse_source(_read(path))
@@ -357,11 +365,9 @@ def _construct(h: PartialAscendingHNN, irreducible: bool) -> ExtensionResult:
 def _cmd_embed(args) -> int:
     h = _load_hnn(args.infile)
     result = _construct(h, args.irreducible)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write(hnn_source(_full_extension(result)))
+    _write(args.out, hnn_source(_full_extension(result)))
     cert_json = _certificate_json(result)
-    with open(args.cert, "w", encoding="utf-8") as f:
-        f.write(_canonical(cert_json))
+    _write(args.cert, _canonical(cert_json))
     verdict = "all checks pass" if cert_json["all_true"] else "CHECKS FAILING"
     print(
         f"adjoined {', '.join(result.new_names)}; "

@@ -6,6 +6,24 @@ complement.  Every swap strictly shrinks the word, so the loop terminates,
 and for C'(1/6) presentations a word that reaches no swap at all is known to
 be nontrivial.  Each run leaves a structured step log that an independent
 replayer can verify exactly in the free group.
+
+Each step takes the longest match, ties broken by (relator, position,
+orientation, offset).  The search walks the positions of the cyclic word in
+order and, per relator and orientation, groups hits by diagonal
+(offset - position) mod relator length.  Once a hit is verified letter for
+letter and extended, every later hit on the same diagonal that starts inside
+the covered stretch ends no later than it (same mismatch, or the same length
+cap), so it is no longer and sits at a later position: it cannot win and is
+skipped unverified.  Two guards keep this exact: a diagonal goes live only
+after the literal comparison succeeds, so a hash collision never suppresses
+a real hit, and coverage is never carried across position 0, where the scan
+starts fresh.  A step then costs O(n) lookups plus one extension per
+diagonal rather than one per hit.
+
+Piece counting walks one suffix automaton per oriented doubled relator
+(Blumer et al., "The smallest automaton recognizing the subwords of a
+text", TCS 1985).  A slice of the doubled text is a cyclic subword exactly
+when it is at most the relator's length, so each walk stops there.
 """
 
 from __future__ import annotations
@@ -65,7 +83,16 @@ class DehnResult:
 
 
 class DehnSolver:
-    """Reusable solver; builds the rotation index once per presentation."""
+    """Reusable solver; builds the rotation index once per presentation.
+
+    The index maps the hash of each relator rotation's first half (plus one
+    letter) to its (relator, orientation, offset) triples.  ``_best_match``
+    verifies a hash hit literally and extends it only when no earlier
+    verified hit covers it on the same diagonal; see the module docstring
+    for why the skipped hits cannot win.  The suffix automata behind
+    ``piece_count`` are built on its first call, so plain solving never pays
+    for them.
+    """
 
     def __init__(self, presentation: Presentation):
         if presentation.relators and not check_cprime(presentation.relators, 1, 6).holds:
@@ -92,7 +119,8 @@ class DehnSolver:
                     index.setdefault(_hash_range(hashes, off, off + half), []).append(
                         (j, srank, off)
                     )
-        self._subword_cache: dict[int, dict[int, tuple[int, int, int]]] = {}
+        # (transitions, relator length) per oriented relator, built lazily
+        self._automata: list[tuple[list[dict[int, int]], int]] | None = None
 
     def solve(self, w: Word) -> DehnResult:
         cur = cyclic_reduce(free_reduce(w))[0]
@@ -125,78 +153,104 @@ class DehnSolver:
             half = ell // 2 + 1
             if half > n:
                 continue
+            top = min(ell, n)
+            shift = _pow(half)
+            # (j, srank, diagonal) -> end of the last verified hit on it
+            live: dict[tuple[int, int, int], int] = {}
             for pos in range(n):
-                cands = index.get(_hash_range(hashes, pos, pos + half))
+                # _hash_range(hashes, pos, pos + half) inlined: this runs
+                # once per letter per length class at every step
+                cands = index.get((hashes[pos + half] - hashes[pos] * shift) % _MOD)
                 if not cands:
                     continue
                 for j, srank, off in cands:
+                    diagonal = (j, srank, (off - pos) % ell)
+                    if pos < live.get(diagonal, 0):
+                        continue
                     d = self._doubled[j][srank]
                     if w2[pos : pos + half] != d[off : off + half]:
                         continue
                     length = half
-                    top = min(ell, n)
                     while length < top and w2[pos + length] == d[off + length]:
                         length += 1
+                    live[diagonal] = pos + length
                     cand = (length, j, pos, srank, off)
                     if best is None or (-cand[0], *cand[1:]) < (-best[0], *best[1:]):
                         best = cand
         return best
 
-    def _subword_index(self, length: int) -> dict[int, tuple[int, int, int]]:
-        """Hashes of every length-``length`` cyclic subword of every oriented
-        relator, each with one witness slice for literal verification."""
-        cached = self._subword_cache.get(length)
-        if cached is not None:
-            return cached
-        index: dict[int, tuple[int, int, int]] = {}
-        for j, ell in enumerate(self._lengths):
-            if length > ell:
-                continue
-            for srank in (0, 1):
-                hashes = _prefix_hashes(self._doubled[j][srank])
-                for off in range(ell):
-                    index.setdefault(
-                        _hash_range(hashes, off, off + length), (j, srank, off)
-                    )
-        self._subword_cache[length] = index
-        return index
-
-    def _longest_relator_subword(
-        self, letters: tuple[int, ...], hashes: list[int], pos: int
-    ) -> int:
-        """Longest prefix of letters[pos:] that appears inside some oriented
-        relator (0 when even the single letter does not)."""
-        top = min(max(self._lengths, default=0), len(letters) - pos)
-        lo, hi = 0, top
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            witness = self._subword_index(mid).get(_hash_range(hashes, pos, pos + mid))
-            ok = False
-            if witness is not None:
-                j, srank, off = witness
-                ok = letters[pos : pos + mid] == self._doubled[j][srank][off : off + mid]
-            if ok:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
     def piece_count(self, w: Word) -> int | None:
         """Greedy count of relator-subword segments spelling free_reduce(w);
-        None when some letter occurs in no relator."""
+        None when some letter occurs in no relator.  Each segment is the
+        longest prefix of the rest that is a cyclic subword of some oriented
+        relator."""
         letters = free_reduce(w).letters
-        if not letters:
-            return 0
-        hashes = _prefix_hashes(letters)
+        if self._automata is None:
+            self._automata = [
+                (_subword_automaton(d), ell)
+                for pair, ell in zip(self._doubled, self._lengths)
+                for d in pair
+            ]
         pos = 0
         segments = 0
         while pos < len(letters):
-            jump = self._longest_relator_subword(letters, hashes, pos)
+            jump = 0
+            for transitions, ell in self._automata:
+                top = min(pos + ell, len(letters))
+                if top - pos > jump:
+                    jump = max(jump, _walk(transitions, letters, pos, top) - pos)
             if jump == 0:
                 return None
             pos += jump
             segments += 1
         return segments
+
+
+def _walk(
+    transitions: list[dict[int, int]], letters: tuple[int, ...], lo: int, hi: int
+) -> int:
+    """Index where the walk of letters[lo:hi] from the automaton's root
+    first finds no transition (``hi`` when it never does)."""
+    state = 0
+    for i in range(lo, hi):
+        state = transitions[state].get(letters[i], -1)
+        if state < 0:
+            return i
+    return hi
+
+
+def _subword_automaton(text: tuple[int, ...]) -> list[dict[int, int]]:
+    """Transitions of the suffix automaton of ``text``: a walk from state 0
+    succeeds exactly on the subwords of ``text``."""
+    trans: list[dict[int, int]] = [{}]
+    link = [-1]
+    depth = [0]
+    last = 0
+    for x in text:
+        cur = len(trans)
+        trans.append({})
+        link.append(0)
+        depth.append(depth[last] + 1)
+        p = last
+        while p >= 0 and x not in trans[p]:
+            trans[p][x] = cur
+            p = link[p]
+        if p >= 0:
+            q = trans[p][x]
+            if depth[q] == depth[p] + 1:
+                link[cur] = q
+            else:
+                clone = len(trans)
+                trans.append(dict(trans[q]))
+                link.append(link[q])
+                depth.append(depth[p] + 1)
+                while p >= 0 and trans[p].get(x) == q:
+                    trans[p][x] = clone
+                    p = link[p]
+                link[q] = clone
+                link[cur] = clone
+        last = cur
+    return trans
 
 
 def dehn_solve(presentation: Presentation, w: Word) -> DehnResult:

@@ -362,9 +362,10 @@ def _build_certificate(
     # Soundness anchor: the stored words must be the projected cell
     # boundaries up to rotation and inversion, or every verdict below
     # would be about the wrong presentation.
-    assert len(q.projected) == len(stored)
-    for pr, w in zip(q.projected, stored):
-        assert cyclically_equal(pr.word, w.inverse())
+    if len(q.projected) != len(stored) or not all(
+        cyclically_equal(pr.word, w.inverse()) for pr, w in zip(q.projected, stored)
+    ):
+        raise RuntimeError("stored quotient words differ from the projected cell boundaries")
     rep = piece_stats(list(stored), include_inverses=True)
     cprime = cprime_from_stats(rep, 1, 7)
     # Strict pieces < length/7 force any piece decomposition to have at
@@ -402,9 +403,10 @@ def _finish(
     # stable letter renumbered but rendering identically.
     own = h.presentation()
     for i in range(len(h.ascending)):
-        assert parent.alphabet.word_str(parent.relators[i]) == own.alphabet.word_str(
+        if parent.alphabet.word_str(parent.relators[i]) != own.alphabet.word_str(
             own.relators[i]
-        )
+        ):
+            raise RuntimeError(f"input cell {i} did not survive verbatim")
     mono_alphabet = Alphabet(h.ascending + h.free + new_names)
     cert = _build_certificate(pair, stored, mono_alphabet, images, evidence)
     return ExtensionResult(h, new_names, tuple(images), parent, pair, cert)

@@ -151,6 +151,18 @@ def test_embed_writes_files_and_certifies(files, tmp_path, capsys):
     assert code == 0 and "verified" in out
 
 
+def test_embed_unwritable_output_exits_2(files, tmp_path, capsys):
+    good = str(tmp_path / "ok.out")
+    missing = str(tmp_path / "missing_dir" / "x.out")
+    for out_pres, cert_path in ((missing, good), (good, missing)):
+        code, out, err = run(
+            capsys, "embed", "--in", files["intro"], "--out", out_pres, "--cert", cert_path
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "missing_dir" in err
+        assert len(err.splitlines()) == 1
+
+
 def test_embed_irreducible_certifies(files, tmp_path, capsys):
     out_pres = str(tmp_path / "gi.pres")
     cert_path = str(tmp_path / "certi.json")

@@ -5,6 +5,8 @@ length 1 against relator length 8, so the half-overlap machinery is exercised
 on an input small enough to check by hand.
 """
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,8 +21,8 @@ from hnnembed.dehn import (
     verify_steps,
 )
 from hnnembed.hnn import generate_relator_family
-from hnnembed.presentation import Presentation
-from hnnembed.words import EMPTY, Alphabet, Word, free_reduce
+from hnnembed.presentation import Presentation, check_cprime
+from hnnembed.words import EMPTY, Alphabet, Word, cyclic_reduce, free_reduce
 
 
 SURF = Alphabet.of("a", "b", "c", "d")
@@ -211,3 +213,214 @@ class TestConstructedFamilyPresentation:
             word=presentation.relators[0], length=560, area=1, pieces=1
         )
         assert rep.max_ratio == Fraction(1, 560)
+
+
+# sha256 of repr([(steps, pieces), ...]) over the criterion-7 job below,
+# computed with the exhaustive match scan and per-length hash tables that
+# the current search and piece counter replaced; any drift fails here.
+CRITERION_7_DIGEST = "58e816b1105a83bba934d4c49150662970edbaf511ebc90b901cacf6d5a62164"
+
+
+def test_criterion_7_step_logs_and_piece_counts_are_pinned(setup):
+    presentation, solver = setup
+    rows = []
+    for w in random_trivial_words(presentation, 100, 4, seed=0):
+        res = solver.solve(w)
+        steps = tuple(
+            (s.position, s.relator, s.orientation, s.offset, s.length) for s in res.steps
+        )
+        rows.append((steps, solver.piece_count(w)))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CRITERION_7_DIGEST
+
+
+# --- brute-force oracles -------------------------------------------------
+
+
+def brute_best_match(presentation, cur):
+    """Every position against every (relator, orientation, offset), each
+    extended as far as it goes up to min(relator length, word length); the
+    winner (length, relator, position, srank, offset) minimizes
+    (-length, relator, position, srank, offset)."""
+    n = len(cur)
+    w2 = cur.letters * 2
+    best = None
+    for j, r in enumerate(presentation.relators):
+        ell = len(r)
+        top = min(ell, n)
+        for srank, oriented in enumerate((r, r.inverse())):
+            d = oriented.letters * 2
+            for pos in range(n):
+                for off in range(ell):
+                    k = 0
+                    while k < top and w2[pos + k] == d[off + k]:
+                        k += 1
+                    if 2 * k > ell and (best is None or (-k, j, pos, srank, off) < best):
+                        best = (-k, j, pos, srank, off)
+    return None if best is None else (-best[0], *best[1:])
+
+
+def brute_solve(presentation, w):
+    """The solver's loop with the brute-force match search, replayed step by
+    step through ``verify_steps``."""
+    cur = cyclic_reduce(free_reduce(w))[0]
+    steps = []
+    while cur:
+        best = brute_best_match(presentation, cur)
+        if best is None:
+            return False, tuple(steps), cur
+        length, j, pos, srank, off = best
+        step = DehnStep(pos, j, 1 if srank == 0 else -1, off, length)
+        ok, cur = verify_steps(presentation, cur, (step,))
+        assert ok
+        steps.append(step)
+    return True, tuple(steps), EMPTY
+
+
+def brute_piece_count(presentation, w):
+    """Greedy longest prefix found among all cyclic subwords of length at
+    most the relator's length, over every oriented relator."""
+    subwords = set()
+    for r in presentation.relators:
+        for oriented in (r, r.inverse()):
+            ell = len(oriented)
+            d = oriented.letters * 2
+            subwords.update(d[off : off + k] for off in range(ell) for k in range(1, ell + 1))
+    letters = free_reduce(w).letters
+    pos = 0
+    segments = 0
+    while pos < len(letters):
+        jump = max(
+            (k for k in range(1, len(letters) - pos + 1) if letters[pos : pos + k] in subwords),
+            default=0,
+        )
+        if jump == 0:
+            return None
+        pos += jump
+        segments += 1
+    return segments
+
+
+def random_metric_presentations(seed, count):
+    """Seeded C'(1/6) presentations: 1-3 cyclically reduced relators of
+    13-20 letters over 4-6 generators, half of them sharing one length so
+    that several relators fall in one length class."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rank = rng.randint(4, 6)
+        signed = [x for x in range(-rank, rank + 1) if x]
+        m = rng.randint(1, 3)
+        shared = rng.randint(13, 20) if rng.random() < 0.5 else None
+        relators = []
+        for _ in range(m):
+            ell = shared or rng.randint(13, 20)
+            letters = [rng.choice(signed)]
+            while len(letters) < ell:
+                x = rng.choice(signed)
+                if x != -letters[-1] and (len(letters) < ell - 1 or x != -letters[0]):
+                    letters.append(x)
+            relators.append(Word(tuple(letters)))
+        if check_cprime(relators, 1, 6).holds:
+            names = tuple(f"x{i}" for i in range(1, rank + 1))
+            out.append(Presentation(Alphabet(names), tuple(relators)))
+    return out
+
+
+def oracle_words(presentation, rng):
+    """Conjugated-relator products, random words and relator rotations with
+    one letter changed, so hits, near misses and nontrivial residues all
+    occur."""
+    rank = presentation.alphabet.size
+    signed = [x for x in range(-rank, rank + 1) if x]
+    words = random_trivial_words(presentation, 8, 4, seed=rng.randrange(1 << 30))
+    for _ in range(6):
+        words.append(Word(tuple(rng.choice(signed) for _ in range(rng.randint(0, 30)))))
+    for r in presentation.relators:
+        letters = list(r.letters)
+        k = rng.randrange(len(letters))
+        letters = letters[k:] + letters[:k]
+        letters[rng.randrange(len(letters))] = rng.choice(signed)
+        words.append(Word(tuple(letters)) * r.inverse())
+    return words
+
+
+ORACLE_PRESENTATIONS = random_metric_presentations(seed=2024, count=12)
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_PRESENTATIONS)))
+def test_solver_matches_the_brute_force_search(index):
+    presentation = ORACLE_PRESENTATIONS[index]
+    solver = DehnSolver(presentation)
+    rng = random.Random(index)
+    for w in oracle_words(presentation, rng):
+        res = solver.solve(w)
+        assert (res.trivial, res.steps, res.residue) == brute_solve(presentation, w)
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_PRESENTATIONS)))
+def test_piece_count_matches_the_brute_force_greedy(index):
+    presentation = ORACLE_PRESENTATIONS[index]
+    solver = DehnSolver(presentation)
+    rng = random.Random(100 + index)
+    words = oracle_words(presentation, rng)
+    # a letter outside the alphabet occurs in no relator
+    words.append(Word.of(presentation.alphabet.size + 1))
+    words.extend(r * r for r in presentation.relators)
+    for w in words:
+        assert solver.piece_count(w) == brute_piece_count(presentation, w)
+
+
+def test_every_hash_colliding_still_finds_the_exact_match():
+    """With every window hash hitting every rotation, a diagonal marked live
+    before the literal comparison would hide the real hit behind a false
+    one; the result must still equal the brute-force search."""
+
+    class Colliding(dict):
+        def __init__(self, triples):
+            super().__init__()
+            self.triples = triples
+
+        def get(self, key, default=None):
+            return self.triples
+
+    for index, presentation in enumerate(ORACLE_PRESENTATIONS[:6]):
+        solver = DehnSolver(presentation)
+        solver._classes = {
+            ell: Colliding([t for ts in index_.values() for t in ts])
+            for ell, index_ in solver._classes.items()
+        }
+        for w in oracle_words(presentation, random.Random(200 + index)):
+            res = solver.solve(w)
+            assert (res.trivial, res.steps, res.residue) == brute_solve(presentation, w)
+
+
+def test_match_wrapping_across_position_zero():
+    # the relator starts at position 5 and wraps past the end of the word
+    w = SURF.word("c d c' d' a a b a' b'")
+    res = DehnSolver(P_SURF).solve(w)
+    assert res.steps == (DehnStep(position=5, relator=0, orientation=1, offset=0, length=8),)
+    assert res.residue == SURF.word("a")
+    assert (res.trivial, res.steps, res.residue) == brute_solve(P_SURF, w)
+
+
+def test_full_length_matches_are_capped_at_the_relator_or_word_length():
+    solver = DehnSolver(P_SURF)
+    # every position of R R lies on one diagonal with a full-length hit;
+    # the cap top = min(8, 16) makes them tie and position 0 wins
+    assert solver._best_match(R * R) == (8, 0, 0, 0, 0)
+    # a word shorter than the relator is matched whole: top = n = 6
+    short = SURF.word("a b a' b' c d")
+    assert solver._best_match(short) == (6, 0, 0, 0, 0)
+    for w in (R * R, short):
+        assert solver._best_match(w) == brute_best_match(P_SURF, w)
+
+
+def test_equal_length_orientations_tie_on_position_first():
+    # the inverse relator sits at position 0, the relator later: both match
+    # all 8 letters, and position outranks orientation in the tie order
+    w = R.inverse() * SURF.word("c") * R * SURF.word("c")
+    solver = DehnSolver(P_SURF)
+    assert solver._best_match(w) == (8, 0, 0, 1, 0)
+    res = solver.solve(w)
+    assert res.steps[0] == DehnStep(position=0, relator=0, orientation=-1, offset=0, length=8)
+    assert (res.trivial, res.steps, res.residue) == brute_solve(P_SURF, w)

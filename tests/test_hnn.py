@@ -7,10 +7,14 @@ could in principle disagree with a fresh computation.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import hnnembed
 from hnnembed.hnn import (
     PartialAscendingHNN,
     build_complex_pair,
@@ -172,6 +176,52 @@ def test_certificate_soundness_against_fresh_quotient():
     for pr, w in zip(q.projected, stored):
         assert cyclically_equal(pr.word, w.inverse())
     assert check_cprime(list(stored), 1, 7).holds
+
+
+_TAMPER_SCRIPT = """
+import dataclasses
+from hnnembed import hnn
+from hnnembed.presentation import Presentation
+from hnnembed.words import Alphabet, Word
+
+h = hnn.PartialAscendingHNN.from_strings(ascending=[("a", "a b a")], free=("b",))
+res = hnn.construct_embedding(h)
+stored = res.certificate.quotient_words
+mono = Alphabet(h.ascending + h.free + res.new_names)
+try:
+    hnn._build_certificate(res.pair, (stored[0] * Word.of(1),) + stored[1:], mono, res.images, None)
+except RuntimeError as e:
+    print("stored:", e)
+
+build = hnn.build_complex_pair
+def flipped(*args):
+    pair = build(*args)
+    rels = (pair.parent.relators[0].inverse(),) + pair.parent.relators[1:]
+    return dataclasses.replace(pair, parent=Presentation(pair.parent.alphabet, rels))
+hnn.build_complex_pair = flipped
+try:
+    hnn.construct_embedding(h)
+except RuntimeError as e:
+    print("cells:", e)
+"""
+
+
+def test_soundness_anchors_raise_under_optimize():
+    """The anchors are explicit raises, so ``python -O`` keeps them."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hnnembed.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPER_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "stored: stored quotient words differ from the projected cell boundaries",
+        "cells: input cell 0 did not survive verbatim",
+    ]
 
 
 def test_every_relator_has_exponent_one():
