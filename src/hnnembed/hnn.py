@@ -27,20 +27,21 @@ core with embedded circles, which is the structural half of full
 irreducibility; the certificate records the evidence (pattern coverage,
 wedge check, basepoint degree, chosen attachment labels).
 
-All choices are deterministic.  Word families are closed-form with a
-scale parameter that doubles whenever a verification gate fails, so
-equal inputs give equal outputs, and outputs that exist are verified.
+All choices are deterministic.  The relator family is a closed form in
+a scale parameter.  Both constructions share one escalation loop: it
+builds a completion from the family, certifies it, and doubles the
+scale only when the certificate fails, so equal inputs give equal
+outputs, and outputs that exist are verified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .presentation import (
     CprimeReport,
     Presentation,
-    check_cprime,
     cp_from_stats,
     cprime_from_stats,
     piece_stats,
@@ -72,7 +73,6 @@ from .words import (
     cyclically_equal,
     eulerian_digram_word,
     exponent,
-    is_proper_power,
     is_reduced,
     signed_letters,
 )
@@ -190,9 +190,7 @@ def build_complex_pair(
     return SubcomplexSpec(parent, old, tuple(range(len(h.ascending))))
 
 
-def generate_relator_family(
-    count: int, alphabet: Alphabet, start_scale: int = 1
-) -> list[Word]:
+def generate_relator_family(count: int, alphabet: Alphabet, scale: int = 1) -> list[Word]:
     """Deterministic quotient-relator words over a two-letter alphabet.
 
     Word m is the product of 32 blocks c1 c2^e with exponents
@@ -200,40 +198,22 @@ def generate_relator_family(
     and disjoint across words.  Every run of the second letter is then
     globally unique, so a shared subword contains at most one full run
     and stays far below a seventh of any word.  That reasoning is not
-    trusted: each family is verified (metric overlap bound 1/7, no
-    proper powers, pairwise rotation-distinct), and the scale doubles on
-    failure, up to a hard cap.
+    trusted: the family is a pure closed form, the certificate checks
+    the quotient words built from it, and only the certificate loop
+    doubles the scale when a check fails.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if alphabet.size != 2:
         raise ValueError("family needs a two-letter alphabet")
-    scale = start_scale
-    for _ in range(MAX_ESCALATIONS + 1):
-        words = []
-        for m in range(count):
-            letters: list[int] = []
-            for k in range(1, FAMILY_BLOCKS + 1):
-                letters.append(1)
-                letters.extend([2] * (scale * (FAMILY_BLOCKS * m + k)))
-            words.append(Word(tuple(letters)))
-        if _family_ok(words):
-            return words
-        scale *= 2
-    raise RuntimeError("relator family generator exhausted")
-
-
-def _family_ok(words: list[Word]) -> bool:
-    if not check_cprime(words, 1, 7).holds:
-        return False
-    for w in words:
-        if exponent(w) != 1 or is_proper_power(w):
-            return False
-    return not any(
-        cyclically_equal(words[i], words[j])
-        for i in range(len(words))
-        for j in range(i + 1, len(words))
-    )
+    words = []
+    for m in range(count):
+        letters: list[int] = []
+        for k in range(1, FAMILY_BLOCKS + 1):
+            letters.append(1)
+            letters.extend([2] * (scale * (FAMILY_BLOCKS * m + k)))
+        words.append(Word(tuple(letters)))
+    return words
 
 
 @dataclass(frozen=True)
@@ -351,17 +331,51 @@ def _keep_above(w: Word, base: int) -> Word:
     )
 
 
-def _build_certificate(
-    pair: SubcomplexSpec,
+# A per-scale builder turns a relator family into the images of every
+# non-stable generator, the stored quotient words and any extra evidence.
+Builder = Callable[
+    [list[Word]], tuple[list[Word], tuple[Word, ...], IrreducibleEvidence | None]
+]
+
+
+def _escalate(
+    h: PartialAscendingHNN, new_names: tuple[str, str], build: Builder
+) -> ExtensionResult:
+    """The one escalation loop: certify the completion built from the
+    family at scale 1, 2, 4, ... and return the first whose certificate
+    holds, up to a hard cap."""
+    c_alphabet = Alphabet.of(*new_names)
+    for e in range(MAX_ESCALATIONS + 1):
+        family = generate_relator_family(len(h.free) + 2, c_alphabet, 2**e)
+        result = _certify(h, new_names, *build(family))
+        failing = result.certificate.failing()
+        if not failing:
+            return result
+    raise RuntimeError("certificate gate failed at every scale: " + ", ".join(failing))
+
+
+def _certify(
+    h: PartialAscendingHNN,
+    new_names: tuple[str, str],
+    images: list[Word],
     stored: tuple[Word, ...],
-    mono_alphabet: Alphabet,
-    images: Sequence[Word],
     evidence: IrreducibleEvidence | None,
-) -> EmbeddingCertificate:
-    q = quotient(pair)
-    # Soundness anchor: the stored words must be the projected cell
+) -> ExtensionResult:
+    """Assemble the completed group from the images and certify it."""
+    pair = build_complex_pair(h, new_names, images)
+    parent = pair.parent
+    # Soundness anchors: the input's cells survive verbatim (same
+    # generator letters, the stable letter renumbered but rendering
+    # identically), and the stored words are the projected cell
     # boundaries up to rotation and inversion, or every verdict below
     # would be about the wrong presentation.
+    own = h.presentation()
+    for i in range(len(h.ascending)):
+        if parent.alphabet.word_str(parent.relators[i]) != own.alphabet.word_str(
+            own.relators[i]
+        ):
+            raise RuntimeError(f"input cell {i} did not survive verbatim")
+    q = quotient(pair)
     if len(q.projected) != len(stored) or not all(
         cyclically_equal(pr.word, w.inverse()) for pr, w in zip(q.projected, stored)
     ):
@@ -372,7 +386,7 @@ def _build_certificate(
     # least 8 factors, so the metric verdict implies the overlap one and
     # the exact (slower) decomposition only runs when the metric fails.
     c7 = cprime.holds or cp_from_stats(rep, 7).holds
-    return EmbeddingCertificate(
+    cert = EmbeddingCertificate(
         quotient=q,
         quotient_words=stored,
         c7=c7,
@@ -385,30 +399,9 @@ def _build_certificate(
         ),
         no_extra_powers=check_no_extra_powers(pair),
         no_duplicates=check_no_duplicates(pair),
-        monomorphism=is_monomorphism(mono_alphabet, list(images)),
+        monomorphism=is_monomorphism(Alphabet(h.ascending + h.free + new_names), images),
         irreducible=evidence,
     )
-
-
-def _finish(
-    h: PartialAscendingHNN,
-    new_names: tuple[str, str],
-    images: list[Word],
-    stored: tuple[Word, ...],
-    evidence: IrreducibleEvidence | None,
-) -> ExtensionResult:
-    pair = build_complex_pair(h, new_names, images)
-    parent = pair.parent
-    # The input's cells survive verbatim: same generator letters, the
-    # stable letter renumbered but rendering identically.
-    own = h.presentation()
-    for i in range(len(h.ascending)):
-        if parent.alphabet.word_str(parent.relators[i]) != own.alphabet.word_str(
-            own.relators[i]
-        ):
-            raise RuntimeError(f"input cell {i} did not survive verbatim")
-    mono_alphabet = Alphabet(h.ascending + h.free + new_names)
-    cert = _build_certificate(pair, stored, mono_alphabet, images, evidence)
     return ExtensionResult(h, new_names, tuple(images), parent, pair, cert)
 
 
@@ -423,14 +416,10 @@ def construct_embedding(h: PartialAscendingHNN) -> ExtensionResult:
     diags = validate(h)
     if diags:
         raise ValueError("invalid input: " + "; ".join(diags))
-    new_names = _fresh_pair_names(h)
-    c_alphabet = Alphabet.of(*new_names)
     base = len(h.ascending) + len(h.free)
     nfree = len(h.free)
-    scale = 1
-    last: ExtensionResult | None = None
-    for _ in range(MAX_ESCALATIONS + 1):
-        family = generate_relator_family(nfree + 2, c_alphabet, scale)
+
+    def build(family: list[Word]):
         images = list(h.images)
         images += [_shift(family[j], base) for j in range(nfree)]
         images += [
@@ -439,14 +428,9 @@ def construct_embedding(h: PartialAscendingHNN) -> ExtensionResult:
         stored = tuple(family[:nfree]) + tuple(
             Word.of(-k, k) * family[nfree + k - 1] for k in (1, 2)
         )
-        last = _finish(h, new_names, images, stored, None)
-        if last.certificate.all_true():
-            return last
-        scale *= 2
-    assert last is not None
-    raise RuntimeError(
-        "certificate gate failed at every scale: " + ", ".join(last.certificate.failing())
-    )
+        return images, stored, None
+
+    return _escalate(h, _fresh_pair_names(h), build)
 
 
 def construct_irreducible_embedding(h: PartialAscendingHNN) -> ExtensionResult:
@@ -469,7 +453,6 @@ def construct_irreducible_embedding(h: PartialAscendingHNN) -> ExtensionResult:
             "no free part: the fully irreducible construction needs at least one free generator"
         )
     new_names = _fresh_pair_names(h)
-    c_alphabet = Alphabet.of(*new_names)
     base = len(h.ascending) + len(h.free)
     core = subgroup_core(h.base_alphabet, h.images)
     unused = unused_basepoint_labels(core)
@@ -498,11 +481,10 @@ def construct_irreducible_embedding(h: PartialAscendingHNN) -> ExtensionResult:
         rotation_from((nfree + k - 1) * period // (nfree + 2), {-c1, -c2})
         for k in (1, 2)
     ]
+    wide = core.with_alphabet(Alphabet(h.ascending + h.free + new_names))
+    coverage = tuple(contains_all_reduced_digrams(p, signed_letters(n)) for p in patterns)
 
-    scale = 1
-    last: ExtensionResult | None = None
-    for _ in range(MAX_ESCALATIONS + 1):
-        family = generate_relator_family(nfree + 2, c_alphabet, scale)
+    def build(family: list[Word]):
         beta = [_shift(family[j], base) for j in range(nfree)]
         gamma = [_shift(family[nfree], base), _shift(family[nfree + 1], base) * Word.of(c1)]
         loops: list[Word] = []
@@ -516,8 +498,7 @@ def construct_irreducible_embedding(h: PartialAscendingHNN) -> ExtensionResult:
                 Word.of(ck) * patterns[nfree + k - 1] * gamma[k - 1] * Word.of(-ck)
             )
         if not _irreducible_shape_ok(loops, nfree, base):
-            scale *= 2
-            continue
+            raise RuntimeError("new images fail the irreducible shape check")
         images = list(h.images) + loops
         stored = tuple(
             _keep_above(patterns[j], base) * family[j] for j in range(nfree)
@@ -528,31 +509,25 @@ def construct_irreducible_embedding(h: PartialAscendingHNN) -> ExtensionResult:
             * Word.of(-k)
             for k in (1, 2)
         )
-        mono_alphabet = Alphabet(h.ascending + h.free + new_names)
-        wide = core.with_alphabet(mono_alphabet)
         evidence = IrreducibleEvidence(
             x_labels=x,
-            digram_coverage=tuple(
-                contains_all_reduced_digrams(p, signed_letters(n)) for p in patterns
-            ),
+            digram_coverage=coverage,
             wedge_check=wedge_extension_check(wide, loops),
             basepoint_degree=core.degree(core.basepoint),
             degree_bound=2 * len(h.ascending),
             core_matches_wedge=_core_matches_wedge(wide, loops, images),
         )
-        last = _finish(h, new_names, images, stored, evidence)
-        if last.certificate.all_true():
-            return last
-        scale *= 2
-    assert last is not None
-    raise RuntimeError(
-        "certificate gate failed at every scale: " + ", ".join(last.certificate.failing())
-    )
+        return images, stored, evidence
+
+    return _escalate(h, new_names, build)
 
 
 def _irreducible_shape_ok(loops: list[Word], nfree: int, base: int) -> bool:
-    """Reducedness shape of the new images: the part escalation cannot fix
-    is asserted, the rest reported."""
+    """Reducedness shape of the new images.
+
+    It does not depend on the scale: every family tail starts with c1 and
+    ends with c2 or c1, and no pattern starts with -c1, -c2 or -x, so a
+    failure is raised at once rather than escalated."""
     for j, w in enumerate(loops):
         if j < nfree:
             if not (is_reduced(w) and w[0] != -w[-1]):

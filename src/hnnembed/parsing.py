@@ -24,7 +24,7 @@ import re
 
 from .hnn import PartialAscendingHNN
 from .presentation import Presentation
-from .words import EMPTY, Alphabet, Word, is_cyclically_reduced
+from .words import Alphabet, Word, is_cyclically_reduced
 
 
 class ParseError(ValueError):
@@ -61,30 +61,33 @@ def parse_word(alphabet: Alphabet, text: str, line: int | None = None) -> Word:
     """Parse a word over ``alphabet``; concatenation is literal (no implicit
     free reduction), so malformed inputs stay visible to later validators."""
     tokens = _tokenize(text, line)
-    word, i = _parse_sequence(alphabet, tokens, 0, line)
+    letters, i = _parse_sequence(alphabet, tokens, 0, line)
     if i != len(tokens):
         raise ParseError("unmatched ')'", line)
-    return word
+    return Word(tuple(letters))
 
 
 def _parse_sequence(
     alphabet: Alphabet, tokens: list[tuple[str, object]], i: int, line: int | None
-) -> tuple[Word, int]:
-    acc = EMPTY
+) -> tuple[list[int], int]:
+    acc: list[int] = []
     while i < len(tokens):
         kind, value = tokens[i]
         if kind == "open":
             inner, i = _parse_sequence(alphabet, tokens, i + 1, line)
             if i == len(tokens) or tokens[i][0] != "close":
                 raise ParseError("missing ')'", line)
-            acc = acc * inner.power(tokens[i][1])
+            k = tokens[i][1]
+            if k < 0:
+                inner = [-x for x in reversed(inner)]
+            acc += inner * abs(k)
             i += 1
         elif kind == "close":
             return acc, i
         else:
             if value != "1":
                 try:
-                    acc = acc * Word.of(alphabet.letter(value))
+                    acc.append(alphabet.letter(value))
                 except KeyError:
                     raise ParseError(f"unknown generator {str(value).rstrip(chr(39))!r}", line) from None
             i += 1

@@ -65,49 +65,11 @@ class Presentation:
         rels = ", ".join(self.alphabet.word_str(r) for r in self.relators)
         return f"< {gens} | {rels} >"
 
-    def symmetrized_closure(self) -> list[Word]:
-        """All rotations of all relators and their inverses, without duplicates."""
-        seen: set[tuple[int, ...]] = set()
-        out: list[Word] = []
-        for r in self.relators:
-            for w in (r, r.inverse()):
-                ls = w.letters
-                for i in range(len(ls)):
-                    rot = ls[i:] + ls[:i]
-                    if rot not in seen:
-                        seen.add(rot)
-                        out.append(Word(rot))
-        return out
-
 
 def _as_words(arg: RelatorInput) -> list[Word]:
     if isinstance(arg, Presentation):
         return list(arg.relators)
     return list(arg)
-
-
-@dataclass(frozen=True)
-class SymmetrizedEntry:
-    word: Word
-    relator: int
-    offset: int
-    orientation: int  # +1 or -1
-
-
-def symmetrize(p: Presentation) -> list[SymmetrizedEntry]:
-    """Every rotation of every relator and its inverse, with bookkeeping.
-
-    Counting multiplicity the result has exactly 2 * (total relator
-    length) entries; equal words from different sources stay separate.
-    """
-    out = []
-    for j, r in enumerate(p.relators):
-        for orient in (1, -1):
-            w = r if orient == 1 else r.inverse()
-            ls = w.letters
-            for off in range(len(ls)):
-                out.append(SymmetrizedEntry(Word(ls[off:] + ls[:off]), j, off, orient))
-    return out
 
 
 @dataclass(frozen=True)

@@ -199,12 +199,6 @@ def is_proper_power(w: Word) -> bool:
     return exponent(w) > 1
 
 
-def cyclic_rotations(w: Word) -> list[Word]:
-    """All n literal rotations (duplicates included when w is periodic)."""
-    ls = w.letters
-    return [Word(ls[i:] + ls[:i]) for i in range(len(ls))] or [w]
-
-
 def cyclically_equal(u: Word, v: Word) -> bool:
     """Literal equality up to rotation."""
     if len(u) != len(v):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -182,6 +183,51 @@ def test_embed_irreducible_certifies(files, tmp_path, capsys):
         "certify", "--in", files["intro"], "--g", out_pres, "--cert", cert_path,
     )
     assert code == 0
+
+
+# A 4+4 input whose irreducible completion fails C'(1/7) at scale 1 and
+# passes at scale 2, so it goes once round the escalation loop.
+ESCALATING = (
+    "hnn: t; ascending: a1 a2 a3 a4; free: b1 b2 b3 b4\n"
+    "map a1: b3\n"
+    "map a2: a1' b3' b1 a1' a2' a4' b1\n"
+    "map a3: a3 b2' b3' b4 a2 b3 b1' b2 b3' a1\n"
+    "map a4: a1' b4 b2 b4 a1' b2' b4\n"
+)
+
+# sha256 of (cert.json, G.pres) as embed writes them
+GOLDEN = {
+    ("intro", False): (
+        "0b55d629744926e5bff1383a685d2810d2401cee88023f13a84d8836845e1dd6",
+        "b722dd535d1ddb8923e063666642ada56992085d5a25e56844807a2c5b8c50fb",
+    ),
+    ("intro", True): (
+        "3908ac150c6b2b494ad9d0a6a70aa20fd08bae07a77834c57f173ed74f0e46a7",
+        "856f2d8ba830c4b281c36d6863b3cceace6e33b0a9f4ea193a7e24ad3f00ff25",
+    ),
+    ("escalating", False): (
+        "4653911e036968f7b14e638d405cb5644449993f5e3a8f3990a49ba91de9783c",
+        "b1c52688f331e1b857ebe6a2a69d6456455457a13eda532962e18e5469daac9a",
+    ),
+    ("escalating", True): (
+        "9519819749fb6f09a07d810aa90fe94f2defd174bb5b1776a1e40b66ff2df64b",
+        "13c8f8d040d6a752c3d6915bcc9c3999f2cdabf93a69c023b83a7842d872bced",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,irreducible", sorted(GOLDEN))
+def test_embed_outputs_are_pinned(name, irreducible, tmp_path, capsys):
+    source = tmp_path / "h.pres"
+    source.write_text({"intro": INTRO, "escalating": ESCALATING}[name])
+    out_pres, cert_path = tmp_path / "g.pres", tmp_path / "cert.json"
+    argv = ["embed", "--in", str(source), "--out", str(out_pres), "--cert", str(cert_path)]
+    code, _, _ = run(capsys, *argv, *(["--irreducible"] if irreducible else []))
+    assert code == 0
+    digests = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest() for path in (cert_path, out_pres)
+    )
+    assert digests == GOLDEN[name, irreducible]
 
 
 def test_certify_rejects_tampering(files, tmp_path, capsys):

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 import hnnembed
+from hnnembed import hnn
 from hnnembed.hnn import (
     PartialAscendingHNN,
     build_complex_pair,
@@ -96,21 +97,22 @@ def test_build_complex_pair_shapes():
     assert spec.sub_generators == frozenset({1, 2, 3, 6})
 
 
-def test_family_is_verified_and_deterministic():
-    fam = generate_relator_family(3, C2)
-    assert len(fam) == 3
+@pytest.mark.parametrize(
+    "count,scale", [(count, scale) for count in range(1, 7) for scale in (1, 2, 4)]
+)
+def test_family_is_verified_and_deterministic(count, scale):
+    # The generator is a closed form and checks none of these itself.
+    fam = generate_relator_family(count, C2, scale)
+    assert len(fam) == count
     assert check_cprime(fam, 1, 7).holds
     for w in fam:
         assert not is_proper_power(w)
         assert exponent(w) == 1
-    for i, j in itertools.combinations(range(3), 2):
+    for i, j in itertools.combinations(range(count), 2):
         assert not cyclically_equal(fam[i], fam[j])
-    assert fam == generate_relator_family(3, C2)
-    assert generate_relator_family(1, C2) and check_cprime(
-        generate_relator_family(1, C2), 1, 7
-    ).holds
-    scaled = generate_relator_family(3, C2, start_scale=2)
-    assert [len(w) for w in scaled] == [2 * len(w) - 32 for w in fam]
+    assert fam == generate_relator_family(count, C2, scale=scale)
+    # 32 blocks c1 c2^e, e = scale*(32m+1) .. scale*(32m+32)
+    assert [len(w) for w in fam] == [32 + scale * (1024 * m + 528) for m in range(count)]
 
 
 def test_family_preconditions():
@@ -182,14 +184,13 @@ _TAMPER_SCRIPT = """
 import dataclasses
 from hnnembed import hnn
 from hnnembed.presentation import Presentation
-from hnnembed.words import Alphabet, Word
+from hnnembed.words import Word
 
 h = hnn.PartialAscendingHNN.from_strings(ascending=[("a", "a b a")], free=("b",))
 res = hnn.construct_embedding(h)
 stored = res.certificate.quotient_words
-mono = Alphabet(h.ascending + h.free + res.new_names)
 try:
-    hnn._build_certificate(res.pair, (stored[0] * Word.of(1),) + stored[1:], mono, res.images, None)
+    hnn._certify(h, res.new_names, list(res.images), (stored[0] * Word.of(1),) + stored[1:], None)
 except RuntimeError as e:
     print("stored:", e)
 
@@ -222,6 +223,23 @@ def test_soundness_anchors_raise_under_optimize():
         "stored: stored quotient words differ from the projected cell boundaries",
         "cells: input cell 0 did not survive verbatim",
     ]
+
+
+def test_irreducible_shape_failure_does_not_escalate(monkeypatch):
+    """The shape of the new images does not depend on the scale, so a
+    failing shape check raises at the first scale instead of doubling."""
+    calls = []
+    family = hnn.generate_relator_family
+
+    def counted(*args):
+        calls.append(args)
+        return family(*args)
+
+    monkeypatch.setattr(hnn, "generate_relator_family", counted)
+    monkeypatch.setattr(hnn, "_irreducible_shape_ok", lambda *args: False)
+    with pytest.raises(RuntimeError, match="shape check"):
+        construct_irreducible_embedding(intro_example())
+    assert len(calls) == 1
 
 
 def test_every_relator_has_exponent_one():

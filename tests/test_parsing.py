@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hnnembed.hnn import PartialAscendingHNN
@@ -54,6 +56,14 @@ class TestWordGrammar:
             parse_word(AB, "d'", line=7)
         except ParseError as e:
             assert e.line == 7 and "unknown generator 'd'" in e.message
+
+    def test_long_word_parses_in_linear_time(self):
+        # 40 000 symbols: building the word must stay linear in its length
+        symbols = ["a", "b'", "c"] * 13_333 + ["a"]
+        start = time.perf_counter()
+        w = parse_word(AB, " ".join(symbols))
+        assert time.perf_counter() - start < 2
+        assert w.letters == (1, -2, 3) * 13_333 + (1,)
 
     def test_paren_mismatches(self):
         with pytest.raises(ParseError, match="missing"):

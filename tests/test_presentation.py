@@ -9,7 +9,6 @@ from hnnembed.presentation import (
     check_cprime,
     min_piece_decomposition,
     piece_stats,
-    symmetrize,
 )
 from hnnembed.suffixes import match_table
 from hnnembed.words import Word, exponent, random_cyclically_reduced_word
@@ -78,19 +77,6 @@ def test_presentation_validation():
         Presentation.from_strings("a b", [""])
     with pytest.raises(ValueError):
         Presentation.from_strings("a b", ["a b", "b a"], names=["r", "r"])
-
-
-def test_symmetrize_bookkeeping():
-    p = Presentation.from_strings("a b", ["a b"])
-    entries = symmetrize(p)
-    assert len(entries) == 4  # 2 * total length
-    as_words = {e.word.letters for e in entries}
-    assert as_words == {(1, 2), (2, 1), (-2, -1), (-1, -2)}
-    p2 = Presentation.from_strings("a b c", ["a b c", "a b c c"])
-    assert len(symmetrize(p2)) == 2 * (3 + 4)
-    # Multiplicity retained even when rotations coincide as words.
-    p3 = Presentation.from_strings("a", ["a a"])
-    assert len(symmetrize(p3)) == 4
 
 
 def test_no_piece_cases():

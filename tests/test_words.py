@@ -8,7 +8,6 @@ from hnnembed.words import (
     Word,
     contains_all_reduced_digrams,
     cyclic_reduce,
-    cyclic_rotations,
     cyclically_equal,
     digrams,
     eulerian_digram_word,
@@ -148,9 +147,7 @@ def test_is_proper_power():
 
 def test_rotations_and_cyclic_equality():
     w = Word.of(1, 2, 3)
-    rots = cyclic_rotations(w)
-    assert rots == [Word.of(1, 2, 3), Word.of(2, 3, 1), Word.of(3, 1, 2)]
-    for r in rots:
+    for r in (Word.of(1, 2, 3), Word.of(2, 3, 1), Word.of(3, 1, 2)):
         assert cyclically_equal(w, r)
     assert not cyclically_equal(w, Word.of(1, 3, 2))
     assert not cyclically_equal(w, Word.of(1, 2))
