@@ -20,12 +20,13 @@ from .hnn import (
     PartialAscendingHNN,
     construct_embedding,
     construct_irreducible_embedding,
-    validate,
 )
 from .parsing import (
     ParseError,
     hnn_source,
     parse_generating_set,
+    parse_hnn,
+    parse_presentation,
     parse_source,
     parse_word,
     presentation_source,
@@ -75,25 +76,11 @@ def _write(path: str, text: str) -> None:
         raise CliError(str(e)) from None
 
 
-def _load(path: str):
+def _load(path: str, parse=parse_source):
     try:
-        return parse_source(_read(path))
+        return parse(_read(path))
     except ParseError as e:
         raise CliError(f"{path}: {e}") from None
-
-
-def _load_presentation(path: str) -> Presentation:
-    obj = _load(path)
-    if isinstance(obj, PartialAscendingHNN):
-        raise CliError(f"{path}: expected a plain presentation, found an hnn header")
-    return obj
-
-
-def _load_hnn(path: str) -> PartialAscendingHNN:
-    obj = _load(path)
-    if isinstance(obj, Presentation):
-        raise CliError(f"{path}: expected an hnn header, found a plain presentation")
-    return obj
 
 
 def _parse_cli_word(p: Presentation, text: str) -> Word:
@@ -196,7 +183,7 @@ def _cmd_check_smallcancel(args) -> int:
 
 
 def _subcomplex(args) -> SubcomplexSpec:
-    p = _load_presentation(args.file)
+    p = _load(args.file, parse_presentation)
     names = args.kill.replace(",", " ").split()
     try:
         return SubcomplexSpec.spanned_by(p, names)
@@ -260,10 +247,7 @@ def _cmd_check_rel(args) -> int:
 
 
 def _cmd_fold(args) -> int:
-    try:
-        alphabet, generators, _ = parse_generating_set(_read(args.file))
-    except ParseError as e:
-        raise CliError(f"{args.file}: {e}") from None
+    alphabet, generators, _ = _load(args.file, parse_generating_set)
     try:
         core = subgroup_core(alphabet, generators)
     except ValueError as e:
@@ -351,9 +335,6 @@ def _certificate_json(result: ExtensionResult) -> dict:
 
 
 def _construct(h: PartialAscendingHNN, irreducible: bool) -> ExtensionResult:
-    diagnostics = validate(h)
-    if diagnostics:
-        raise CliError("; ".join(diagnostics))
     try:
         if irreducible:
             return construct_irreducible_embedding(h)
@@ -363,7 +344,7 @@ def _construct(h: PartialAscendingHNN, irreducible: bool) -> ExtensionResult:
 
 
 def _cmd_embed(args) -> int:
-    h = _load_hnn(args.infile)
+    h = _load(args.infile, parse_hnn)
     result = _construct(h, args.irreducible)
     _write(args.out, hnn_source(_full_extension(result)))
     cert_json = _certificate_json(result)
@@ -377,8 +358,8 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    h = _load_hnn(args.infile)
-    claimed_group = _load_hnn(args.g)
+    h = _load(args.infile, parse_hnn)
+    claimed_group = _load(args.g, parse_hnn)
     try:
         stored = json.loads(_read(args.cert))
     except json.JSONDecodeError as e:
@@ -410,7 +391,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_word_solve(args) -> int:
-    p = _load_presentation(args.pres)
+    p = _load(args.pres, parse_presentation)
     w = _parse_cli_word(p, args.word)
     try:
         solver = DehnSolver(p)
@@ -438,7 +419,7 @@ def _cmd_word_solve(args) -> int:
 
 
 def _cmd_isoperimetry(args) -> int:
-    p = _load_presentation(args.pres)
+    p = _load(args.pres, parse_presentation)
     try:
         samples = random_trivial_words(p, args.samples, args.max_conj, args.seed)
         report = area_bound_check(p, samples)

@@ -123,7 +123,7 @@ class DehnSolver:
         self._automata: list[tuple[list[dict[int, int]], int]] | None = None
 
     def solve(self, w: Word) -> DehnResult:
-        cur = cyclic_reduce(free_reduce(w))[0]
+        cur = cyclic_reduce(w)[0]
         steps: list[DehnStep] = []
         while cur:
             best = self._best_match(cur)
@@ -135,7 +135,7 @@ class DehnSolver:
             w2 = cur.letters + cur.letters
             complement = tuple(-x for x in reversed(d[off + length : off + ell]))
             replaced = Word(complement + w2[pos + length : pos + len(cur)])
-            cur = cyclic_reduce(free_reduce(replaced))[0]
+            cur = cyclic_reduce(replaced)[0]
             steps.append(DehnStep(pos, j, 1 if srank == 0 else -1, off, length))
         return DehnResult(True, tuple(steps), EMPTY)
 
@@ -268,7 +268,7 @@ def verify_steps(
         fwd = r.letters
         bwd = r.inverse().letters
         doubled.append((fwd + fwd, bwd + bwd))
-    cur = cyclic_reduce(free_reduce(w))[0]
+    cur = cyclic_reduce(w)[0]
     for st in steps:
         n = len(cur)
         if not 0 <= st.relator < len(presentation.relators):
@@ -286,7 +286,7 @@ def verify_steps(
             return False, cur
         complement = tuple(-x for x in reversed(d[st.offset + st.length : st.offset + ell]))
         replaced = Word(complement + w2[st.position + st.length : st.position + n])
-        nxt = cyclic_reduce(free_reduce(replaced))[0]
+        nxt = cyclic_reduce(replaced)[0]
         if len(nxt) >= n:
             return False, cur
         cur = nxt

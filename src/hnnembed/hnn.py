@@ -32,6 +32,12 @@ a scale parameter.  Both constructions share one escalation loop: it
 builds a completion from the family, certifies it, and doubles the
 scale only when the certificate fails, so equal inputs give equal
 outputs, and outputs that exist are verified.
+
+Builders build and :func:`_certify` checks.  A per-scale builder returns
+only data: the images, the stored quotient words and, for the
+irreducible construction, what the new loops hang on.  Every verdict of
+the certificate is computed in :func:`_certify`, from one fold of the
+image subgroup.
 """
 
 from __future__ import annotations
@@ -50,7 +56,9 @@ from .stallings import (
     CoreGraph,
     fold,
     graphs_equal,
+    hang,
     is_monomorphism,
+    rank,
     subgroup_core,
     trim_to_core,
     unused_basepoint_labels,
@@ -180,12 +188,8 @@ def build_complex_pair(
     names = h.ascending + h.free + tuple(new_names)
     if len(images) != len(names):
         raise ValueError("need exactly one image per non-stable generator")
-    ab = Alphabet(names + (h.stable,))
-    t = ab.size
-    rels = tuple(
-        Word.of(t, g + 1, -t) * img.inverse() for g, img in enumerate(images)
-    )
-    parent = Presentation(ab, rels, names)
+    parent = PartialAscendingHNN(names, (), tuple(images), h.stable).presentation()
+    t = parent.alphabet.size
     old = frozenset(range(1, len(h.ascending) + len(h.free) + 1)) | {t}
     return SubcomplexSpec(parent, old, tuple(range(len(h.ascending))))
 
@@ -331,11 +335,15 @@ def _keep_above(w: Word, base: int) -> Word:
     )
 
 
+# What the irreducible construction's new loops hang on: the core of the
+# prescribed images over the completed non-stable alphabet, the
+# attachment labels and the pattern segments, one per new image.
+Hanging = tuple[CoreGraph, tuple[int, ...], tuple[Word, ...]]
+
 # A per-scale builder turns a relator family into the images of every
-# non-stable generator, the stored quotient words and any extra evidence.
-Builder = Callable[
-    [list[Word]], tuple[list[Word], tuple[Word, ...], IrreducibleEvidence | None]
-]
+# non-stable generator, the stored quotient words and the hanging data
+# (None for the plain construction).
+Builder = Callable[[list[Word]], tuple[list[Word], tuple[Word, ...], Hanging | None]]
 
 
 def _escalate(
@@ -359,9 +367,13 @@ def _certify(
     new_names: tuple[str, str],
     images: list[Word],
     stored: tuple[Word, ...],
-    evidence: IrreducibleEvidence | None,
+    hanging: Hanging | None,
 ) -> ExtensionResult:
-    """Assemble the completed group from the images and certify it."""
+    """Assemble the completed group from the images and certify it.
+
+    The image subgroup is folded once; the monomorphism verdict and the
+    irreducible evidence both read that one core.
+    """
     pair = build_complex_pair(h, new_names, images)
     parent = pair.parent
     # Soundness anchors: the input's cells survive verbatim (same
@@ -386,6 +398,8 @@ def _certify(
     # least 8 factors, so the metric verdict implies the overlap one and
     # the exact (slower) decomposition only runs when the metric fails.
     c7 = cprime.holds or cp_from_stats(rep, 7).holds
+    # Every image is nonempty, so this is is_monomorphism's own test.
+    image_core = subgroup_core(Alphabet(h.ascending + h.free + new_names), images)
     cert = EmbeddingCertificate(
         quotient=q,
         quotient_words=stored,
@@ -399,10 +413,33 @@ def _certify(
         ),
         no_extra_powers=check_no_extra_powers(pair),
         no_duplicates=check_no_duplicates(pair),
-        monomorphism=is_monomorphism(Alphabet(h.ascending + h.free + new_names), images),
-        irreducible=evidence,
+        monomorphism=rank(image_core) == len(images),
+        irreducible=None
+        if hanging is None
+        else _irreducible_evidence(h, images, hanging, image_core),
     )
     return ExtensionResult(h, new_names, tuple(images), parent, pair, cert)
+
+
+def _irreducible_evidence(
+    h: PartialAscendingHNN,
+    images: list[Word],
+    hanging: Hanging,
+    image_core: CoreGraph,
+) -> IrreducibleEvidence:
+    """Side conditions of the irreducible construction, read off what
+    the new loops hang on and the image subgroup's core."""
+    core, x_labels, patterns = hanging
+    loops = images[len(h.ascending) :]
+    letters = signed_letters(image_core.alphabet.size)
+    return IrreducibleEvidence(
+        x_labels=x_labels,
+        digram_coverage=tuple(contains_all_reduced_digrams(p, letters) for p in patterns),
+        wedge_check=wedge_extension_check(core, loops),
+        basepoint_degree=core.degree(core.basepoint),
+        degree_bound=2 * len(h.ascending),
+        core_matches_wedge=_core_matches_wedge(core, loops, image_core),
+    )
 
 
 def construct_embedding(h: PartialAscendingHNN) -> ExtensionResult:
@@ -474,15 +511,14 @@ def construct_irreducible_embedding(h: PartialAscendingHNN) -> ExtensionResult:
         raise RuntimeError("no admissible rotation start")
 
     c1, c2 = base + 1, base + 2
-    patterns = [
+    patterns = tuple(
         rotation_from(j * period // (nfree + 2), {-x[nfree + j], -c1})
         for j in range(nfree)
-    ] + [
+    ) + tuple(
         rotation_from((nfree + k - 1) * period // (nfree + 2), {-c1, -c2})
         for k in (1, 2)
-    ]
+    )
     wide = core.with_alphabet(Alphabet(h.ascending + h.free + new_names))
-    coverage = tuple(contains_all_reduced_digrams(p, signed_letters(n)) for p in patterns)
 
     def build(family: list[Word]):
         beta = [_shift(family[j], base) for j in range(nfree)]
@@ -509,15 +545,7 @@ def construct_irreducible_embedding(h: PartialAscendingHNN) -> ExtensionResult:
             * Word.of(-k)
             for k in (1, 2)
         )
-        evidence = IrreducibleEvidence(
-            x_labels=x,
-            digram_coverage=coverage,
-            wedge_check=wedge_extension_check(wide, loops),
-            basepoint_degree=core.degree(core.basepoint),
-            degree_bound=2 * len(h.ascending),
-            core_matches_wedge=_core_matches_wedge(wide, loops, images),
-        )
-        return images, stored, evidence
+        return images, stored, (wide, x, patterns)
 
     return _escalate(h, new_names, build)
 
@@ -542,41 +570,12 @@ def _irreducible_shape_ok(loops: list[Word], nfree: int, base: int) -> bool:
 
 
 def _core_matches_wedge(
-    core: CoreGraph, loops: Sequence[Word], images: Sequence[Word]
+    core: CoreGraph, loops: Sequence[Word], image_core: CoreGraph
 ) -> bool:
-    """Fold the core with loop paths attached; require a genuine wedge
-    equal to the image subgroup's core."""
-    edges = list(core.edges)
-    n = core.num_vertices
-    b = core.basepoint
-
-    def path(start: int, w: Word, end: int) -> None:
-        nonlocal n
-        cur = start
-        for i, letter in enumerate(w):
-            nxt = end if i == len(w) - 1 else n
-            if i < len(w) - 1:
-                n += 1
-            if letter > 0:
-                edges.append((cur, nxt, letter))
-            else:
-                edges.append((nxt, cur, -letter))
-            cur = nxt
-
-    for w in loops:
-        inner, stem = cyclic_reduce(w)
-        at = b
-        for letter in stem:
-            nxt = n
-            n += 1
-            if letter > 0:
-                edges.append((at, nxt, letter))
-            else:
-                edges.append((nxt, at, -letter))
-            at = nxt
-        path(at, inner, at)
-    raw = CoreGraph(core.alphabet, n, b, tuple(edges), False, False)
+    """Folding the core with the loops hung on it must merge nothing (a
+    genuine wedge), and its trim must be the image subgroup's core."""
+    raw = hang(core, loops)
     folded = fold(raw)
     if folded.num_vertices != raw.num_vertices or len(folded.edges) != len(raw.edges):
         return False
-    return graphs_equal(trim_to_core(folded), subgroup_core(core.alphabet, list(images)))
+    return graphs_equal(trim_to_core(folded), image_core)

@@ -59,39 +59,29 @@ def _tokenize(text: str, line: int | None) -> list[tuple[str, object]]:
 
 def parse_word(alphabet: Alphabet, text: str, line: int | None = None) -> Word:
     """Parse a word over ``alphabet``; concatenation is literal (no implicit
-    free reduction), so malformed inputs stay visible to later validators."""
-    tokens = _tokenize(text, line)
-    letters, i = _parse_sequence(alphabet, tokens, 0, line)
-    if i != len(tokens):
-        raise ParseError("unmatched ')'", line)
-    return Word(tuple(letters))
+    free reduction), so malformed inputs stay visible to later validators.
 
-
-def _parse_sequence(
-    alphabet: Alphabet, tokens: list[tuple[str, object]], i: int, line: int | None
-) -> tuple[list[int], int]:
-    acc: list[int] = []
-    while i < len(tokens):
-        kind, value = tokens[i]
+    One explicit stack holds the letters of each open group, so nesting
+    depth is bounded by memory rather than by the interpreter's stack."""
+    stack: list[list[int]] = [[]]
+    for kind, value in _tokenize(text, line):
         if kind == "open":
-            inner, i = _parse_sequence(alphabet, tokens, i + 1, line)
-            if i == len(tokens) or tokens[i][0] != "close":
-                raise ParseError("missing ')'", line)
-            k = tokens[i][1]
-            if k < 0:
-                inner = [-x for x in reversed(inner)]
-            acc += inner * abs(k)
-            i += 1
+            stack.append([])
         elif kind == "close":
-            return acc, i
-        else:
-            if value != "1":
-                try:
-                    acc.append(alphabet.letter(value))
-                except KeyError:
-                    raise ParseError(f"unknown generator {str(value).rstrip(chr(39))!r}", line) from None
-            i += 1
-    return acc, i
+            if len(stack) == 1:
+                raise ParseError("unmatched ')'", line)
+            inner = stack.pop()
+            if value < 0:
+                inner = [-x for x in reversed(inner)]
+            stack[-1] += inner * abs(value)
+        elif value != "1":
+            try:
+                stack[-1].append(alphabet.letter(value))
+            except KeyError:
+                raise ParseError(f"unknown generator {str(value).rstrip(chr(39))!r}", line) from None
+    if len(stack) != 1:
+        raise ParseError("missing ')'", line)
+    return Word(tuple(stack[0]))
 
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:

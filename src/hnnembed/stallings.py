@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .words import Alphabet, Word, cyclic_reduce, free_reduce, letter_key
 
@@ -63,6 +63,27 @@ class CoreGraph:
         return d
 
 
+def _spell(
+    edges: list[tuple[int, int, int]], n: int, start: int, w: Word, end: int | None
+) -> tuple[int, int]:
+    """Append a path reading ``w`` from ``start`` through fresh vertices to
+    ``end``, or to one more fresh vertex when ``end`` is None.  Returns the
+    new vertex count and the path's last vertex."""
+    cur = start
+    for i, x in enumerate(w):
+        if end is not None and i == len(w) - 1:
+            nxt = end
+        else:
+            nxt = n
+            n += 1
+        if x > 0:
+            edges.append((cur, nxt, x))
+        else:
+            edges.append((nxt, cur, -x))
+        cur = nxt
+    return n, cur
+
+
 def bouquet(alphabet: Alphabet, generators: Sequence[Word]) -> CoreGraph:
     """Wedge of one loop path per generator word, unfolded."""
     edges: list[tuple[int, int, int]] = []
@@ -72,18 +93,24 @@ def bouquet(alphabet: Alphabet, generators: Sequence[Word]) -> CoreGraph:
             raise ValueError("empty generator word")
         if w.max_letter() > alphabet.size:
             raise ValueError("generator word outside alphabet")
-        cur = 0
-        for i, x in enumerate(w):
-            nxt = 0 if i == len(w) - 1 else n
-            if i < len(w) - 1:
-                n += 1
-            if x > 0:
-                edges.append((cur, nxt, x))
-            else:
-                edges.append((nxt, cur, -x))
-            cur = nxt
+        n, _ = _spell(edges, n, 0, w, 0)
     folded = not generators
     return CoreGraph(alphabet, n, 0, tuple(edges), folded, folded)
+
+
+def hang(core: CoreGraph, loops: Sequence[Word]) -> CoreGraph:
+    """The core with each loop hung at its basepoint, unfolded.
+
+    A loop's stem (its conjugator) becomes a path out of the basepoint
+    and its cyclically reduced part a cycle at the stem's end.
+    """
+    edges = list(core.edges)
+    n = core.num_vertices
+    for w in loops:
+        inner, stem = cyclic_reduce(w)
+        n, at = _spell(edges, n, core.basepoint, stem, None)
+        n, _ = _spell(edges, n, at, inner, at)
+    return CoreGraph(core.alphabet, n, core.basepoint, tuple(edges), False, False)
 
 
 def fold(g: CoreGraph, order_seed: int | None = None) -> CoreGraph:

@@ -83,12 +83,6 @@ class QuotientPresentation:
     projected: tuple[ProjectedRelator, ...]
     dropped: tuple[int, ...]
 
-    def nonempty_words(self) -> list[Word]:
-        return [p.word for p in self.projected if p.word]
-
-    def empty_sources(self) -> list[int]:
-        return [p.source for p in self.projected if not p.word]
-
 
 def quotient(spec: SubcomplexSpec) -> QuotientPresentation:
     parent = spec.parent

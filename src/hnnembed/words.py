@@ -163,12 +163,12 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 
     ``core`` is cyclically reduced.  The input is freely reduced first.
     """
-    ls = list(free_reduce(w))
-    pre: list[int] = []
-    while len(ls) >= 2 and ls[0] == -ls[-1]:
-        pre.append(ls[0])
-        ls = ls[1:-1]
-    return Word(tuple(ls)), Word(tuple(pre))
+    ls = free_reduce(w).letters
+    i, j = 0, len(ls) - 1
+    while i < j and ls[i] == -ls[j]:
+        i += 1
+        j -= 1
+    return Word(ls[i : j + 1]), Word(ls[:i])
 
 
 def is_cyclically_reduced(w: Word) -> bool:

@@ -68,6 +68,18 @@ def test_parse_error_exits_2_with_line(files, capsys):
     assert "line 2" in err and "not cyclically reduced" in err
 
 
+def test_parse_deep_nesting(tmp_path, capsys):
+    nested = tmp_path / "nested.pres"
+    nested.write_text("gens: a\nrel: " + "(" * 3000 + "a" + ")" * 3000 + "\n")
+    code, out, err = run(capsys, "parse", str(nested))
+    assert code == 0 and err == "" and "1 relators" in out
+    unclosed = tmp_path / "unclosed.pres"
+    unclosed.write_text("gens: a\nrel: " + "(" * 3000 + "a\n")
+    code, out, err = run(capsys, "parse", str(unclosed))
+    assert code == 2 and out == ""
+    assert err == f"error: {unclosed}: line 2: missing ')'\n"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "parse", "/nonexistent/nope.pres")
     assert code == 2 and "error:" in err
@@ -269,7 +281,8 @@ def test_embed_rejects_unusable_input(tmp_path, capsys):
         "embed", "--in", str(bad), "--out", str(tmp_path / "g.pres"),
         "--cert", str(tmp_path / "c.json"),
     )
-    assert code == 2 and "stable letter" in err
+    assert code == 2
+    assert err == "error: invalid input: image of a uses the stable letter t\n"
 
 
 def test_word_solve_exit_codes(files, capsys):

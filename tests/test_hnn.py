@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import hnnembed
-from hnnembed import hnn
+from hnnembed import hnn, stallings
 from hnnembed.hnn import (
     PartialAscendingHNN,
     build_complex_pair,
@@ -290,6 +290,48 @@ def test_irreducible_core_is_a_wedge():
     assert res.certificate.irreducible.core_matches_wedge
     new_loops = list(res.images[len(h.ascending) :])
     assert wedge_extension_check(gamma.with_alphabet(nonstable), new_loops)
+
+
+def test_full_image_list_is_folded_once(monkeypatch):
+    """The monomorphism verdict and the wedge comparison read one core."""
+    folded, families = [], []
+    bouquet, family = stallings.bouquet, hnn.generate_relator_family
+
+    def counted_bouquet(alphabet, generators):
+        folded.append(tuple(generators))
+        return bouquet(alphabet, generators)
+
+    def counted_family(*args):
+        families.append(args)
+        return family(*args)
+
+    monkeypatch.setattr(stallings, "bouquet", counted_bouquet)
+    monkeypatch.setattr(hnn, "generate_relator_family", counted_family)
+    res = construct_irreducible_embedding(intro_example())
+    assert len(families) == 1
+    assert folded.count(res.images) == 1
+
+
+def test_certify_rejects_a_wrong_hanging_core(monkeypatch):
+    h = intro_example()
+    calls = []
+    certify = hnn._certify
+
+    def recorded(*args):
+        calls.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(hnn, "_certify", recorded)
+    construct_irreducible_embedding(h)
+    _, new_names, images, stored, (core, x_labels, patterns) = calls[-1]
+    # the loops hang fold-free on the trivial group's core, but the wedge
+    # is the wrong subgroup; the images' own core takes the loops in by
+    # merging, so it is no wedge
+    for wrong in (subgroup_core(core.alphabet, []), subgroup_core(core.alphabet, images)):
+        res = certify(h, new_names, images, stored, (wrong, x_labels, patterns))
+        assert not res.certificate.irreducible.core_matches_wedge
+        assert "irreducible" in res.certificate.failing()
+    assert certify(h, new_names, images, stored, (core, x_labels, patterns)).certificate.all_true()
 
 
 def test_irreducible_single_loop_trace():

@@ -73,6 +73,11 @@ class TestWordGrammar:
         with pytest.raises(ParseError, match="bad word syntax"):
             parse_word(AB, "a)^x")
 
+    def test_deep_nesting_needs_no_recursion(self):
+        assert parse_word(AB, "(" * 3000 + "a" + ")" * 3000) == Word.of(1)
+        with pytest.raises(ParseError, match=r"missing '\)'"):
+            parse_word(AB, "(" * 3000 + "a", line=4)
+
 
 class TestPresentationFiles:
     def test_parse_with_comments_and_names(self):

@@ -16,6 +16,7 @@ from hnnembed.stallings import (
     canonical_form,
     fold,
     graphs_equal,
+    hang,
     is_monomorphism,
     membership,
     rank,
@@ -231,7 +232,18 @@ def test_wedge_extension_matches_folded_union():
         accepted += 1
         combined = subgroup_core(ABC, list(gens) + loops)
         assert rank(combined) == rank(core) + len(loops)
+        assert graphs_equal(trim_to_core(fold(hang(core, loops))), combined)
     assert accepted > 20
+
+
+def test_hang_spells_stem_and_cycle():
+    core = subgroup_core(AB, [AB.word("b")])
+    raw = hang(core, [AB.word("a b a'")])
+    # the b loop, the stem a, and the b cycle at the stem's end
+    assert raw.num_vertices == 2
+    assert raw.edges == ((0, 0, 2), (0, 1, 1), (1, 1, 2))
+    folded = fold(raw)
+    assert folded.num_vertices == 2 and folded.edges == raw.edges
 
 
 def test_canonical_form_ignores_vertex_numbering():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -113,6 +114,16 @@ def test_cyclic_reduce_conjugator_identity():
         core, conj = cyclic_reduce(w)
         assert is_cyclically_reduced(core)
         assert free_reduce(conj * core * conj.inverse()) == free_reduce(w)
+
+
+def test_cyclic_reduce_long_stem_is_linear():
+    # 40 000-letter stem: peeling it must not re-slice the word per letter
+    k = 40_000
+    w = Word((1,) * k + (2,) + (-1,) * k)
+    start = time.perf_counter()
+    core, conj = cyclic_reduce(w)
+    assert time.perf_counter() - start < 1
+    assert core == Word.of(2) and conj == Word((1,) * k)
 
 
 def test_exponent_known():
