@@ -31,13 +31,19 @@ All choices are deterministic.  The relator family is a closed form in
 a scale parameter.  Both constructions share one escalation loop: it
 builds a completion from the family, certifies it, and doubles the
 scale only when the certificate fails, so equal inputs give equal
-outputs, and outputs that exist are verified.
+outputs, and outputs that exist are verified.  Each attempt scans its
+stored words first; one that fails C'(1/7) there is already failed and
+builds no more of its certificate, except at the last scale.
 
 Builders build and :func:`_certify` checks.  A per-scale builder returns
 only data: the images, the stored quotient words and, for the
 irreducible construction, what the new loops hang on.  Every verdict of
-the certificate is computed in :func:`_certify`, from one fold of the
-image subgroup.
+the certificate is computed in :func:`_certify`.  The monomorphism
+verdict reads the core of the image subgroup.  The plain construction
+folds the full image list for it.  The irreducible one hangs the new
+loops on the core of the prescribed images; when no vertex then reads
+a label twice, the hung graph is already folded, and its trim is that
+core, because a folded core is unique for its subgroup (Stallings 1983).
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from typing import Callable, Sequence
 
 from .presentation import (
     CprimeReport,
+    PieceReport,
     Presentation,
     cp_from_stats,
     cprime_from_stats,
@@ -54,7 +61,6 @@ from .presentation import (
 )
 from .stallings import (
     CoreGraph,
-    fold,
     graphs_equal,
     hang,
     is_monomorphism,
@@ -351,11 +357,21 @@ def _escalate(
 ) -> ExtensionResult:
     """The one escalation loop: certify the completion built from the
     family at scale 1, 2, 4, ... and return the first whose certificate
-    holds, up to a hard cap."""
+    holds, up to a hard cap.
+
+    Each attempt scans its stored words once.  A failing C'(1/7) alone
+    fails the certificate, so such an attempt doubles the scale without
+    building the rest of it, except at the last scale, whose full
+    certificate names every failing check.
+    """
     c_alphabet = Alphabet.of(*new_names)
     for e in range(MAX_ESCALATIONS + 1):
         family = generate_relator_family(len(h.free) + 2, c_alphabet, 2**e)
-        result = _certify(h, new_names, *build(family))
+        images, stored, hanging = build(family)
+        report = piece_stats(list(stored), include_inverses=True)
+        if e < MAX_ESCALATIONS and not cprime_from_stats(report, 1, 7).holds:
+            continue
+        result = _certify(h, new_names, images, stored, hanging, report)
         failing = result.certificate.failing()
         if not failing:
             return result
@@ -368,11 +384,15 @@ def _certify(
     images: list[Word],
     stored: tuple[Word, ...],
     hanging: Hanging | None,
+    report: PieceReport | None = None,
 ) -> ExtensionResult:
     """Assemble the completed group from the images and certify it.
 
-    The image subgroup is folded once; the monomorphism verdict and the
-    irreducible evidence both read that one core.
+    ``report`` is the piece scan of ``stored`` when the caller already
+    has it.  The monomorphism verdict reads the image subgroup's core.
+    For the irreducible construction that core is the trim of the
+    prescribed images' core with the new loops hung on it, whenever the
+    hanging merges nothing; only otherwise is the full image list folded.
     """
     pair = build_complex_pair(h, new_names, images)
     parent = pair.parent
@@ -392,14 +412,19 @@ def _certify(
         cyclically_equal(pr.word, w.inverse()) for pr, w in zip(q.projected, stored)
     ):
         raise RuntimeError("stored quotient words differ from the projected cell boundaries")
-    rep = piece_stats(list(stored), include_inverses=True)
+    rep = report if report is not None else piece_stats(list(stored), include_inverses=True)
     cprime = cprime_from_stats(rep, 1, 7)
     # Strict pieces < length/7 force any piece decomposition to have at
     # least 8 factors, so the metric verdict implies the overlap one and
     # the exact (slower) decomposition only runs when the metric fails.
     c7 = cprime.holds or cp_from_stats(rep, 7).holds
-    # Every image is nonempty, so this is is_monomorphism's own test.
-    image_core = subgroup_core(Alphabet(h.ascending + h.free + new_names), images)
+    alphabet = Alphabet(h.ascending + h.free + new_names)
+    image_core, evidence = None, None
+    if hanging is not None:
+        image_core, evidence = _irreducible_evidence(h, alphabet, images, hanging)
+    if image_core is None:
+        # Every image is nonempty, so this is is_monomorphism's own test.
+        image_core = subgroup_core(alphabet, images)
     cert = EmbeddingCertificate(
         quotient=q,
         quotient_words=stored,
@@ -414,32 +439,41 @@ def _certify(
         no_extra_powers=check_no_extra_powers(pair),
         no_duplicates=check_no_duplicates(pair),
         monomorphism=rank(image_core) == len(images),
-        irreducible=None
-        if hanging is None
-        else _irreducible_evidence(h, images, hanging, image_core),
+        irreducible=evidence,
     )
     return ExtensionResult(h, new_names, tuple(images), parent, pair, cert)
 
 
 def _irreducible_evidence(
     h: PartialAscendingHNN,
+    alphabet: Alphabet,
     images: list[Word],
     hanging: Hanging,
-    image_core: CoreGraph,
-) -> IrreducibleEvidence:
-    """Side conditions of the irreducible construction, read off what
-    the new loops hang on and the image subgroup's core."""
+) -> tuple[CoreGraph | None, IrreducibleEvidence]:
+    """Side conditions of the irreducible construction, and the image
+    subgroup's core when it is a genuine wedge.
+
+    The new loops are hung on the core of the prescribed images.  When
+    that merges nothing at any vertex, the hung graph is folded, and its
+    trim is the image subgroup's core, since a folded core is unique for
+    its subgroup.  The wedge also needs the builder's core to be that
+    core; otherwise no image core is returned and the caller folds.
+    """
     core, x_labels, patterns = hanging
     loops = images[len(h.ascending) :]
-    letters = signed_letters(image_core.alphabet.size)
-    return IrreducibleEvidence(
+    prescribed = subgroup_core(h.base_alphabet, h.images).with_alphabet(alphabet)
+    hung = hang(prescribed, loops)
+    wedge = hung.folded and graphs_equal(core, prescribed)
+    letters = signed_letters(alphabet.size)
+    evidence = IrreducibleEvidence(
         x_labels=x_labels,
         digram_coverage=tuple(contains_all_reduced_digrams(p, letters) for p in patterns),
         wedge_check=wedge_extension_check(core, loops),
         basepoint_degree=core.degree(core.basepoint),
         degree_bound=2 * len(h.ascending),
-        core_matches_wedge=_core_matches_wedge(core, loops, image_core),
+        core_matches_wedge=wedge,
     )
+    return (trim_to_core(hung) if wedge else None), evidence
 
 
 def construct_embedding(h: PartialAscendingHNN) -> ExtensionResult:
@@ -568,14 +602,3 @@ def _irreducible_shape_ok(loops: list[Word], nfree: int, base: int) -> bool:
                 return False
     return True
 
-
-def _core_matches_wedge(
-    core: CoreGraph, loops: Sequence[Word], image_core: CoreGraph
-) -> bool:
-    """Folding the core with the loops hung on it must merge nothing (a
-    genuine wedge), and its trim must be the image subgroup's core."""
-    raw = hang(core, loops)
-    folded = fold(raw)
-    if folded.num_vertices != raw.num_vertices or len(folded.edges) != len(raw.edges):
-        return False
-    return graphs_equal(trim_to_core(folded), image_core)

@@ -151,12 +151,6 @@ def best_piece_decomposition(
     return best
 
 
-def min_piece_decomposition(per_offset: Sequence[int]) -> int | None:
-    """Fewest pieces whose concatenation is some rotation of the word."""
-    best = best_piece_decomposition(per_offset)
-    return None if best is None else best[0]
-
-
 @dataclass(frozen=True)
 class CpWitness:
     """A too-short decomposition: relator covered by the listed pieces."""

@@ -99,10 +99,12 @@ def bouquet(alphabet: Alphabet, generators: Sequence[Word]) -> CoreGraph:
 
 
 def hang(core: CoreGraph, loops: Sequence[Word]) -> CoreGraph:
-    """The core with each loop hung at its basepoint, unfolded.
+    """The core with each loop hung at its basepoint.
 
     A loop's stem (its conjugator) becomes a path out of the basepoint
-    and its cyclically reduced part a cycle at the stem's end.
+    and its cyclically reduced part a cycle at the stem's end.  The
+    result is marked folded exactly when no vertex reads a signed label
+    twice, in which case folding it would merge nothing.
     """
     edges = list(core.edges)
     n = core.num_vertices
@@ -110,7 +112,19 @@ def hang(core: CoreGraph, loops: Sequence[Word]) -> CoreGraph:
         inner, stem = cyclic_reduce(w)
         n, at = _spell(edges, n, core.basepoint, stem, None)
         n, _ = _spell(edges, n, at, inner, at)
-    return CoreGraph(core.alphabet, n, core.basepoint, tuple(edges), False, False)
+    folded = _deterministic(edges)
+    return CoreGraph(core.alphabet, n, core.basepoint, tuple(edges), folded, False)
+
+
+def _deterministic(edges: Sequence[tuple[int, int, int]]) -> bool:
+    """Does every vertex read each signed label at most once?"""
+    seen: set[tuple[int, int]] = set()
+    for u, v, g in edges:
+        if (u, g) in seen or (v, -g) in seen:
+            return False
+        seen.add((u, g))
+        seen.add((v, -g))
+    return True
 
 
 def fold(g: CoreGraph, order_seed: int | None = None) -> CoreGraph:

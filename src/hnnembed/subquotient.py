@@ -177,20 +177,6 @@ def _rotation(w: Word, off: int) -> tuple[int, ...]:
     return ls[off:] + ls[:off]
 
 
-def cancellable_alignment(p: Presentation, d: TwoCellDiagram) -> bool:
-    """Do the two rotated boundaries read the same closed path?"""
-    for r, rot in ((d.r1, d.rot1), (d.r2, d.rot2)):
-        if not 0 <= r < len(p.relators):
-            raise ValueError(f"relator index {r} out of range")
-        if not 0 <= rot < len(p.relators[r]):
-            raise ValueError(f"rotation {rot} out of range for relator {r}")
-    b1 = _rotation(p.relators[d.r1], d.rot1)
-    b2 = _rotation(p.relators[d.r2], d.rot2)
-    if b1[0] != d.shared_edge or b2[0] != d.shared_edge:
-        raise ValueError("rotated boundaries do not start with the shared edge")
-    return b1 == b2
-
-
 @dataclass(frozen=True)
 class LiftFailure:
     """A cancelling alignment downstairs with no cancelling lift."""

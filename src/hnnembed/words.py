@@ -284,12 +284,3 @@ def random_reduced_word(rng, rank: int, length: int) -> Word:
             out.append(x)
     return Word(tuple(out))
 
-
-def random_cyclically_reduced_word(rng, rank: int, length: int) -> Word:
-    """Like :func:`random_reduced_word` but also reduced around the wrap."""
-    if length <= 1:
-        return random_reduced_word(rng, rank, length)
-    while True:
-        w = random_reduced_word(rng, rank, length)
-        if w.letters[0] != -w.letters[-1]:
-            return w

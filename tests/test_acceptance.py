@@ -17,9 +17,8 @@ from hnnembed.hnn import (
     construct_embedding,
     construct_irreducible_embedding,
     generate_relator_family,
-    validate,
 )
-from hnnembed.presentation import Presentation, min_piece_decomposition, piece_stats
+from hnnembed.presentation import Presentation, piece_stats
 from hnnembed.stallings import (
     basepoint_degree,
     bouquet,
@@ -39,9 +38,10 @@ from hnnembed.words import (
     Alphabet,
     Word,
     exponent,
-    random_cyclically_reduced_word,
     random_reduced_word,
 )
+
+from helpers import criterion_6_inputs, min_piece_decomposition, random_cyclically_reduced_word
 
 
 @contextmanager
@@ -254,30 +254,7 @@ def test_criterion_5_folded_core_properties(capsys):
 
 def test_criterion_6_irreducible_certificates(capsys):
     with criterion(capsys, 6, "20 random inputs: irreducible completion certified with zero failures", 120.0):
-        rng = random.Random(9006)
-        done = 0
-        while done < 20:
-            ni = rng.randint(0, 3)
-            nj = rng.randint(1, 3)
-            size = ni + nj
-            images = []
-            for _ in range(ni):
-                length = rng.randint(1, 12)
-                letters: list[int] = []
-                while len(letters) < length:
-                    x = rng.choice([-1, 1]) * rng.randint(1, size)
-                    if letters and letters[-1] == -x:
-                        continue
-                    letters.append(x)
-                images.append(Word.of(*letters))
-            h = PartialAscendingHNN(
-                tuple(f"a{k + 1}" for k in range(ni)),
-                tuple(f"b{k + 1}" for k in range(nj)),
-                tuple(images),
-            )
-            if validate(h):
-                continue
-            done += 1
+        for h in criterion_6_inputs():
             result = construct_irreducible_embedding(h)
             cert = result.certificate
             assert cert.cprime.holds, "metric small-cancellation verdict"

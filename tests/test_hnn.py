@@ -24,8 +24,17 @@ from hnnembed.hnn import (
     generate_relator_family,
     validate,
 )
+from hnnembed.parsing import parse_hnn
 from hnnembed.presentation import check_cprime
-from hnnembed.stallings import rank, subgroup_core, wedge_extension_check
+from hnnembed.stallings import (
+    graphs_equal,
+    hang,
+    is_monomorphism,
+    rank,
+    subgroup_core,
+    trim_to_core,
+    wedge_extension_check,
+)
 from hnnembed.subquotient import quotient
 from hnnembed.words import (
     Alphabet,
@@ -35,6 +44,9 @@ from hnnembed.words import (
     is_proper_power,
     signed_letters,
 )
+
+from helpers import complete_workload_inputs, criterion_6_inputs
+from test_cli import ESCALATING
 
 C2 = Alphabet.of("c1", "c2")
 
@@ -293,23 +305,39 @@ def test_irreducible_core_is_a_wedge():
 
 
 def test_full_image_list_is_folded_once(monkeypatch):
-    """The monomorphism verdict and the wedge comparison read one core."""
-    folded, families = [], []
-    bouquet, family = stallings.bouquet, hnn.generate_relator_family
+    """The plain path folds the full image list once.  The irreducible
+    path reads the image core off the loops hung on the prescribed
+    images' core, so it folds neither the full list nor the hung graph:
+    every fold it runs is of the prescribed images alone."""
+    folded, fold_sizes, families = [], [], []
+    bouquet, fold, family = stallings.bouquet, stallings.fold, hnn.generate_relator_family
 
     def counted_bouquet(alphabet, generators):
         folded.append(tuple(generators))
         return bouquet(alphabet, generators)
+
+    def counted_fold(g, *args):
+        fold_sizes.append(len(g.edges))
+        return fold(g, *args)
 
     def counted_family(*args):
         families.append(args)
         return family(*args)
 
     monkeypatch.setattr(stallings, "bouquet", counted_bouquet)
+    monkeypatch.setattr(stallings, "fold", counted_fold)
     monkeypatch.setattr(hnn, "generate_relator_family", counted_family)
-    res = construct_irreducible_embedding(intro_example())
+    h = intro_example()
+    res = construct_embedding(h)
     assert len(families) == 1
     assert folded.count(res.images) == 1
+    folded.clear()
+    fold_sizes.clear()
+    res = construct_irreducible_embedding(h)
+    assert len(families) == 2
+    assert folded.count(res.images) == 0
+    assert res.certificate.irreducible.core_matches_wedge
+    assert fold_sizes and max(fold_sizes) <= sum(len(w) for w in h.images)
 
 
 def test_certify_rejects_a_wrong_hanging_core(monkeypatch):
@@ -323,7 +351,7 @@ def test_certify_rejects_a_wrong_hanging_core(monkeypatch):
 
     monkeypatch.setattr(hnn, "_certify", recorded)
     construct_irreducible_embedding(h)
-    _, new_names, images, stored, (core, x_labels, patterns) = calls[-1]
+    _, new_names, images, stored, (core, x_labels, patterns), _report = calls[-1]
     # the loops hang fold-free on the trivial group's core, but the wedge
     # is the wrong subgroup; the images' own core takes the loops in by
     # merging, so it is no wedge
@@ -332,6 +360,111 @@ def test_certify_rejects_a_wrong_hanging_core(monkeypatch):
         assert not res.certificate.irreducible.core_matches_wedge
         assert "irreducible" in res.certificate.failing()
     assert certify(h, new_names, images, stored, (core, x_labels, patterns)).certificate.all_true()
+
+
+@pytest.mark.parametrize(
+    "loops,injective",
+    [(("a b c1", "c1 c2 c2", "c2 c1 c1"), True), (("a c1", "a c1 c2", "c2 c1 c1"), False)],
+)
+def test_loops_merging_at_the_basepoint_fold_the_full_image_list(loops, injective):
+    """Each hand-built first loop starts with a, which the prescribed core
+    already reads at the basepoint.  That is no wedge, and monomorphism
+    falls back to folding the whole image list."""
+    h = PartialAscendingHNN(("a",), ("b",), (Word.of(1),))
+    wide = Alphabet.of("a", "b", "c1", "c2")
+    images = [Word.of(1)] + [wide.word(w) for w in loops]
+    pair = build_complex_pair(h, ("c1", "c2"), images)
+    stored = tuple(pr.word.inverse() for pr in quotient(pair).projected)
+    core = subgroup_core(h.base_alphabet, h.images).with_alphabet(wide)
+    cert = hnn._certify(h, ("c1", "c2"), images, stored, (core, (), ())).certificate
+    assert not cert.irreducible.core_matches_wedge
+    assert cert.monomorphism == is_monomorphism(wide, images) == injective
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [criterion_6_inputs, lambda: complete_workload_inputs(101)],
+    ids=["criterion6", "complete101"],
+)
+def test_hung_wedge_trim_is_the_image_core(inputs):
+    """Oracle for the certificate's shortcut, with the full fold as the
+    oracle.  On every generated input the loops hang on the prescribed
+    images' core without merging, the trim of the hung graph is the fold
+    of the full image list, and its rank gives is_monomorphism's verdict."""
+    for h in inputs():
+        res = construct_irreducible_embedding(h)
+        wide = Alphabet(h.ascending + h.free + res.new_names)
+        images = list(res.images)
+        prescribed = subgroup_core(h.base_alphabet, h.images).with_alphabet(wide)
+        hung = hang(prescribed, images[len(h.ascending) :])
+        assert hung.folded and res.certificate.irreducible.core_matches_wedge
+        core = trim_to_core(hung)
+        assert graphs_equal(core, subgroup_core(wide, images))
+        assert (rank(core) == len(images)) == is_monomorphism(wide, images)
+
+
+def test_failing_scan_skips_the_rest_of_the_attempt(monkeypatch):
+    """The escalating 4+4 input fails only C'(1/7) at scale 1.  Its scan
+    alone decides that, so quotient, certificate and folds run at scale 2
+    only, and the full image list is never folded."""
+    h = parse_hnn(ESCALATING)
+    events = []
+
+    def spy(name, fn, tag=None):
+        def wrapped(*args, **kwargs):
+            events.append(name if tag is None else tag(*args))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(hnn, name, wrapped)
+
+    spy("generate_relator_family", hnn.generate_relator_family, lambda *args: ("scale", args[2]))
+    spy("piece_stats", hnn.piece_stats)
+    spy("_certify", hnn._certify)
+    spy("quotient", hnn.quotient)
+    spy(
+        "subgroup_core",
+        hnn.subgroup_core,
+        lambda alphabet, gens: "prescribed core" if tuple(gens) == h.images else "full core",
+    )
+    res = construct_irreducible_embedding(h)
+    assert res.certificate.all_true()
+    assert events == [
+        "prescribed core",
+        ("scale", 1),
+        "piece_stats",
+        ("scale", 2),
+        "piece_stats",
+        "_certify",
+        "quotient",
+        "prescribed core",
+    ]
+
+
+@pytest.mark.parametrize(
+    "construct,checks",
+    [
+        (construct_embedding, "c7, cprime, monomorphism"),
+        (construct_irreducible_embedding, "c7, cprime"),
+    ],
+    ids=["plain", "irreducible"],
+)
+def test_gate_failure_names_the_checks_failing_at_the_last_scale(monkeypatch, construct, checks):
+    """A family of equal words fails C'(1/7) at every scale.  The last
+    allowed scale still builds its whole certificate, and the error
+    lists everything that fails there."""
+    scales = []
+    family = hnn.generate_relator_family
+
+    def equal_words(count, alphabet, scale=1):
+        scales.append(scale)
+        return [family(1, alphabet, scale)[0]] * count
+
+    monkeypatch.setattr(hnn, "generate_relator_family", equal_words)
+    monkeypatch.setattr(hnn, "MAX_ESCALATIONS", 1)
+    with pytest.raises(RuntimeError) as err:
+        construct(intro_example())
+    assert str(err.value) == "certificate gate failed at every scale: " + checks
+    assert scales == [1, 2]
 
 
 def test_irreducible_single_loop_trace():

@@ -7,11 +7,12 @@ from hnnembed.presentation import (
     best_piece_decomposition,
     check_cp,
     check_cprime,
-    min_piece_decomposition,
     piece_stats,
 )
 from hnnembed.suffixes import match_table
-from hnnembed.words import Word, exponent, random_cyclically_reduced_word
+from hnnembed.words import Word, exponent
+
+from helpers import min_piece_decomposition, random_cyclically_reduced_word
 
 
 # Quadratic oracle: every occurrence pair compared letter by letter on

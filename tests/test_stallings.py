@@ -242,8 +242,30 @@ def test_hang_spells_stem_and_cycle():
     # the b loop, the stem a, and the b cycle at the stem's end
     assert raw.num_vertices == 2
     assert raw.edges == ((0, 0, 2), (0, 1, 1), (1, 1, 2))
+    assert raw.folded
     folded = fold(raw)
     assert folded.num_vertices == 2 and folded.edges == raw.edges
+    assert not hang(core, [AB.word("b a")]).folded  # a second b at the basepoint
+
+
+def test_hang_is_marked_folded_exactly_when_folding_merges_nothing():
+    # The oracle is the fold itself.  A fold-free hanging on a subgroup's
+    # core trims to the core of the subgroup the loops extend it to.
+    rng = random.Random(37)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        gens = random_words(rng, 3, rng.randint(0, 3))
+        loops = [w for w in random_words(rng, 3, rng.randint(1, 3)) if free_reduce(w)]
+        core = subgroup_core(ABC, [w for w in gens if free_reduce(w)])
+        raw = hang(core, loops)
+        merged = fold(raw)
+        merges_nothing = merged.num_vertices == raw.num_vertices and len(merged.edges) == len(raw.edges)
+        assert raw.folded == merges_nothing
+        seen[raw.folded] += 1
+        if raw.folded:
+            combined = subgroup_core(ABC, [w for w in gens + loops if free_reduce(w)])
+            assert graphs_equal(trim_to_core(raw), combined)
+    assert min(seen.values()) > 30
 
 
 def test_canonical_form_ignores_vertex_numbering():

@@ -6,13 +6,14 @@ from hnnembed.presentation import Presentation
 from hnnembed.subquotient import (
     SubcomplexSpec,
     TwoCellDiagram,
-    cancellable_alignment,
     check_no_duplicates,
     check_no_extra_powers,
     liftability_counterexample_search,
     quotient,
 )
-from hnnembed.words import Word, cyclically_equal, exponent, random_cyclically_reduced_word
+from hnnembed.words import Word, cyclically_equal, exponent
+
+from helpers import cancellable_alignment, random_cyclically_reduced_word
 
 X1 = Presentation.from_strings("a b c", ["b c a b c b c"])
 X2 = Presentation.from_strings("a b c", ["a b c", "a b c c"])

@@ -18,10 +18,11 @@ from hnnembed.words import (
     is_proper_power,
     is_reduced,
     letter_key,
-    random_cyclically_reduced_word,
     random_reduced_word,
     signed_letters,
 )
+
+from helpers import random_cyclically_reduced_word
 
 
 # Oracles.  Each recomputes the target property by a different route than
