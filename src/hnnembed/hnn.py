@@ -384,15 +384,16 @@ def _certify(
     images: list[Word],
     stored: tuple[Word, ...],
     hanging: Hanging | None,
-    report: PieceReport | None = None,
+    report: PieceReport,
 ) -> ExtensionResult:
     """Assemble the completed group from the images and certify it.
 
-    ``report`` is the piece scan of ``stored`` when the caller already
-    has it.  The monomorphism verdict reads the image subgroup's core.
-    For the irreducible construction that core is the trim of the
-    prescribed images' core with the new loops hung on it, whenever the
-    hanging merges nothing; only otherwise is the full image list folded.
+    ``report`` is the piece scan of ``stored``, which the caller has
+    already run to decide whether to certify at all.  The monomorphism
+    verdict reads the image subgroup's core.  For the irreducible
+    construction that core is the trim of the prescribed images' core
+    with the new loops hung on it, whenever the hanging merges nothing;
+    only otherwise is the full image list folded.
     """
     pair = build_complex_pair(h, new_names, images)
     parent = pair.parent
@@ -412,12 +413,11 @@ def _certify(
         cyclically_equal(pr.word, w.inverse()) for pr, w in zip(q.projected, stored)
     ):
         raise RuntimeError("stored quotient words differ from the projected cell boundaries")
-    rep = report if report is not None else piece_stats(list(stored), include_inverses=True)
-    cprime = cprime_from_stats(rep, 1, 7)
+    cprime = cprime_from_stats(report, 1, 7)
     # Strict pieces < length/7 force any piece decomposition to have at
     # least 8 factors, so the metric verdict implies the overlap one and
     # the exact (slower) decomposition only runs when the metric fails.
-    c7 = cprime.holds or cp_from_stats(rep, 7).holds
+    c7 = cprime.holds or cp_from_stats(report, 7).holds
     alphabet = Alphabet(h.ascending + h.free + new_names)
     image_core, evidence = None, None
     if hanging is not None:

@@ -4,12 +4,16 @@ Importable from every test module because pytest puts this directory on
 ``sys.path``.
 """
 
+import os
 import random
+import sys
 
 from hnnembed.hnn import PartialAscendingHNN, validate
 from hnnembed.presentation import Presentation, best_piece_decomposition
 from hnnembed.subquotient import TwoCellDiagram
 from hnnembed.words import Word, random_reduced_word
+
+_PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def random_cyclically_reduced_word(rng, rank: int, length: int) -> Word:
@@ -79,30 +83,14 @@ def criterion_6_inputs() -> list[PartialAscendingHNN]:
 
 def complete_workload_inputs(seed: int) -> list[PartialAscendingHNN]:
     """The 20 distinct inputs of the benchmark's ``complete`` workload at
-    ``seed``: five draws of 0-3 ascending generators and one free one,
-    each redrawn until valid, from the same random stream."""
+    ``seed``, drawn by the workload's own generator from the same random
+    stream: five draws of 0-3 ascending generators and one free one."""
+    # the benchmark's modules import one another by bare name
+    if _PERFBENCH not in sys.path:
+        sys.path.append(_PERFBENCH)
+    from workloads import Complete
+
     rng = random.Random(f"complete:{seed}")
-    out = []
-    for _ in range(5):
-        for ni in range(4):
-            while True:
-                images = tuple(
-                    Word(tuple(_reduced_letters(rng, ni + 1, rng.randint(1, 12))))
-                    for _ in range(ni)
-                )
-                h = PartialAscendingHNN(
-                    tuple(f"a{k + 1}" for k in range(ni)), ("b1",), images
-                )
-                if not validate(h):
-                    break
-            out.append(h)
-    return out
-
-
-def _reduced_letters(rng: random.Random, rank: int, length: int) -> list[int]:
-    out: list[int] = []
-    while len(out) < length:
-        x = rng.choice((-1, 1)) * rng.randint(1, rank)
-        if not out or x != -out[-1]:
-            out.append(x)
-    return out
+    return [
+        Complete._draw(rng, ni, 1) for _ in range(Complete.draws) for ni in range(4)
+    ]

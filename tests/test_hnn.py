@@ -25,7 +25,7 @@ from hnnembed.hnn import (
     validate,
 )
 from hnnembed.parsing import parse_hnn
-from hnnembed.presentation import check_cprime
+from hnnembed.presentation import check_cprime, piece_stats
 from hnnembed.stallings import (
     graphs_equal,
     hang,
@@ -201,8 +201,10 @@ from hnnembed.words import Word
 h = hnn.PartialAscendingHNN.from_strings(ascending=[("a", "a b a")], free=("b",))
 res = hnn.construct_embedding(h)
 stored = res.certificate.quotient_words
+tampered = (stored[0] * Word.of(1),) + stored[1:]
+report = hnn.piece_stats(list(tampered), include_inverses=True)
 try:
-    hnn._certify(h, res.new_names, list(res.images), (stored[0] * Word.of(1),) + stored[1:], None)
+    hnn._certify(h, res.new_names, list(res.images), tampered, None, report)
 except RuntimeError as e:
     print("stored:", e)
 
@@ -351,15 +353,17 @@ def test_certify_rejects_a_wrong_hanging_core(monkeypatch):
 
     monkeypatch.setattr(hnn, "_certify", recorded)
     construct_irreducible_embedding(h)
-    _, new_names, images, stored, (core, x_labels, patterns), _report = calls[-1]
-    # the loops hang fold-free on the trivial group's core, but the wedge
-    # is the wrong subgroup; the images' own core takes the loops in by
-    # merging, so it is no wedge
+    _, new_names, images, stored, (core, x_labels, patterns), report = calls[-1]
+    # the certificate hangs the loops on its own core of the prescribed
+    # images, so a builder core other than that one (the trivial group's,
+    # or the full image list's) fails core_matches_wedge by comparison
+    # alone, however the hanging turns out
     for wrong in (subgroup_core(core.alphabet, []), subgroup_core(core.alphabet, images)):
-        res = certify(h, new_names, images, stored, (wrong, x_labels, patterns))
+        res = certify(h, new_names, images, stored, (wrong, x_labels, patterns), report)
         assert not res.certificate.irreducible.core_matches_wedge
         assert "irreducible" in res.certificate.failing()
-    assert certify(h, new_names, images, stored, (core, x_labels, patterns)).certificate.all_true()
+    hanging = (core, x_labels, patterns)
+    assert certify(h, new_names, images, stored, hanging, report).certificate.all_true()
 
 
 @pytest.mark.parametrize(
@@ -376,7 +380,8 @@ def test_loops_merging_at_the_basepoint_fold_the_full_image_list(loops, injectiv
     pair = build_complex_pair(h, ("c1", "c2"), images)
     stored = tuple(pr.word.inverse() for pr in quotient(pair).projected)
     core = subgroup_core(h.base_alphabet, h.images).with_alphabet(wide)
-    cert = hnn._certify(h, ("c1", "c2"), images, stored, (core, (), ())).certificate
+    report = piece_stats(list(stored), include_inverses=True)
+    cert = hnn._certify(h, ("c1", "c2"), images, stored, (core, (), ()), report).certificate
     assert not cert.irreducible.core_matches_wedge
     assert cert.monomorphism == is_monomorphism(wide, images) == injective
 
