@@ -139,9 +139,6 @@ class DehnSolver:
             steps.append(DehnStep(pos, j, 1 if srank == 0 else -1, off, length))
         return DehnResult(True, tuple(steps), EMPTY)
 
-    def is_trivial(self, w: Word) -> bool:
-        return self.solve(w).trivial
-
     def _best_match(self, cur: Word) -> tuple[int, int, int, int, int] | None:
         """Pick (length, relator, position, srank, offset) minimizing
         (-length, relator, position, srank, offset)."""

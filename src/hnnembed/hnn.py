@@ -35,14 +35,14 @@ outputs, and outputs that exist are verified.  Each attempt scans its
 stored words first; one that fails C'(1/7) there is already failed and
 builds no more of its certificate, except at the last scale.
 
-Builders build and :func:`_certify` checks.  A per-scale builder returns
-only data: the images, the stored quotient words and, for the
-irreducible construction, what the new loops hang on.  Every verdict of
-the certificate is computed in :func:`_certify`.  The monomorphism
+Builders build and :func:`_certify` checks.  A builder returns only
+images; the stored quotient words and every verdict are computed from
+the input and the images alone, so :func:`certify_completion` checks a
+completed group without running construction code.  The monomorphism
 verdict reads the core of the image subgroup.  The plain construction
 folds the full image list for it.  The irreducible one hangs the new
-loops on the core of the prescribed images; when no vertex then reads
-a label twice, the hung graph is already folded, and its trim is that
+loops on the core of the prescribed images; when no vertex then reads a
+label twice, the hung graph is already folded, and its trim is that
 core, because a folded core is unique for its subgroup (Stallings 1983).
 """
 
@@ -61,7 +61,6 @@ from .presentation import (
 )
 from .stallings import (
     CoreGraph,
-    graphs_equal,
     hang,
     is_monomorphism,
     rank,
@@ -230,10 +229,13 @@ def generate_relator_family(count: int, alphabet: Alphabet, scale: int = 1) -> l
 class IrreducibleEvidence:
     """Side conditions specific to the irreducible construction.
 
-    ``x_labels`` are the signed letters (over the input's non-stable
-    alphabet) along which the new loops attach; ``digram_coverage`` has
-    one verdict per new image's pattern segment; ``basepoint_degree``
-    is the core graph's, against the bound twice |ascending|.
+    All of it is read off the input and the images.  ``x_labels`` are
+    the letters the free generators' new loops attach along: each loop's
+    inverted last letter, then each one's first.  ``digram_coverage``
+    has one verdict per whole new image (its pattern segment's coverage
+    implies it).  ``wedge_check`` and ``basepoint_degree`` (against twice
+    |ascending|) read the prescribed images' core; ``core_matches_wedge``
+    says hanging the new loops on it merges nothing.
     """
 
     x_labels: tuple[int, ...]
@@ -312,9 +314,9 @@ class ExtensionResult:
         names = self.source.ascending + self.source.free + self.new_names
         return dict(zip(names, self.images))
 
-    def x_labels(self) -> tuple[int, ...]:
-        ev = self.certificate.irreducible
-        return () if ev is None else ev.x_labels
+
+class NotACompletion(ValueError):
+    """A completed group that does not extend the input it is checked against."""
 
 
 def _fresh_pair_names(h: PartialAscendingHNN) -> tuple[str, str]:
@@ -341,19 +343,24 @@ def _keep_above(w: Word, base: int) -> Word:
     )
 
 
-# What the irreducible construction's new loops hang on: the core of the
-# prescribed images over the completed non-stable alphabet, the
-# attachment labels and the pattern segments, one per new image.
-Hanging = tuple[CoreGraph, tuple[int, ...], tuple[Word, ...]]
+def _quotient_words(h: PartialAscendingHNN, images: Sequence[Word]) -> tuple[Word, ...]:
+    """The stored quotient words: for each generator g after the prescribed
+    ones, g' image(g) projected onto the new letters, which is the inverse
+    of g's projected cell boundary up to rotation."""
+    base = len(h.ascending) + len(h.free)
+    return tuple(
+        _keep_above(Word.of(-g) * images[g - 1], base)
+        for g in range(len(h.ascending) + 1, len(images) + 1)
+    )
+
 
 # A per-scale builder turns a relator family into the images of every
-# non-stable generator, the stored quotient words and the hanging data
-# (None for the plain construction).
-Builder = Callable[[list[Word]], tuple[list[Word], tuple[Word, ...], Hanging | None]]
+# non-stable generator, in alphabet order.
+Builder = Callable[[list[Word]], list[Word]]
 
 
 def _escalate(
-    h: PartialAscendingHNN, new_names: tuple[str, str], build: Builder
+    h: PartialAscendingHNN, new_names: tuple[str, str], build: Builder, irreducible: bool
 ) -> ExtensionResult:
     """The one escalation loop: certify the completion built from the
     family at scale 1, 2, 4, ... and return the first whose certificate
@@ -367,11 +374,12 @@ def _escalate(
     c_alphabet = Alphabet.of(*new_names)
     for e in range(MAX_ESCALATIONS + 1):
         family = generate_relator_family(len(h.free) + 2, c_alphabet, 2**e)
-        images, stored, hanging = build(family)
+        images = build(family)
+        stored = _quotient_words(h, images)
         report = piece_stats(list(stored), include_inverses=True)
         if e < MAX_ESCALATIONS and not cprime_from_stats(report, 1, 7).holds:
             continue
-        result = _certify(h, new_names, images, stored, hanging, report)
+        result = _certify(h, new_names, images, irreducible, stored, report)
         failing = result.certificate.failing()
         if not failing:
             return result
@@ -380,20 +388,21 @@ def _escalate(
 
 def _certify(
     h: PartialAscendingHNN,
-    new_names: tuple[str, str],
+    new_names: tuple[str, ...],
     images: list[Word],
+    irreducible: bool,
     stored: tuple[Word, ...],
-    hanging: Hanging | None,
     report: PieceReport,
 ) -> ExtensionResult:
     """Assemble the completed group from the images and certify it.
 
-    ``report`` is the piece scan of ``stored``, which the caller has
-    already run to decide whether to certify at all.  The monomorphism
-    verdict reads the image subgroup's core.  For the irreducible
-    construction that core is the trim of the prescribed images' core
-    with the new loops hung on it, whenever the hanging merges nothing;
-    only otherwise is the full image list folded.
+    ``stored`` is :func:`_quotient_words` of the images and ``report``
+    its piece scan, which the caller has already run to decide whether
+    to certify at all.  The monomorphism verdict reads the image
+    subgroup's core.  For the irreducible construction that core is the
+    trim of the prescribed images' core with the new loops hung on it,
+    whenever the hanging merges nothing; only otherwise is the full
+    image list folded.
     """
     pair = build_complex_pair(h, new_names, images)
     parent = pair.parent
@@ -420,8 +429,8 @@ def _certify(
     c7 = cprime.holds or cp_from_stats(report, 7).holds
     alphabet = Alphabet(h.ascending + h.free + new_names)
     image_core, evidence = None, None
-    if hanging is not None:
-        image_core, evidence = _irreducible_evidence(h, alphabet, images, hanging)
+    if irreducible:
+        image_core, evidence = _irreducible_evidence(h, alphabet, images)
     if image_core is None:
         # Every image is nonempty, so this is is_monomorphism's own test.
         image_core = subgroup_core(alphabet, images)
@@ -445,10 +454,7 @@ def _certify(
 
 
 def _irreducible_evidence(
-    h: PartialAscendingHNN,
-    alphabet: Alphabet,
-    images: list[Word],
-    hanging: Hanging,
+    h: PartialAscendingHNN, alphabet: Alphabet, images: list[Word]
 ) -> tuple[CoreGraph | None, IrreducibleEvidence]:
     """Side conditions of the irreducible construction, and the image
     subgroup's core when it is a genuine wedge.
@@ -456,24 +462,60 @@ def _irreducible_evidence(
     The new loops are hung on the core of the prescribed images.  When
     that merges nothing at any vertex, the hung graph is folded, and its
     trim is the image subgroup's core, since a folded core is unique for
-    its subgroup.  The wedge also needs the builder's core to be that
-    core; otherwise no image core is returned and the caller folds.
+    its subgroup; otherwise no image core is returned and the caller
+    folds.
     """
-    core, x_labels, patterns = hanging
     loops = images[len(h.ascending) :]
-    prescribed = subgroup_core(h.base_alphabet, h.images).with_alphabet(alphabet)
-    hung = hang(prescribed, loops)
-    wedge = hung.folded and graphs_equal(core, prescribed)
+    attached = loops[: len(h.free)]
+    core = subgroup_core(h.base_alphabet, h.images).with_alphabet(alphabet)
+    hung = hang(core, loops)
     letters = signed_letters(alphabet.size)
     evidence = IrreducibleEvidence(
-        x_labels=x_labels,
-        digram_coverage=tuple(contains_all_reduced_digrams(p, letters) for p in patterns),
+        x_labels=tuple(-w[-1] for w in attached) + tuple(w[0] for w in attached),
+        digram_coverage=tuple(contains_all_reduced_digrams(w, letters) for w in loops),
         wedge_check=wedge_extension_check(core, loops),
         basepoint_degree=core.degree(core.basepoint),
         degree_bound=2 * len(h.ascending),
-        core_matches_wedge=wedge,
+        core_matches_wedge=hung.folded,
     )
-    return (trim_to_core(hung) if wedge else None), evidence
+    return (trim_to_core(hung) if hung.folded else None), evidence
+
+
+def _check_usable(h: PartialAscendingHNN, irreducible: bool) -> None:
+    """Raise ValueError for an input the construction cannot complete."""
+    diags = validate(h)
+    if diags:
+        raise ValueError("invalid input: " + "; ".join(diags))
+    if irreducible and not h.free:
+        raise ValueError(
+            "no free part: the fully irreducible construction needs at least one free generator"
+        )
+
+
+def certify_completion(
+    h: PartialAscendingHNN, g: PartialAscendingHNN, irreducible: bool
+) -> ExtensionResult:
+    """Certify a completed group of the input from its images alone.
+
+    ``g`` must keep ``h``'s stable letter, generators and prescribed
+    images, add exactly two generators and map every generator to a
+    nonempty word without the stable letter, or NotACompletion is raised.
+    """
+    _check_usable(h, irreducible)
+    old = h.ascending + h.free
+    if (
+        g.stable != h.stable
+        or g.free
+        or len(g.ascending) != len(old) + 2
+        or g.ascending[: len(old)] != old
+        or g.images[: len(h.ascending)] != h.images
+        or any(not w or w.max_letter() > len(g.ascending) for w in g.images)
+    ):
+        raise NotACompletion("the completed group does not extend the input")
+    images = list(g.images)
+    stored = _quotient_words(h, images)
+    report = piece_stats(list(stored), include_inverses=True)
+    return _certify(h, g.ascending[len(old) :], images, irreducible, stored, report)
 
 
 def construct_embedding(h: PartialAscendingHNN) -> ExtensionResult:
@@ -484,24 +526,18 @@ def construct_embedding(h: PartialAscendingHNN) -> ExtensionResult:
     collapsing the old subcomplex leaves exactly the family (with the
     c_k backtrack normal form) as quotient relators.
     """
-    diags = validate(h)
-    if diags:
-        raise ValueError("invalid input: " + "; ".join(diags))
+    _check_usable(h, irreducible=False)
     base = len(h.ascending) + len(h.free)
     nfree = len(h.free)
 
-    def build(family: list[Word]):
-        images = list(h.images)
-        images += [_shift(family[j], base) for j in range(nfree)]
-        images += [
-            Word.of(base + k) * _shift(family[nfree + k - 1], base) for k in (1, 2)
-        ]
-        stored = tuple(family[:nfree]) + tuple(
-            Word.of(-k, k) * family[nfree + k - 1] for k in (1, 2)
+    def build(family: list[Word]) -> list[Word]:
+        return (
+            list(h.images)
+            + [_shift(family[j], base) for j in range(nfree)]
+            + [Word.of(base + k) * _shift(family[nfree + k - 1], base) for k in (1, 2)]
         )
-        return images, stored, None
 
-    return _escalate(h, _fresh_pair_names(h), build)
+    return _escalate(h, _fresh_pair_names(h), build, irreducible=False)
 
 
 def construct_irreducible_embedding(h: PartialAscendingHNN) -> ExtensionResult:
@@ -515,14 +551,8 @@ def construct_irreducible_embedding(h: PartialAscendingHNN) -> ExtensionResult:
     family tail keeping the quotient small-cancellation.  The cells for
     c_k wrap their segment in c_k ... c_k', hanging the loop on a stem.
     """
-    diags = validate(h)
-    if diags:
-        raise ValueError("invalid input: " + "; ".join(diags))
+    _check_usable(h, irreducible=True)
     nfree = len(h.free)
-    if nfree == 0:
-        raise ValueError(
-            "no free part: the fully irreducible construction needs at least one free generator"
-        )
     new_names = _fresh_pair_names(h)
     base = len(h.ascending) + len(h.free)
     core = subgroup_core(h.base_alphabet, h.images)
@@ -552,9 +582,8 @@ def construct_irreducible_embedding(h: PartialAscendingHNN) -> ExtensionResult:
         rotation_from((nfree + k - 1) * period // (nfree + 2), {-c1, -c2})
         for k in (1, 2)
     )
-    wide = core.with_alphabet(Alphabet(h.ascending + h.free + new_names))
 
-    def build(family: list[Word]):
+    def build(family: list[Word]) -> list[Word]:
         beta = [_shift(family[j], base) for j in range(nfree)]
         gamma = [_shift(family[nfree], base), _shift(family[nfree + 1], base) * Word.of(c1)]
         loops: list[Word] = []
@@ -569,19 +598,9 @@ def construct_irreducible_embedding(h: PartialAscendingHNN) -> ExtensionResult:
             )
         if not _irreducible_shape_ok(loops, nfree, base):
             raise RuntimeError("new images fail the irreducible shape check")
-        images = list(h.images) + loops
-        stored = tuple(
-            _keep_above(patterns[j], base) * family[j] for j in range(nfree)
-        ) + tuple(
-            Word.of(-k, k)
-            * _keep_above(patterns[nfree + k - 1], base)
-            * _keep_above(gamma[k - 1], base)
-            * Word.of(-k)
-            for k in (1, 2)
-        )
-        return images, stored, (wide, x, patterns)
+        return list(h.images) + loops
 
-    return _escalate(h, new_names, build)
+    return _escalate(h, new_names, build, irreducible=True)
 
 
 def _irreducible_shape_ok(loops: list[Word], nfree: int, base: int) -> bool:

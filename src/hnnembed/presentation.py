@@ -18,7 +18,6 @@ piece is again a piece.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 from .suffixes import match_table
@@ -209,11 +208,6 @@ class CprimeReport:
     include_inverses: bool
     max_piece: tuple[int, ...]
     lengths: tuple[int, ...]
-
-    def worst(self) -> tuple[int, int, int]:
-        """(relator index, max piece, length) with the largest ratio."""
-        triples = [(j, m, l) for j, (m, l) in enumerate(zip(self.max_piece, self.lengths))]
-        return max(triples, key=lambda t: (Fraction(t[1], t[2]), t[1]))
 
 
 def check_cprime(

@@ -65,18 +65,9 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple(-x for x in reversed(self.letters)))
 
-    def power(self, k: int) -> "Word":
-        if k < 0:
-            return self.inverse().power(-k)
-        return Word(self.letters * k)
-
     def max_letter(self) -> int:
         """Largest generator number used, 0 for the empty word."""
         return max((abs(x) for x in self.letters), default=0)
-
-    def key(self) -> tuple[tuple[int, int], ...]:
-        """Deterministic sort key: letterwise canonical order."""
-        return tuple(letter_key(x) for x in self.letters)
 
 
 EMPTY = Word()
@@ -139,9 +130,6 @@ class Alphabet:
             return EMPTY
         return Word(tuple(self.letter(tok) for tok in text.split()))
 
-    def extended(self, *extra: str) -> "Alphabet":
-        return Alphabet(self.names + tuple(extra))
-
 
 def free_reduce(w: Word) -> Word:
     """Delete inverse pairs until none remain."""
@@ -190,13 +178,6 @@ def exponent(w: Word) -> int:
         if all(ls[i] == ls[i - d] for i in range(d, n)):
             return n // d
     raise AssertionError("unreachable")
-
-
-def is_proper_power(w: Word) -> bool:
-    """Whether a cyclically reduced nonempty word is a proper power."""
-    if not w or not is_cyclically_reduced(w):
-        raise ValueError("is_proper_power needs a cyclically reduced nonempty word")
-    return exponent(w) > 1
 
 
 def cyclically_equal(u: Word, v: Word) -> bool:

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import functools
 import hashlib
 import json
 import subprocess
@@ -5,8 +8,10 @@ import sys
 
 import pytest
 
+from hnnembed import cli, hnn
 from hnnembed.cli import main
-from hnnembed.parsing import parse_hnn, parse_presentation
+from hnnembed.parsing import hnn_source, parse_hnn, parse_presentation
+from hnnembed.words import Word
 
 
 X1 = "gens: a b c\nrel: b c a b c b c\n"
@@ -271,6 +276,152 @@ def test_certify_rejects_wrong_group_file(files, tmp_path, capsys):
         capsys, "certify", "--in", files["intro"], "--g", other_pres, "--cert", cert_path
     )
     assert code == 1 and "does not match" in err
+
+
+VERIFIED = "certificate verified: construction and all checks reproduced\n"
+
+
+def embed_files(tmp_path, capsys, text, irreducible):
+    """Write H, embed it, and return the paths of H, G and the certificate."""
+    source = tmp_path / "h.pres"
+    source.write_text(text)
+    out_pres, cert_path = tmp_path / "g.pres", tmp_path / "cert.json"
+    argv = ["embed", "--in", str(source), "--out", str(out_pres), "--cert", str(cert_path)]
+    code, _, _ = run(capsys, *argv, *(["--irreducible"] if irreducible else []))
+    assert code == 0
+    return str(source), str(out_pres), str(cert_path)
+
+
+@pytest.mark.parametrize("name,irreducible", sorted(GOLDEN))
+def test_certify_runs_no_construction(name, irreducible, tmp_path, capsys, monkeypatch):
+    h, g, cert = embed_files(
+        tmp_path, capsys, {"intro": INTRO, "escalating": ESCALATING}[name], irreducible
+    )
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("certify ran construction code")
+
+    for module in (hnn, cli):
+        for attr in (
+            "generate_relator_family",
+            "_escalate",
+            "construct_embedding",
+            "construct_irreducible_embedding",
+        ):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, forbidden)
+    code, out, err = run(capsys, "certify", "--in", h, "--g", g, "--cert", cert)
+    assert (code, out, err) == (0, VERIFIED, "")
+
+
+def single_leaf_tampers(node, path=()):
+    """Every certificate that differs from ``node`` in one leaf: each bool
+    flipped, each int plus one, each string changed, each null made 0,
+    and each nonempty list one element short."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from single_leaf_tampers(node[key], path + (key,))
+    elif isinstance(node, list):
+        if node:
+            yield path, node[:-1]
+        for i, item in enumerate(node):
+            yield from single_leaf_tampers(item, path + (i,))
+    elif isinstance(node, bool):
+        yield path, not node
+    elif isinstance(node, int):
+        yield path, node + 1
+    elif isinstance(node, str):
+        yield path, node + "'"
+    else:
+        yield path, 0
+
+
+@pytest.mark.parametrize("irreducible", [False, True], ids=["plain", "irreducible"])
+def test_certify_rejects_every_single_leaf_tamper(irreducible, tmp_path, capsys, monkeypatch):
+    h, g, cert_path = embed_files(tmp_path, capsys, INTRO, irreducible)
+    # Tampering leaves H and G alone, so the certificate they give for
+    # each construction is computed once.
+    monkeypatch.setattr(cli, "certify_completion", functools.cache(hnn.certify_completion))
+    cert = json.loads(open(cert_path).read())
+    tampered = tmp_path / "tampered.json"
+    cases = list(single_leaf_tampers(cert))
+    assert len(cases) > 40
+    for path, value in cases:
+        changed = copy.deepcopy(cert)
+        node = changed
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        tampered.write_text(json.dumps(changed, sort_keys=True, indent=2) + "\n")
+        code, out, err = run(capsys, "certify", "--in", h, "--g", g, "--cert", str(tampered))
+        assert (code, out) == (1, ""), path
+        assert "certificate mismatch at: " in err, path
+
+
+def test_certify_rejects_groups_that_do_not_extend_the_input(tmp_path, capsys):
+    h, g, cert = embed_files(tmp_path, capsys, INTRO, False)
+    group = parse_hnn(open(g).read())
+    other_map = dataclasses.replace(group, images=(Word.of(1),) + group.images[1:])
+    # a b c c1 c2 c3 t: the third new generator c3 is letter 6
+    third = hnn.PartialAscendingHNN(
+        group.ascending + ("c3",), (), group.images + (Word.of(6, 4),), group.stable
+    )
+    # a b c c1 c2 t: an image that uses the stable letter
+    uses_t = dataclasses.replace(
+        group, images=group.images[:3] + (group.images[3] * Word.of(6),) + group.images[4:]
+    )
+    bad = tmp_path / "bad.pres"
+    for wrong in (other_map, third, uses_t):
+        bad.write_text(hnn_source(wrong))
+        code, out, err = run(capsys, "certify", "--in", h, "--g", str(bad), "--cert", cert)
+        assert (code, out, err) == (1, "", "group file does not match the input\n")
+
+
+def test_certify_rejects_an_honest_certificate_of_a_non_injective_group(tmp_path, capsys):
+    """G gives c1 and c2 the same image.  Its certificate, recomputed
+    honestly, matches and still fails, so certify rejects it."""
+    h, g, _ = embed_files(tmp_path, capsys, INTRO, False)
+    group = parse_hnn(open(g).read())
+    equal = dataclasses.replace(group, images=group.images[:4] + group.images[3:4])
+    result = hnn.certify_completion(parse_hnn(INTRO), equal, False)
+    assert "monomorphism" in result.certificate.failing()
+    bad_g, bad_cert = tmp_path / "bad.pres", tmp_path / "bad.json"
+    bad_g.write_text(hnn_source(equal))
+    bad_cert.write_text(cli._canonical(cli._certificate_json(result)))
+    code, out, err = run(
+        capsys, "certify", "--in", h, "--g", str(bad_g), "--cert", str(bad_cert)
+    )
+    assert (code, out, err) == (1, "", "reconstructed certificate has failing checks\n")
+
+
+@pytest.mark.parametrize(
+    "line,diagnostic",
+    [
+        ("map c: a", "error: empty word in scan input\n"),
+        ("map c1: c1 c1'", "error: relator c1 is not cyclically reduced\n"),
+    ],
+)
+def test_certify_rejects_unusable_group_files(line, diagnostic, tmp_path, capsys):
+    """A group file whose cells the checks cannot read exits 2 with one line."""
+    h, g, cert = embed_files(tmp_path, capsys, INTRO, False)
+    name = line.split(":")[0]
+    text = "".join(
+        (line + "\n") if old.startswith(name + ":") else old
+        for old in open(g).readlines()
+    )
+    bad = tmp_path / "bad.pres"
+    bad.write_text(text)
+    code, out, err = run(capsys, "certify", "--in", h, "--g", str(bad), "--cert", cert)
+    assert (code, out, err) == (2, "", diagnostic)
+
+
+def test_certify_rejects_unusable_input(tmp_path, capsys):
+    _, g, cert = embed_files(tmp_path, capsys, INTRO, False)
+    bad = tmp_path / "bad.pres"
+    bad.write_text("hnn: t; ascending: a; free:\nmap a: t a t'\n")
+    code, out, err = run(capsys, "certify", "--in", str(bad), "--g", g, "--cert", cert)
+    assert (code, out) == (2, "")
+    assert err == "error: invalid input: image of a uses the stable letter t\n"
 
 
 def test_embed_rejects_unusable_input(tmp_path, capsys):

@@ -80,7 +80,7 @@ def test_solver_rejects_presentations_without_the_metric_bound():
 def test_free_presentation_reduces_to_free_reduction():
     rose = Presentation(Alphabet.of("a", "b"), ())
     solver = DehnSolver(rose)
-    assert solver.is_trivial(Word.of(1, -1))
+    assert solver.solve(Word.of(1, -1)).trivial
     res = solver.solve(Word.of(1, 2))
     assert not res.trivial and res.residue == Word.of(1, 2)
     assert solver.piece_count(Word.of(1)) is None
@@ -151,7 +151,7 @@ def test_random_trivial_words_deterministic_and_trivial():
     solver = DehnSolver(P_SURF)
     for w in words:
         assert free_reduce(w) == w
-        assert solver.is_trivial(w)
+        assert solver.solve(w).trivial
 
 
 def test_random_trivial_words_argument_validation():

@@ -6,6 +6,7 @@ constructions, with independent re-derivations where the certificate
 could in principle disagree with a fresh computation.
 """
 
+import functools
 import itertools
 import os
 import random
@@ -16,9 +17,11 @@ import pytest
 
 import hnnembed
 from hnnembed import hnn, stallings
+from hnnembed.cli import _canonical, _certificate_json, _full_extension
 from hnnembed.hnn import (
     PartialAscendingHNN,
     build_complex_pair,
+    certify_completion,
     construct_embedding,
     construct_irreducible_embedding,
     generate_relator_family,
@@ -41,7 +44,6 @@ from hnnembed.words import (
     Word,
     cyclically_equal,
     exponent,
-    is_proper_power,
     signed_letters,
 )
 
@@ -118,7 +120,6 @@ def test_family_is_verified_and_deterministic(count, scale):
     assert len(fam) == count
     assert check_cprime(fam, 1, 7).holds
     for w in fam:
-        assert not is_proper_power(w)
         assert exponent(w) == 1
     for i, j in itertools.combinations(range(count), 2):
         assert not cyclically_equal(fam[i], fam[j])
@@ -204,7 +205,7 @@ stored = res.certificate.quotient_words
 tampered = (stored[0] * Word.of(1),) + stored[1:]
 report = hnn.piece_stats(list(tampered), include_inverses=True)
 try:
-    hnn._certify(h, res.new_names, list(res.images), tampered, None, report)
+    hnn._certify(h, res.new_names, list(res.images), False, tampered, report)
 except RuntimeError as e:
     print("stored:", e)
 
@@ -342,30 +343,6 @@ def test_full_image_list_is_folded_once(monkeypatch):
     assert fold_sizes and max(fold_sizes) <= sum(len(w) for w in h.images)
 
 
-def test_certify_rejects_a_wrong_hanging_core(monkeypatch):
-    h = intro_example()
-    calls = []
-    certify = hnn._certify
-
-    def recorded(*args):
-        calls.append(args)
-        return certify(*args)
-
-    monkeypatch.setattr(hnn, "_certify", recorded)
-    construct_irreducible_embedding(h)
-    _, new_names, images, stored, (core, x_labels, patterns), report = calls[-1]
-    # the certificate hangs the loops on its own core of the prescribed
-    # images, so a builder core other than that one (the trivial group's,
-    # or the full image list's) fails core_matches_wedge by comparison
-    # alone, however the hanging turns out
-    for wrong in (subgroup_core(core.alphabet, []), subgroup_core(core.alphabet, images)):
-        res = certify(h, new_names, images, stored, (wrong, x_labels, patterns), report)
-        assert not res.certificate.irreducible.core_matches_wedge
-        assert "irreducible" in res.certificate.failing()
-    hanging = (core, x_labels, patterns)
-    assert certify(h, new_names, images, stored, hanging, report).certificate.all_true()
-
-
 @pytest.mark.parametrize(
     "loops,injective",
     [(("a b c1", "c1 c2 c2", "c2 c1 c1"), True), (("a c1", "a c1 c2", "c2 c1 c1"), False)],
@@ -379,25 +356,31 @@ def test_loops_merging_at_the_basepoint_fold_the_full_image_list(loops, injectiv
     images = [Word.of(1)] + [wide.word(w) for w in loops]
     pair = build_complex_pair(h, ("c1", "c2"), images)
     stored = tuple(pr.word.inverse() for pr in quotient(pair).projected)
-    core = subgroup_core(h.base_alphabet, h.images).with_alphabet(wide)
     report = piece_stats(list(stored), include_inverses=True)
-    cert = hnn._certify(h, ("c1", "c2"), images, stored, (core, (), ()), report).certificate
+    cert = hnn._certify(h, ("c1", "c2"), images, True, stored, report).certificate
     assert not cert.irreducible.core_matches_wedge
     assert cert.monomorphism == is_monomorphism(wide, images) == injective
 
 
-@pytest.mark.parametrize(
-    "inputs",
-    [criterion_6_inputs, lambda: complete_workload_inputs(101)],
-    ids=["criterion6", "complete101"],
-)
-def test_hung_wedge_trim_is_the_image_core(inputs):
+# Generated inputs, each completed once by both constructions and shared
+# by the tests below.
+GENERATED = {"criterion6": criterion_6_inputs, "complete101": lambda: complete_workload_inputs(101)}
+
+
+@functools.cache
+def completions(name: str, irreducible: bool) -> list:
+    construct = construct_irreducible_embedding if irreducible else construct_embedding
+    return [construct(h) for h in GENERATED[name]()]
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_hung_wedge_trim_is_the_image_core(name):
     """Oracle for the certificate's shortcut, with the full fold as the
     oracle.  On every generated input the loops hang on the prescribed
     images' core without merging, the trim of the hung graph is the fold
     of the full image list, and its rank gives is_monomorphism's verdict."""
-    for h in inputs():
-        res = construct_irreducible_embedding(h)
+    for res in completions(name, True):
+        h = res.source
         wide = Alphabet(h.ascending + h.free + res.new_names)
         images = list(res.images)
         prescribed = subgroup_core(h.base_alphabet, h.images).with_alphabet(wide)
@@ -406,6 +389,29 @@ def test_hung_wedge_trim_is_the_image_core(inputs):
         core = trim_to_core(hung)
         assert graphs_equal(core, subgroup_core(wide, images))
         assert (rank(core) == len(images)) == is_monomorphism(wide, images)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+@pytest.mark.parametrize("irreducible", [False, True], ids=["plain", "irreducible"])
+def test_certify_completion_gives_the_written_certificate(name, irreducible):
+    """Certifying the completed group from the input and its images alone
+    gives, byte for byte, the certificate that embed writes."""
+    for res in completions(name, irreducible):
+        again = certify_completion(res.source, _full_extension(res), irreducible)
+        assert _canonical(_certificate_json(again)) == _canonical(_certificate_json(res))
+
+
+def test_certify_completion_checks_the_input_first():
+    """An irreducible certificate needs a free generator, as the
+    construction does, and an unusable input fails before the group."""
+    h = PartialAscendingHNN(("a",), (), (Word.of(1, 1),))
+    g = _full_extension(construct_embedding(h))
+    with pytest.raises(ValueError, match="no free part"):
+        certify_completion(h, g, True)
+    bad = PartialAscendingHNN(("a",), (), (Word.of(2),))
+    with pytest.raises(ValueError, match="invalid input: image of a uses the stable letter t"):
+        certify_completion(bad, g, False)
+    assert certify_completion(h, g, False).certificate.all_true()
 
 
 def test_failing_scan_skips_the_rest_of_the_attempt(monkeypatch):

@@ -235,6 +235,6 @@ def test_piece_subword_closure():
 
 def test_worst_ratio():
     rep = check_cprime([Word.of(1, 2, -1, -2), Word.of(1, 2), Word.of(1, 2)], 1, 2)
-    j, piece, length = rep.worst()
-    assert (piece, length) == (2, 2) and j in (1, 2)
+    # relators 1 and 2 are one piece each, the worst ratio 2/2
+    assert (rep.max_piece, rep.lengths) == ((2, 2, 2), (4, 2, 2))
     assert not rep.holds

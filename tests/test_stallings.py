@@ -261,6 +261,7 @@ def test_hang_is_marked_folded_exactly_when_folding_merges_nothing():
         merged = fold(raw)
         merges_nothing = merged.num_vertices == raw.num_vertices and len(merged.edges) == len(raw.edges)
         assert raw.folded == merges_nothing
+        assert raw.folded == wedge_extension_check(core, loops)
         seen[raw.folded] += 1
         if raw.folded:
             combined = subgroup_core(ABC, [w for w in gens + loops if free_reduce(w)])
