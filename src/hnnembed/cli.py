@@ -33,7 +33,7 @@ from .parsing import (
     parse_word,
     presentation_source,
 )
-from .presentation import Presentation, check_cp, check_cprime, piece_stats
+from .presentation import Presentation, cp_from_stats, cprime_from_stats, piece_stats
 from .stallings import (
     basepoint_degree,
     canonical_form,
@@ -164,7 +164,12 @@ def _cmd_check_smallcancel(args) -> int:
         num, den = int(num_s), int(den_s)
     except ValueError:
         raise CliError(f"--cprime wants N/D, got {args.cprime!r}") from None
-    cprime = check_cprime(p.relators, num, den, include_inverses=include)
+    if not 0 < num < den:
+        raise CliError(f"--cprime wants a fraction strictly between 0 and 1, got {args.cprime}")
+    if args.cp is not None and args.cp < 2:
+        raise CliError(f"--cp wants at least 2, got {args.cp}")
+    report = piece_stats(p.relators, include_inverses=include)
+    cprime = cprime_from_stats(report, num, den)
     out = {
         "cprime": {
             "num": num,
@@ -177,7 +182,7 @@ def _cmd_check_smallcancel(args) -> int:
     }
     ok = cprime.holds
     if args.cp is not None:
-        cp = check_cp(p.relators, args.cp, include_inverses=include)
+        cp = cp_from_stats(report, args.cp)
         out["cp"] = {"p": args.cp, "holds": cp.holds}
         ok = ok and cp.holds
     _emit(out)

@@ -500,6 +500,8 @@ def certify_completion(
     ``g`` must keep ``h``'s stable letter, generators and prescribed
     images, add exactly two generators and map every generator to a
     nonempty word without the stable letter, or NotACompletion is raised.
+    A free generator whose image uses no new generator has an empty
+    quotient cell, and raises ValueError naming it.
     """
     _check_usable(h, irreducible)
     old = h.ascending + h.free
@@ -514,6 +516,11 @@ def certify_completion(
         raise NotACompletion("the completed group does not extend the input")
     images = list(g.images)
     stored = _quotient_words(h, images)
+    for name, word in zip(h.free, stored):
+        if not word:
+            raise ValueError(
+                f"image of {name} uses no new generator, so its quotient cell is empty"
+            )
     report = piece_stats(list(stored), include_inverses=True)
     return _certify(h, g.ascending[len(old) :], images, irreducible, stored, report)
 

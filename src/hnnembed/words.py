@@ -163,21 +163,21 @@ def is_cyclically_reduced(w: Word) -> bool:
     return is_reduced(w) and (len(w) <= 1 or w.letters[0] != -w.letters[-1])
 
 
+def literal_period(letters: tuple[int, ...]) -> int:
+    """Shortest d such that the nonempty ``letters`` are a literal power
+    of their first d letters."""
+    n = len(letters)
+    return next(d for d in range(1, n + 1) if n % d == 0 and letters[d:] == letters[: n - d])
+
+
 def exponent(w: Word) -> int:
     """Largest e with ``w`` a literal e-th power of some subword.
 
     Works on the literal letter sequence; no reduction is applied.
     """
-    n = len(w)
-    if n == 0:
+    if len(w) == 0:
         raise ValueError("exponent of the empty word is undefined")
-    ls = w.letters
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if all(ls[i] == ls[i - d] for i in range(d, n)):
-            return n // d
-    raise AssertionError("unreachable")
+    return len(w) // literal_period(w.letters)
 
 
 def cyclically_equal(u: Word, v: Word) -> bool:

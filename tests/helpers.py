@@ -8,10 +8,13 @@ import os
 import random
 import sys
 
+import numpy as np
+
 from hnnembed.hnn import PartialAscendingHNN, validate
 from hnnembed.presentation import Presentation, best_piece_decomposition
 from hnnembed.subquotient import TwoCellDiagram
-from hnnembed.words import Word, random_reduced_word
+from hnnembed.suffixes import MatchTable
+from hnnembed.words import Word, exponent, random_reduced_word
 
 _PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -44,6 +47,150 @@ def cancellable_alignment(p: Presentation, d: TwoCellDiagram) -> bool:
     if b1[0] != d.shared_edge or b2[0] != d.shared_edge:
         raise ValueError("rotated boundaries do not start with the shared edge")
     return b1 == b2
+
+
+def _letter_suffix_array(text: np.ndarray) -> np.ndarray:
+    """Suffix array by prefix doubling; works for any integer alphabet."""
+    n = text.size
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    rank = np.unique(text, return_inverse=True)[1].astype(np.int64)
+    sa = np.argsort(rank, kind="stable")
+    k = 1
+    while rank[sa[-1]] != n - 1:
+        second = np.full(n, -1, dtype=np.int64)
+        second[: n - k] = rank[k:]
+        sa = np.lexsort((second, rank))
+        heads = np.ones(n, dtype=bool)
+        heads[1:] = (rank[sa[1:]] != rank[sa[:-1]]) | (second[sa[1:]] != second[sa[:-1]])
+        new = np.empty(n, dtype=np.int64)
+        new[sa] = np.cumsum(heads) - 1
+        rank = new
+        k *= 2
+    return sa
+
+
+def _letter_lcp_array(text: np.ndarray, sa: np.ndarray) -> np.ndarray:
+    """Kasai table: ``lcp[i]`` = common prefix of suffixes ``sa[i-1]``, ``sa[i]``."""
+    n = text.size
+    rank = np.empty(n, dtype=np.int64)
+    rank[sa] = np.arange(n)
+    lcp = np.zeros(n, dtype=np.int64)
+    t = text.tolist()  # plain list access is much faster in the python loop
+    sal = sa.tolist()
+    rankl = rank.tolist()
+    h = 0
+    for i in range(n):
+        r = rankl[i]
+        if r > 0:
+            j = sal[r - 1]
+            while i + h < n and j + h < n and t[i + h] == t[j + h]:
+                h += 1
+            lcp[r] = h
+            if h:
+                h -= 1
+        else:
+            h = 0
+    return lcp
+
+
+def letter_match_table(relators, include_inverses=True) -> MatchTable:
+    """The letter-level piece scan: suffix array and LCP over the letters of
+    the combined text, swept twice keeping the two best appearance classes.
+    An independent oracle for :func:`hnnembed.suffixes.match_table`."""
+    words = [tuple(r) for r in relators]
+    if any(len(w) == 0 for w in words):
+        raise ValueError("empty word in scan input")
+    periods = [len(w) // exponent(Word(w)) for w in words]
+
+    # Section layout: doubled word then one unique sentinel per section.
+    orients = (1, -1) if include_inverses else (1,)
+    max_abs = max(abs(x) for w in words for x in w)
+    sections = []  # (word index, orient, length, start)
+    chunks: list[int] = []
+    sep = -(max_abs + 1)
+    for j, w in enumerate(words):
+        for o in orients:
+            lw = w if o == 1 else tuple(-x for x in reversed(w))
+            sections.append((j, o, len(w), len(chunks)))
+            chunks.extend(lw)
+            chunks.extend(lw)
+            chunks.append(sep)
+            sep -= 1
+    text = np.asarray(chunks, dtype=np.int64)
+    n = text.size
+
+    # Appearance class per position; -1 marks inert text (second copies
+    # and sentinels).  cap[] is the word length, the match-length ceiling.
+    pos_class = [-1] * n
+    pos_cap = [0] * n
+    base = 0
+    for j, o, lw, start in sections:
+        p = periods[j]
+        for off in range(lw):
+            pos_class[start + off] = base + (off % p)
+            pos_cap[start + off] = lw
+        base += p
+
+    sa = _letter_suffix_array(text)
+    lcp = _letter_lcp_array(text, sa)
+    sal = sa.tolist()
+    lcpl = lcp.tolist()
+    best = [0] * n
+
+    def sweep(indices, lcp_at):
+        # Keep the two best (class, value) pairs with distinct classes;
+        # values decay through the min-LCP chain, so anything dropped can
+        # never beat the kept pair later.
+        c1 = c2 = -2
+        v1 = v2 = 0
+        for i in indices:
+            d = lcp_at(i)
+            if v1 > d:
+                v1 = d
+            if v2 > d:
+                v2 = d
+            p = sal[i]
+            cp = pos_class[p]
+            if cp < 0:
+                continue
+            cap = pos_cap[p]
+            if c1 != cp:
+                cand = v1 if v1 < cap else cap
+            elif c2 != -2:
+                cand = v2 if v2 < cap else cap
+            else:
+                cand = 0
+            if cand > best[p]:
+                best[p] = cand
+            if c1 == cp:
+                if cap > v1:
+                    v1 = cap
+            elif c2 == cp:
+                if cap > v2:
+                    v2 = cap
+                if v2 > v1:
+                    c1, c2, v1, v2 = c2, c1, v2, v1
+            elif cap >= v1:
+                c2, v2 = c1, v1
+                c1, v1 = cp, cap
+            elif cap >= v2:
+                c2, v2 = cp, cap
+
+    nn = len(sal)
+    sweep(range(nn), lambda i: lcpl[i])
+    sweep(range(nn - 1, -1, -1), lambda i: lcpl[i + 1] if i + 1 < nn else 0)
+
+    per_offset: list[tuple[int, ...]] = [()] * len(words)
+    per_max = [0] * len(words)
+    for j, o, lw, start in sections:
+        vals = tuple(best[start : start + lw])
+        m = max(vals)
+        if m > per_max[j]:
+            per_max[j] = m
+        if o == 1:
+            per_offset[j] = vals
+    return MatchTable(tuple(per_offset), tuple(per_max))
 
 
 def _random_input(rng: random.Random, ni: int, nj: int) -> PartialAscendingHNN:
@@ -81,15 +228,26 @@ def criterion_6_inputs() -> list[PartialAscendingHNN]:
     return out
 
 
-def complete_workload_inputs(seed: int) -> list[PartialAscendingHNN]:
-    """The 20 distinct inputs of the benchmark's ``complete`` workload at
-    ``seed``, drawn by the workload's own generator from the same random
-    stream: five draws of 0-3 ascending generators and one free one."""
+def _complete_workload():
     # the benchmark's modules import one another by bare name
     if _PERFBENCH not in sys.path:
         sys.path.append(_PERFBENCH)
     from workloads import Complete
 
+    return Complete
+
+
+def sweep_input(n: int) -> PartialAscendingHNN:
+    """The n+n input of ``scripts/sweep.py``: n ascending generators with
+    random reduced images of 1-12 letters, and n free ones."""
+    return _complete_workload()._draw(random.Random(f"sweep:{n}"), n, n)
+
+
+def complete_workload_inputs(seed: int) -> list[PartialAscendingHNN]:
+    """The 20 distinct inputs of the benchmark's ``complete`` workload at
+    ``seed``, drawn by the workload's own generator from the same random
+    stream: five draws of 0-3 ascending generators and one free one."""
+    Complete = _complete_workload()
     rng = random.Random(f"complete:{seed}")
     return [
         Complete._draw(rng, ni, 1) for _ in range(Complete.draws) for ni in range(4)

@@ -108,6 +108,32 @@ def test_check_smallcancel_verdicts(files, capsys):
     assert code == 1 and not data["cprime"]["holds"]
 
 
+@pytest.mark.parametrize(
+    "bound,diagnostic",
+    [
+        (("--cprime", "7/3"), "--cprime wants a fraction strictly between 0 and 1, got 7/3"),
+        (("--cprime", "0/6"), "--cprime wants a fraction strictly between 0 and 1, got 0/6"),
+        (("--cprime", "1/-6"), "--cprime wants a fraction strictly between 0 and 1, got 1/-6"),
+        (("--cprime", "1/0"), "--cprime wants a fraction strictly between 0 and 1, got 1/0"),
+        (("--cprime", "1/x"), "--cprime wants N/D, got '1/x'"),
+        (("--cp", "1"), "--cp wants at least 2, got 1"),
+        (("--cp", "-3"), "--cp wants at least 2, got -3"),
+    ],
+)
+def test_check_smallcancel_rejects_bad_bounds(bound, diagnostic, files, capsys):
+    code, out, err = run(capsys, "check-smallcancel", files["surface"], *bound)
+    assert (code, out, err) == (2, "", f"error: {diagnostic}\n")
+
+
+def test_check_smallcancel_scans_once(files, capsys, monkeypatch):
+    calls = []
+    real = cli.piece_stats
+    monkeypatch.setattr(cli, "piece_stats", lambda *a, **k: calls.append(a) or real(*a, **k))
+    code, data = run_json(capsys, "check-smallcancel", files["surface"], "--cp", "7")
+    assert code == 0 and data["cp"] == {"p": 7, "holds": True}
+    assert len(calls) == 1
+
+
 def test_quotient_projection(files, capsys):
     code, data = run_json(capsys, "quotient", files["x1"], "--kill", "a")
     assert code == 0
@@ -397,7 +423,7 @@ def test_certify_rejects_an_honest_certificate_of_a_non_injective_group(tmp_path
 @pytest.mark.parametrize(
     "line,diagnostic",
     [
-        ("map c: a", "error: empty word in scan input\n"),
+        ("map c: a", "error: image of c uses no new generator, so its quotient cell is empty\n"),
         ("map c1: c1 c1'", "error: relator c1 is not cyclically reduced\n"),
     ],
 )

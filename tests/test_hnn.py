@@ -29,6 +29,7 @@ from hnnembed.hnn import (
 )
 from hnnembed.parsing import parse_hnn
 from hnnembed.presentation import check_cprime, piece_stats
+from hnnembed.suffixes import match_table
 from hnnembed.stallings import (
     graphs_equal,
     hang,
@@ -47,7 +48,7 @@ from hnnembed.words import (
     signed_letters,
 )
 
-from helpers import complete_workload_inputs, criterion_6_inputs
+from helpers import complete_workload_inputs, criterion_6_inputs, letter_match_table, sweep_input
 from test_cli import ESCALATING
 
 C2 = Alphabet.of("c1", "c2")
@@ -531,3 +532,23 @@ def test_random_valid_inputs_all_green():
         if nj:
             res2 = construct_irreducible_embedding(h)
             assert res2.certificate.all_true()
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize(
+    "construct", [construct_embedding, construct_irreducible_embedding], ids=["plain", "irreducible"]
+)
+def test_sweep_attempt_scans_equal_the_letter_scan(n, construct, monkeypatch):
+    """Every escalation attempt's stored words on the n+n sweep input scan
+    to the same table on run-length tokens as letter by letter."""
+    scanned = []
+
+    def recorded(words, include_inverses=True):
+        scanned.append(([w.letters for w in words], include_inverses))
+        return piece_stats(words, include_inverses)
+
+    monkeypatch.setattr(hnn, "piece_stats", recorded)
+    assert construct(sweep_input(n)).certificate.all_true()
+    assert scanned
+    for words, include_inverses in scanned:
+        assert match_table(words, include_inverses) == letter_match_table(words, include_inverses)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from hnnembed.presentation import (
@@ -9,10 +10,10 @@ from hnnembed.presentation import (
     check_cprime,
     piece_stats,
 )
-from hnnembed.suffixes import match_table
+from hnnembed.suffixes import lcp_array, match_table, suffix_array
 from hnnembed.words import Word, exponent
 
-from helpers import min_piece_decomposition, random_cyclically_reduced_word
+from helpers import letter_match_table, min_piece_decomposition, random_cyclically_reduced_word
 
 
 # Quadratic oracle: every occurrence pair compared letter by letter on
@@ -169,6 +170,99 @@ def test_match_table_handles_unreduced_words():
     want_off, want_max = brute_table(words)
     assert list(got.per_offset) == want_off
     assert list(got.per_word_max) == want_max
+
+
+def _run_heavy_family(rng):
+    """1-4 words over 1-3 generators, each one of: long runs, a proper
+    power, a copy or the inverse of an earlier word, a random word; words
+    are not reduced."""
+    words = []
+    for _ in range(rng.randrange(1, 5)):
+        rank = rng.randrange(1, 4)
+        pick = rng.random()
+        if pick < 0.3:
+            w = []
+            for _ in range(rng.randrange(1, 6)):
+                w += [rng.choice([-1, 1]) * rng.randrange(1, rank + 1)] * rng.randrange(1, 9)
+        elif pick < 0.5:
+            root = [rng.choice([-1, 1]) * rng.randrange(1, rank + 1) for _ in range(rng.randrange(1, 4))]
+            w = root * rng.randrange(1, 5)
+        elif pick < 0.65 and words:
+            w = list(rng.choice(words))
+            if rng.random() < 0.5:
+                w = [-x for x in reversed(w)]
+        else:
+            w = [rng.choice([-1, 1]) * rng.randrange(1, rank + 1) for _ in range(rng.randrange(1, 12))]
+        words.append(tuple(w))
+    return words
+
+
+def test_match_table_equals_letter_scan_on_run_heavy_families():
+    rng = random.Random(206)
+    for trial in range(400):
+        words = _run_heavy_family(rng)
+        for inv in (True, False):
+            assert match_table(words, inv) == letter_match_table(words, inv), (words, inv)
+
+
+def test_match_table_vs_brute_on_run_heavy_families():
+    rng = random.Random(207)
+    for trial in range(150):
+        words = _run_heavy_family(rng)
+        inv = rng.random() < 0.7
+        got = match_table(words, include_inverses=inv)
+        want_off, want_max = brute_table(words, include_inverses=inv)
+        assert list(got.per_offset) == want_off, (words, inv)
+        assert list(got.per_word_max) == want_max, (words, inv)
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        ["1 1 1 1 1 1"],  # a^6: one appearance class
+        ["1 1 1", "1 1 1 1 1"],  # powers of one letter, different lengths
+        ["1 1 2 1 1 2 1 1 2"],  # (a a b)^3
+        ["1 1 2 1 1 2 1 1 2", "1 1 2"],
+        ["1", "1"],  # equal single-letter words
+        ["1", "-1"],  # mutually inverse single-letter words
+        ["1 1 2 2 2", "-2 -2 -2 -1 -1"],  # mutually inverse run words
+        ["1 1 2 1"],  # the run of a crosses the seam of the doubled word
+        ["2 2 2 1 -2 -2 -2 -2 -2", "1 -1 1 1"],  # unreduced
+        ["3 3 3 3 -1 -1 2 2 2 2 2 2", "3 3 -1 -1 2 2 2", "2 2 2 2 2 3"],
+    ],
+)
+def test_match_table_pinned_run_families(words):
+    words = wordlists(*words)
+    want_off, want_max = brute_table(words)
+    for inv in (True, False):
+        got = match_table(words, include_inverses=inv)
+        assert got == letter_match_table(words, include_inverses=inv)
+    got = match_table(words)
+    assert (list(got.per_offset), list(got.per_word_max)) == (want_off, want_max)
+
+
+def test_suffix_array_and_pair_lcp_against_sorting():
+    rng = random.Random(208)
+    for trial in range(200):
+        # repetitive texts over 1-3 symbols, closed by a unique last symbol
+        text = [rng.randrange(1, rng.randrange(2, 5)) for _ in range(rng.randrange(0, 40))] + [9]
+        sa, history = suffix_array(np.array(text, dtype=np.int64))
+        assert sa.tolist() == sorted(range(len(text)), key=lambda i: text[i:])
+        pairs = [rng.sample(range(len(text)), 2) for _ in range(10)] if len(text) > 1 else []
+        u = np.array([a for a, _ in pairs], dtype=np.int64)
+        v = np.array([b for _, b in pairs], dtype=np.int64)
+        got = lcp_array(history, u, v)
+        for (a, b), t in zip(pairs, got.tolist()):
+            want = 0
+            while text[a + want] == text[b + want]:
+                want += 1
+            assert t == want, (text, a, b)
+
+
+def test_match_table_run_at_the_seam():
+    got = match_table([(2, 2, 2, 1, -2, -2, -2, -2, -2)])
+    assert got.per_offset == ((3, 2, 1, 0, 4, 4, 6, 5, 4),)
+    assert got.per_word_max == (6,)
 
 
 def test_greedy_matches_dp_random():
