@@ -1,6 +1,6 @@
 """Small-cancellation checks and free-by-cyclic embedding constructions."""
 
-from .dehn import DehnResult, DehnSolver, area_bound_check, dehn_solve, verify_steps
+from .dehn import DehnResult, DehnSolver, area_bound_check, verify_steps
 from .hnn import (
     EmbeddingCertificate,
     ExtensionResult,
@@ -57,7 +57,6 @@ __all__ = [
     "construct_embedding",
     "construct_irreducible_embedding",
     "cyclic_reduce",
-    "dehn_solve",
     "fold",
     "free_reduce",
     "generate_relator_family",

@@ -250,10 +250,6 @@ def _subword_automaton(text: tuple[int, ...]) -> list[dict[int, int]]:
     return trans
 
 
-def dehn_solve(presentation: Presentation, w: Word) -> DehnResult:
-    return DehnSolver(presentation).solve(w)
-
-
 def verify_steps(
     presentation: Presentation, w: Word, steps: tuple[DehnStep, ...] | list[DehnStep]
 ) -> tuple[bool, Word]:
@@ -345,9 +341,9 @@ def random_trivial_words(
     count: int,
     max_conj: int,
     seed: int,
-    max_conjugator_len: int = 4,
 ) -> list[Word]:
-    """Products of up to max_conj conjugated relators, freely reduced."""
+    """Products of up to max_conj relators, each conjugated by a reduced
+    word of at most 4 letters, freely reduced."""
     if not presentation.relators:
         raise ValueError("need at least one relator")
     if max_conj < 1:
@@ -361,7 +357,7 @@ def random_trivial_words(
             r = presentation.relators[rng.randrange(len(presentation.relators))]
             if rng.random() < 0.5:
                 r = r.inverse()
-            g = random_reduced_word(rng, rank, rng.randint(0, max_conjugator_len))
+            g = random_reduced_word(rng, rank, rng.randint(0, 4))
             w = w * g * r * g.inverse()
         out.append(free_reduce(w))
     return out

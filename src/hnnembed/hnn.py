@@ -42,8 +42,9 @@ completed group without running construction code.  The monomorphism
 verdict reads the core of the image subgroup.  The plain construction
 folds the full image list for it.  The irreducible one hangs the new
 loops on the core of the prescribed images; when no vertex then reads a
-label twice, the hung graph is already folded, and its trim is that
-core, because a folded core is unique for its subgroup (Stallings 1983).
+label twice, the hung graph is already a folded core, and so it is the
+image core, because a folded core is unique for its subgroup (Stallings
+1983).
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .stallings import (
     is_monomorphism,
     rank,
     subgroup_core,
-    trim_to_core,
     unused_basepoint_labels,
     wedge_extension_check,
 )
@@ -117,17 +117,6 @@ class PartialAscendingHNN:
         if self.stable in self.ascending or self.stable in self.free:
             raise ValueError(f"stable letter {self.stable!r} collides with a generator")
         self.full_alphabet  # name validation
-
-    @classmethod
-    def from_strings(
-        cls,
-        ascending: Sequence[tuple[str, str]],
-        free: Sequence[str] = (),
-        stable: str = "t",
-    ) -> "PartialAscendingHNN":
-        names = tuple(n for n, _ in ascending)
-        ab = Alphabet(names + tuple(free) + (stable,))
-        return cls(names, tuple(free), tuple(ab.word(w) for _, w in ascending), stable)
 
     @property
     def base_alphabet(self) -> Alphabet:
@@ -460,9 +449,9 @@ def _irreducible_evidence(
     subgroup's core when it is a genuine wedge.
 
     The new loops are hung on the core of the prescribed images.  When
-    that merges nothing at any vertex, the hung graph is folded, and its
-    trim is the image subgroup's core, since a folded core is unique for
-    its subgroup; otherwise no image core is returned and the caller
+    that merges nothing at any vertex, the hung graph is a folded core,
+    and so it is the image subgroup's core, since a folded core is unique
+    for its subgroup; otherwise no image core is returned and the caller
     folds.
     """
     loops = images[len(h.ascending) :]
@@ -478,7 +467,7 @@ def _irreducible_evidence(
         degree_bound=2 * len(h.ascending),
         core_matches_wedge=hung.folded,
     )
-    return (trim_to_core(hung) if hung.folded else None), evidence
+    return (hung if hung.folded else None), evidence
 
 
 def _check_usable(h: PartialAscendingHNN, irreducible: bool) -> None:

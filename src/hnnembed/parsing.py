@@ -21,6 +21,7 @@ denotes the empty word.  ``#`` starts a comment.  Every error carries the
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .hnn import PartialAscendingHNN
 from .presentation import Presentation
@@ -120,25 +121,41 @@ def parse_hnn(text: str) -> PartialAscendingHNN:
     return obj
 
 
-def _parse_presentation(lines: list[tuple[int, str]]) -> Presentation:
-    no0, first = lines[0]
+def _gens_header(line: tuple[int, str]) -> Alphabet:
+    """Alphabet of a ``gens: <names>`` header line."""
+    no, text = line
     try:
-        alphabet = Alphabet(tuple(first[len("gens:") :].split()))
+        return Alphabet(tuple(text[len("gens:") :].split()))
     except ValueError as e:
-        raise ParseError(str(e), no0) from None
-    relators: list[Word] = []
-    names: list[str] = []
-    for no, line in lines[1:]:
+        raise ParseError(str(e), no) from None
+
+
+def _rel_lines(
+    alphabet: Alphabet, lines: list[tuple[int, str]], kind: str
+) -> Iterator[tuple[int, str, Word]]:
+    """Line number, name and nonempty word of each ``rel [name]: <word>``
+    line; an unnamed line is named by its position."""
+    names: set[str] = set()
+    for no, line in lines:
         head, sep, body = line.partition(":")
         parts = head.split()
         if not sep or not parts or parts[0] != "rel" or len(parts) > 2:
             raise ParseError("expected 'rel [name]: <word>'", no)
-        name = parts[1] if len(parts) == 2 else f"r{len(relators) + 1}"
+        name = parts[1] if len(parts) == 2 else f"r{len(names) + 1}"
         if name in names:
             raise ParseError(f"duplicate relator name {name!r}", no)
         w = parse_word(alphabet, body, no)
         if not w:
-            raise ParseError(f"relator {name} is empty", no)
+            raise ParseError(f"{kind} {name} is empty", no)
+        names.add(name)
+        yield no, name, w
+
+
+def _parse_presentation(lines: list[tuple[int, str]]) -> Presentation:
+    alphabet = _gens_header(lines[0])
+    relators: list[Word] = []
+    names: list[str] = []
+    for no, name, w in _rel_lines(alphabet, lines[1:], "relator"):
         if not is_cyclically_reduced(w):
             raise ParseError(f"relator {name} is not cyclically reduced", no)
         relators.append(w)
@@ -201,26 +218,9 @@ def parse_generating_set(text: str) -> tuple[Alphabet, list[Word], list[str]]:
     no0, first = lines[0]
     if not first.startswith("gens:"):
         raise ParseError("expected a 'gens:' header", no0)
-    try:
-        alphabet = Alphabet(tuple(first[len("gens:") :].split()))
-    except ValueError as e:
-        raise ParseError(str(e), no0) from None
-    words: list[Word] = []
-    names: list[str] = []
-    for no, line in lines[1:]:
-        head, sep, body = line.partition(":")
-        parts = head.split()
-        if not sep or not parts or parts[0] != "rel" or len(parts) > 2:
-            raise ParseError("expected 'rel [name]: <word>'", no)
-        name = parts[1] if len(parts) == 2 else f"r{len(words) + 1}"
-        if name in names:
-            raise ParseError(f"duplicate relator name {name!r}", no)
-        w = parse_word(alphabet, body, no)
-        if not w:
-            raise ParseError(f"generator word {name} is empty", no)
-        words.append(w)
-        names.append(name)
-    return alphabet, words, names
+    alphabet = _gens_header(lines[0])
+    rels = list(_rel_lines(alphabet, lines[1:], "generator word"))
+    return alphabet, [w for _, _, w in rels], [name for _, name, _ in rels]
 
 
 def presentation_source(p: Presentation) -> str:

@@ -18,12 +18,10 @@ piece is again a piece.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .suffixes import match_table
 from .words import Alphabet, Word, is_cyclically_reduced
-
-RelatorInput = Union["Presentation", Sequence[Word]]
 
 
 @dataclass(frozen=True)
@@ -49,12 +47,6 @@ class Presentation:
             if not is_cyclically_reduced(r):
                 raise ValueError(f"relator {name} is not cyclically reduced")
 
-    @classmethod
-    def from_strings(cls, gens: str, rels: Sequence[str], names: Sequence[str] = ()) -> "Presentation":
-        """Build from space-separated generator names and symbol strings."""
-        ab = Alphabet(tuple(gens.split()))
-        return cls(ab, tuple(ab.word(r) for r in rels), tuple(names))
-
     @property
     def rank(self) -> int:
         return self.alphabet.size
@@ -63,12 +55,6 @@ class Presentation:
         gens = " ".join(self.alphabet.names)
         rels = ", ".join(self.alphabet.word_str(r) for r in self.relators)
         return f"< {gens} | {rels} >"
-
-
-def _as_words(arg: RelatorInput) -> list[Word]:
-    if isinstance(arg, Presentation):
-        return list(arg.relators)
-    return list(arg)
 
 
 @dataclass(frozen=True)
@@ -104,8 +90,8 @@ class PieceReport:
         return tuple(out)
 
 
-def piece_stats(relators: RelatorInput, include_inverses: bool = True) -> PieceReport:
-    words = _as_words(relators)
+def piece_stats(relators: Sequence[Word], include_inverses: bool = True) -> PieceReport:
+    words = list(relators)
     if not words:
         raise ValueError("no relators to scan")
     table = match_table([w.letters for w in words], include_inverses)
@@ -172,7 +158,7 @@ class CpReport:
     witnesses: tuple[CpWitness, ...]
 
 
-def check_cp(relators: RelatorInput, p: int, include_inverses: bool = True) -> CpReport:
+def check_cp(relators: Sequence[Word], p: int, include_inverses: bool = True) -> CpReport:
     """Does every relator need at least p pieces, if decomposable at all?
 
     A relator that is not a product of pieces at all passes vacuously.
@@ -211,7 +197,7 @@ class CprimeReport:
 
 
 def check_cprime(
-    relators: RelatorInput, num: int, den: int, include_inverses: bool = True
+    relators: Sequence[Word], num: int, den: int, include_inverses: bool = True
 ) -> CprimeReport:
     """Is every piece strictly shorter than num/den of its relator?
 

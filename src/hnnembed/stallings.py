@@ -11,6 +11,11 @@ Folding runs on a union-find over vertices with per-class slot maps,
 merging small into large, so big generator families stay near-linear.
 The fold result is unique up to based labeled isomorphism; use
 :func:`canonical_form` to compare graphs modulo vertex naming.
+
+Words are checked against the alphabet where they become edges, in
+:func:`bouquet` and :func:`hang`.  Every other graph here is a
+renumbering of one of theirs, so :class:`CoreGraph` itself checks
+nothing.
 """
 
 from __future__ import annotations
@@ -30,15 +35,6 @@ class CoreGraph:
     edges: tuple[tuple[int, int, int], ...]  # (source, target, positive label)
     folded: bool
     cored: bool
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.basepoint < self.num_vertices:
-            raise ValueError("basepoint out of range")
-        for u, v, g in self.edges:
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError("edge endpoint out of range")
-            if not 1 <= g <= self.alphabet.size:
-                raise ValueError(f"edge label {g} outside alphabet")
 
     def with_alphabet(self, alphabet: Alphabet) -> "CoreGraph":
         """Reinterpret over a larger alphabet sharing the name prefix."""
@@ -84,6 +80,11 @@ def _spell(
     return n, cur
 
 
+def _check_letters(alphabet: Alphabet, w: Word) -> None:
+    if w.max_letter() > alphabet.size:
+        raise ValueError("generator word outside alphabet")
+
+
 def bouquet(alphabet: Alphabet, generators: Sequence[Word]) -> CoreGraph:
     """Wedge of one loop path per generator word, unfolded."""
     edges: list[tuple[int, int, int]] = []
@@ -91,8 +92,7 @@ def bouquet(alphabet: Alphabet, generators: Sequence[Word]) -> CoreGraph:
     for w in generators:
         if len(w) == 0:
             raise ValueError("empty generator word")
-        if w.max_letter() > alphabet.size:
-            raise ValueError("generator word outside alphabet")
+        _check_letters(alphabet, w)
         n, _ = _spell(edges, n, 0, w, 0)
     folded = not generators
     return CoreGraph(alphabet, n, 0, tuple(edges), folded, folded)
@@ -104,16 +104,19 @@ def hang(core: CoreGraph, loops: Sequence[Word]) -> CoreGraph:
     A loop's stem (its conjugator) becomes a path out of the basepoint
     and its cyclically reduced part a cycle at the stem's end.  The
     result is marked folded exactly when no vertex reads a signed label
-    twice, in which case folding it would merge nothing.
+    twice, in which case folding it would merge nothing.  Every vertex
+    added lies on a cycle or on a stem leading to one, so it has degree
+    at least 2, and the result is cored exactly when the core is.
     """
     edges = list(core.edges)
     n = core.num_vertices
     for w in loops:
+        _check_letters(core.alphabet, w)
         inner, stem = cyclic_reduce(w)
         n, at = _spell(edges, n, core.basepoint, stem, None)
         n, _ = _spell(edges, n, at, inner, at)
     folded = _deterministic(edges)
-    return CoreGraph(core.alphabet, n, core.basepoint, tuple(edges), folded, False)
+    return CoreGraph(core.alphabet, n, core.basepoint, tuple(edges), folded, core.cored)
 
 
 def _deterministic(edges: Sequence[tuple[int, int, int]]) -> bool:
@@ -363,7 +366,3 @@ def canonical_form(g: CoreGraph) -> tuple:
         raise ValueError("graph is disconnected")
     edges = tuple(sorted((ids[u], ids[v], lab) for u, v, lab in g.edges))
     return (g.num_vertices, edges)
-
-
-def graphs_equal(a: CoreGraph, b: CoreGraph) -> bool:
-    return a.alphabet == b.alphabet and canonical_form(a) == canonical_form(b)

@@ -123,13 +123,6 @@ class Alphabet:
             return "1"
         return " ".join(self.symbol(x) for x in w)
 
-    def word(self, text: str) -> Word:
-        """Parse a space-separated symbol string (no exponent syntax)."""
-        text = text.strip()
-        if text in ("", "1"):
-            return EMPTY
-        return Word(tuple(self.letter(tok) for tok in text.split()))
-
 
 def free_reduce(w: Word) -> Word:
     """Delete inverse pairs until none remain."""

@@ -11,12 +11,34 @@ import sys
 import numpy as np
 
 from hnnembed.hnn import PartialAscendingHNN, validate
+from hnnembed.parsing import parse_word
 from hnnembed.presentation import Presentation, best_piece_decomposition
+from hnnembed.stallings import CoreGraph, canonical_form
 from hnnembed.subquotient import TwoCellDiagram
 from hnnembed.suffixes import MatchTable
-from hnnembed.words import Word, exponent, random_reduced_word
+from hnnembed.words import Alphabet, Word, exponent, random_reduced_word
 
 _PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def presentation_from_strings(gens: str, rels, names=()) -> Presentation:
+    """Build from space-separated generator names and relator words."""
+    ab = Alphabet(tuple(gens.split()))
+    return Presentation(ab, tuple(parse_word(ab, r) for r in rels), tuple(names))
+
+
+def hnn_from_strings(ascending, free=(), stable: str = "t") -> PartialAscendingHNN:
+    """Build from (generator, image word) pairs and free generator names."""
+    names = tuple(n for n, _ in ascending)
+    ab = Alphabet(names + tuple(free) + (stable,))
+    return PartialAscendingHNN(
+        names, tuple(free), tuple(parse_word(ab, w) for _, w in ascending), stable
+    )
+
+
+def graphs_equal(a: CoreGraph, b: CoreGraph) -> bool:
+    """Equal alphabets and equal based labeled graphs up to vertex naming."""
+    return a.alphabet == b.alphabet and canonical_form(a) == canonical_form(b)
 
 
 def random_cyclically_reduced_word(rng, rank: int, length: int) -> Word:

@@ -13,7 +13,6 @@ from contextlib import contextmanager
 from hnnembed.cli import main as cli_main
 from hnnembed.dehn import area_bound_check, random_trivial_words
 from hnnembed.hnn import (
-    PartialAscendingHNN,
     construct_embedding,
     construct_irreducible_embedding,
     generate_relator_family,
@@ -41,7 +40,13 @@ from hnnembed.words import (
     random_reduced_word,
 )
 
-from helpers import criterion_6_inputs, min_piece_decomposition, random_cyclically_reduced_word
+from helpers import (
+    criterion_6_inputs,
+    hnn_from_strings,
+    min_piece_decomposition,
+    presentation_from_strings,
+    random_cyclically_reduced_word,
+)
 
 
 @contextmanager
@@ -63,7 +68,7 @@ def criterion(capsys, number, description, limit):
     assert elapsed < limit, f"criterion {number} took {elapsed:.2f}s"
 
 
-INTRO = PartialAscendingHNN.from_strings(
+INTRO = hnn_from_strings(
     [("a", " ".join(["a b c"] * 8)), ("b", " ".join(["a c"] * 9) + " b")],
     free=["c"],
 )
@@ -71,8 +76,8 @@ INTRO = PartialAscendingHNN.from_strings(
 
 def test_criterion_1_quotient_examples(capsys):
     with criterion(capsys, 1, "collapse examples match exactly", 1.0):
-        x1 = Presentation.from_strings("a b c", ["b c a b c b c"])
-        x2 = Presentation.from_strings("a b c", ["a b c", "a b c c"])
+        x1 = presentation_from_strings("a b c", ["b c a b c b c"])
+        x2 = presentation_from_strings("a b c", ["a b c", "a b c c"])
 
         spec = SubcomplexSpec.spanned_by(x1, ["a"])
         q = quotient(spec)
@@ -200,7 +205,7 @@ def test_criterion_3_piece_scan_oracle_equivalence(capsys):
 
 def test_criterion_4_liftability_search(capsys):
     with criterion(capsys, 4, "clean collapses never hide a cancellation; seeded counterexample found", 60.0):
-        seeded = Presentation.from_strings("a b c", ["a b c a b c c"])
+        seeded = presentation_from_strings("a b c", ["a b c a b c c"])
         assert (
             liftability_counterexample_search(SubcomplexSpec.spanned_by(seeded, ["c"]))
             is not None

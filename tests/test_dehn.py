@@ -16,22 +16,22 @@ from hnnembed.dehn import (
     DehnSolver,
     DehnStep,
     area_bound_check,
-    dehn_solve,
     random_trivial_words,
     verify_steps,
 )
 from hnnembed.hnn import generate_relator_family
+from hnnembed.parsing import parse_word
 from hnnembed.presentation import Presentation, check_cprime
 from hnnembed.words import EMPTY, Alphabet, Word, cyclic_reduce, free_reduce
 
 
 SURF = Alphabet.of("a", "b", "c", "d")
-P_SURF = Presentation(SURF, (SURF.word("a b a' b' c d c' d'"),))
+P_SURF = Presentation(SURF, (parse_word(SURF, "a b a' b' c d c' d'"),))
 R = P_SURF.relators[0]
 
 
 def test_relator_is_trivial_in_one_step():
-    res = dehn_solve(P_SURF, R)
+    res = DehnSolver(P_SURF).solve(R)
     assert res.trivial
     assert res.steps == (DehnStep(position=0, relator=0, orientation=1, offset=0, length=8),)
     assert res.area == 1
@@ -39,15 +39,15 @@ def test_relator_is_trivial_in_one_step():
 
 
 def test_inverse_relator_uses_reverse_orientation():
-    res = dehn_solve(P_SURF, R.inverse())
+    res = DehnSolver(P_SURF).solve(R.inverse())
     assert res.trivial
     assert res.steps == (DehnStep(position=0, relator=0, orientation=-1, offset=0, length=8),)
 
 
 def test_conjugated_relator_product_is_trivial():
-    g = SURF.word("c a b")
-    w = g * R * g.inverse() * SURF.word("d") * R.inverse() * SURF.word("d'")
-    res = dehn_solve(P_SURF, w)
+    g = parse_word(SURF, "c a b")
+    w = g * R * g.inverse() * parse_word(SURF, "d") * R.inverse() * parse_word(SURF, "d'")
+    res = DehnSolver(P_SURF).solve(w)
     assert res.trivial
     assert res.area == 2
     ok, final = verify_steps(P_SURF, w, res.steps)
@@ -56,23 +56,23 @@ def test_conjugated_relator_product_is_trivial():
 
 def test_known_nontrivial_words_are_reported_with_residue():
     for text in ("a", "a b a' b'", "c d c' d'", "a b c d"):
-        res = dehn_solve(P_SURF, SURF.word(text))
+        res = DehnSolver(P_SURF).solve(parse_word(SURF, text))
         assert not res.trivial
         assert res.steps == ()
-        assert res.residue == SURF.word(text)
+        assert res.residue == parse_word(SURF, text)
 
 
 def test_empty_word_is_trivial_with_no_steps():
-    res = dehn_solve(P_SURF, EMPTY)
+    res = DehnSolver(P_SURF).solve(EMPTY)
     assert res.trivial and res.steps == ()
     # a word that freely collapses costs nothing either
-    res = dehn_solve(P_SURF, SURF.word("a b b' a'"))
+    res = DehnSolver(P_SURF).solve(parse_word(SURF, "a b b' a'"))
     assert res.trivial and res.steps == ()
 
 
 def test_solver_rejects_presentations_without_the_metric_bound():
     two = Alphabet.of("a", "b")
-    bad = Presentation(two, (two.word("a b a b' a b' a' b a' b'"),))
+    bad = Presentation(two, (parse_word(two, "a b a b' a b' a' b a' b'"),))
     with pytest.raises(ValueError, match="metric small cancellation"):
         DehnSolver(bad)
 
@@ -87,9 +87,9 @@ def test_free_presentation_reduces_to_free_reduction():
 
 
 def test_step_log_lengths_strictly_decrease():
-    g = SURF.word("b d a")
-    w = g * R * g.inverse() * R * SURF.word("a") * R.inverse() * SURF.word("a'")
-    res = dehn_solve(P_SURF, w)
+    g = parse_word(SURF, "b d a")
+    w = g * R * g.inverse() * R * parse_word(SURF, "a") * R.inverse() * parse_word(SURF, "a'")
+    res = DehnSolver(P_SURF).solve(w)
     assert res.trivial
     lengths = []
     for k in range(len(res.steps) + 1):
@@ -101,14 +101,14 @@ def test_step_log_lengths_strictly_decrease():
 
 
 def test_solver_is_deterministic_across_instances():
-    w = SURF.word("c") * R * SURF.word("c'") * R.inverse()
+    w = parse_word(SURF, "c") * R * parse_word(SURF, "c'") * R.inverse()
     first = DehnSolver(P_SURF).solve(w)
     second = DehnSolver(P_SURF).solve(w)
     assert first == second
 
 
 def test_replay_rejects_tampered_logs():
-    res = dehn_solve(P_SURF, R)
+    res = DehnSolver(P_SURF).solve(R)
     (step,) = res.steps
     bad_position = DehnStep(3, step.relator, step.orientation, 1, step.length)
     assert not verify_steps(P_SURF, R, (bad_position,))[0]
@@ -117,7 +117,7 @@ def test_replay_rejects_tampered_logs():
     too_short = DehnStep(step.position, step.relator, step.orientation, step.offset, 4)
     assert not verify_steps(P_SURF, R, (too_short,))[0]
     # a valid log for a different word fails on the match check
-    assert not verify_steps(P_SURF, SURF.word("a b c d a b c d"), res.steps)[0]
+    assert not verify_steps(P_SURF, parse_word(SURF, "a b c d a b c d"), res.steps)[0]
 
 
 def test_piece_count_greedy_segments():
@@ -125,9 +125,9 @@ def test_piece_count_greedy_segments():
     assert solver.piece_count(EMPTY) == 0
     assert solver.piece_count(R) == 1
     assert solver.piece_count(R * R) == 2
-    assert solver.piece_count(SURF.word("a")) == 1
+    assert solver.piece_count(parse_word(SURF, "a")) == 1
     # b' a' is a subword of the inverse relator, so one segment covers it
-    assert solver.piece_count(SURF.word("b' a'")) == 1
+    assert solver.piece_count(parse_word(SURF, "b' a'")) == 1
 
 
 def test_area_report_on_relator_samples():
@@ -140,7 +140,7 @@ def test_area_report_on_relator_samples():
 
 def test_area_check_rejects_nontrivial_samples():
     with pytest.raises(ValueError, match=r"samples not trivial: \[1\]"):
-        area_bound_check(P_SURF, [R, SURF.word("a b")])
+        area_bound_check(P_SURF, [R, parse_word(SURF, "a b")])
 
 
 def test_random_trivial_words_deterministic_and_trivial():
@@ -396,10 +396,10 @@ def test_every_hash_colliding_still_finds_the_exact_match():
 
 def test_match_wrapping_across_position_zero():
     # the relator starts at position 5 and wraps past the end of the word
-    w = SURF.word("c d c' d' a a b a' b'")
+    w = parse_word(SURF, "c d c' d' a a b a' b'")
     res = DehnSolver(P_SURF).solve(w)
     assert res.steps == (DehnStep(position=5, relator=0, orientation=1, offset=0, length=8),)
-    assert res.residue == SURF.word("a")
+    assert res.residue == parse_word(SURF, "a")
     assert (res.trivial, res.steps, res.residue) == brute_solve(P_SURF, w)
 
 
@@ -409,7 +409,7 @@ def test_full_length_matches_are_capped_at_the_relator_or_word_length():
     # the cap top = min(8, 16) makes them tie and position 0 wins
     assert solver._best_match(R * R) == (8, 0, 0, 0, 0)
     # a word shorter than the relator is matched whole: top = n = 6
-    short = SURF.word("a b a' b' c d")
+    short = parse_word(SURF, "a b a' b' c d")
     assert solver._best_match(short) == (6, 0, 0, 0, 0)
     for w in (R * R, short):
         assert solver._best_match(w) == brute_best_match(P_SURF, w)
@@ -418,7 +418,7 @@ def test_full_length_matches_are_capped_at_the_relator_or_word_length():
 def test_equal_length_orientations_tie_on_position_first():
     # the inverse relator sits at position 0, the relator later: both match
     # all 8 letters, and position outranks orientation in the tie order
-    w = R.inverse() * SURF.word("c") * R * SURF.word("c")
+    w = R.inverse() * parse_word(SURF, "c") * R * parse_word(SURF, "c")
     solver = DehnSolver(P_SURF)
     assert solver._best_match(w) == (8, 0, 0, 1, 0)
     res = solver.solve(w)

@@ -27,11 +27,10 @@ from hnnembed.hnn import (
     generate_relator_family,
     validate,
 )
-from hnnembed.parsing import parse_hnn
+from hnnembed.parsing import parse_hnn, parse_word
 from hnnembed.presentation import check_cprime, piece_stats
 from hnnembed.suffixes import match_table
 from hnnembed.stallings import (
-    graphs_equal,
     hang,
     is_monomorphism,
     rank,
@@ -48,14 +47,21 @@ from hnnembed.words import (
     signed_letters,
 )
 
-from helpers import complete_workload_inputs, criterion_6_inputs, letter_match_table, sweep_input
+from helpers import (
+    complete_workload_inputs,
+    criterion_6_inputs,
+    graphs_equal,
+    hnn_from_strings,
+    letter_match_table,
+    sweep_input,
+)
 from test_cli import ESCALATING
 
 C2 = Alphabet.of("c1", "c2")
 
 
 def intro_example() -> PartialAscendingHNN:
-    return PartialAscendingHNN.from_strings(
+    return hnn_from_strings(
         ascending=[("a", " ".join(["a b c"] * 8)), ("b", " ".join(["a c"] * 9) + " b")],
         free=("c",),
     )
@@ -200,7 +206,7 @@ from hnnembed import hnn
 from hnnembed.presentation import Presentation
 from hnnembed.words import Word
 
-h = hnn.PartialAscendingHNN.from_strings(ascending=[("a", "a b a")], free=("b",))
+h = hnn.PartialAscendingHNN(("a",), ("b",), (Word.of(1, 2, 1),))
 res = hnn.construct_embedding(h)
 stored = res.certificate.quotient_words
 tampered = (stored[0] * Word.of(1),) + stored[1:]
@@ -354,7 +360,7 @@ def test_loops_merging_at_the_basepoint_fold_the_full_image_list(loops, injectiv
     falls back to folding the whole image list."""
     h = PartialAscendingHNN(("a",), ("b",), (Word.of(1),))
     wide = Alphabet.of("a", "b", "c1", "c2")
-    images = [Word.of(1)] + [wide.word(w) for w in loops]
+    images = [Word.of(1)] + [parse_word(wide, w) for w in loops]
     pair = build_complex_pair(h, ("c1", "c2"), images)
     stored = tuple(pr.word.inverse() for pr in quotient(pair).projected)
     report = piece_stats(list(stored), include_inverses=True)
@@ -378,18 +384,20 @@ def completions(name: str, irreducible: bool) -> list:
 def test_hung_wedge_trim_is_the_image_core(name):
     """Oracle for the certificate's shortcut, with the full fold as the
     oracle.  On every generated input the loops hang on the prescribed
-    images' core without merging, the trim of the hung graph is the fold
-    of the full image list, and its rank gives is_monomorphism's verdict."""
+    images' core without merging, trimming the hung graph removes nothing,
+    the hung graph is the fold of the full image list, and its rank gives
+    is_monomorphism's verdict."""
     for res in completions(name, True):
         h = res.source
         wide = Alphabet(h.ascending + h.free + res.new_names)
         images = list(res.images)
         prescribed = subgroup_core(h.base_alphabet, h.images).with_alphabet(wide)
         hung = hang(prescribed, images[len(h.ascending) :])
-        assert hung.folded and res.certificate.irreducible.core_matches_wedge
-        core = trim_to_core(hung)
-        assert graphs_equal(core, subgroup_core(wide, images))
-        assert (rank(core) == len(images)) == is_monomorphism(wide, images)
+        assert hung.folded and hung.cored and res.certificate.irreducible.core_matches_wedge
+        trimmed = trim_to_core(hung)
+        assert (trimmed.num_vertices, len(trimmed.edges)) == (hung.num_vertices, len(hung.edges))
+        assert graphs_equal(hung, subgroup_core(wide, images))
+        assert (rank(hung) == len(images)) == is_monomorphism(wide, images)
 
 
 @pytest.mark.parametrize("name", sorted(GENERATED))

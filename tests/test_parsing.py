@@ -16,6 +16,8 @@ from hnnembed.parsing import (
 from hnnembed.presentation import Presentation
 from hnnembed.words import EMPTY, Alphabet, Word
 
+from helpers import hnn_from_strings, presentation_from_strings
+
 
 AB = Alphabet.of("a", "b", "c")
 
@@ -94,7 +96,7 @@ rel second: a b c c  # trailing comment
         assert p.relators[1] == Word.of(1, 2, 3, 3)
 
     def test_round_trip(self):
-        p = Presentation.from_strings("a b c", ["b c a b c b c", "a b c c"])
+        p = presentation_from_strings("a b c", ["b c a b c b c", "a b c c"])
         assert parse_presentation(presentation_source(p)) == p
 
     def test_empty_alphabet_and_no_relators(self):
@@ -139,7 +141,7 @@ map b: ( a c )^9 b
 
     def test_parse_matches_programmatic_construction(self):
         h = parse_hnn(self.INTRO)
-        built = PartialAscendingHNN.from_strings(
+        built = hnn_from_strings(
             [
                 ("a", " ".join(["a b c"] * 8)),
                 ("b", " ".join(["a c"] * 9) + " b"),
@@ -161,7 +163,7 @@ map a: ( a b c )^8
         assert parse_hnn(shuffled) == parse_hnn(self.INTRO)
 
     def test_empty_free_part_round_trips(self):
-        h = PartialAscendingHNN.from_strings([("a", "a a")], free=[])
+        h = hnn_from_strings([("a", "a a")], free=[])
         assert parse_hnn(hnn_source(h)) == h
 
     def test_image_may_mention_the_stable_letter_for_later_diagnosis(self):
@@ -203,6 +205,25 @@ class TestGeneratingSetFiles:
     def test_empty_generator_rejected(self):
         with pytest.raises(ParseError, match="is empty"):
             parse_generating_set("gens: a\nrel: 1\n")
+
+    @pytest.mark.parametrize(
+        "src, diagnostic",
+        [
+            ("", "empty input"),
+            ("rel: a\n", "line 1: expected a 'gens:' header"),
+            ("gens: a a\n", "line 1: duplicate generator name 'a'"),
+            ("gens: a\nrule: a\n", "line 2: expected 'rel [name]: <word>'"),
+            ("gens: a\nrel x: a\nrel x: a\n", "line 3: duplicate relator name 'x'"),
+            ("gens: a\nrel: a\nrel r1: a\n", "line 3: duplicate relator name 'r1'"),
+            ("gens: a\nrel: 1\n", "line 2: generator word r1 is empty"),
+            ("gens: a\nrel: a a'\nrel twist: 1\n", "line 3: generator word twist is empty"),
+            ("gens: a\nrel: b\n", "line 2: unknown generator 'b'"),
+        ],
+    )
+    def test_diagnostics_are_pinned(self, src, diagnostic):
+        with pytest.raises(ParseError) as err:
+            parse_generating_set(src)
+        assert str(err.value) == diagnostic
 
     def test_hnn_header_rejected(self):
         with pytest.raises(ParseError, match="expected a 'gens:'"):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hnnembed.presentation import (
-    Presentation,
     best_piece_decomposition,
     check_cp,
     check_cprime,
@@ -13,7 +12,12 @@ from hnnembed.presentation import (
 from hnnembed.suffixes import lcp_array, match_table, suffix_array
 from hnnembed.words import Word, exponent
 
-from helpers import letter_match_table, min_piece_decomposition, random_cyclically_reduced_word
+from helpers import (
+    letter_match_table,
+    min_piece_decomposition,
+    presentation_from_strings,
+    random_cyclically_reduced_word,
+)
 
 
 # Quadratic oracle: every occurrence pair compared letter by letter on
@@ -70,15 +74,15 @@ def wordlists(*strs):
 
 
 def test_presentation_validation():
-    p = Presentation.from_strings("a b c", ["b c a b c b c"])
+    p = presentation_from_strings("a b c", ["b c a b c b c"])
     assert p.rank == 3 and str(p) == "< a b c | b c a b c b c >"
     assert p.relator_names == ("r1",)
     with pytest.raises(ValueError):
-        Presentation.from_strings("a b", ["a b a'"])  # not cyclically reduced
+        presentation_from_strings("a b", ["a b a'"])  # not cyclically reduced
     with pytest.raises(ValueError):
-        Presentation.from_strings("a b", [""])
+        presentation_from_strings("a b", [""])
     with pytest.raises(ValueError):
-        Presentation.from_strings("a b", ["a b", "b a"], names=["r", "r"])
+        presentation_from_strings("a b", ["a b", "b a"], names=["r", "r"])
 
 
 def test_no_piece_cases():
@@ -115,17 +119,17 @@ def test_duplicate_relators_are_pieces():
 
 def test_shared_subword_across_relators():
     # abc inside abcc: the whole first relator is a piece.
-    p = Presentation.from_strings("a b c", ["a b c", "a b c c"])
-    rep = piece_stats(p)
+    p = presentation_from_strings("a b c", ["a b c", "a b c c"])
+    rep = piece_stats(p.relators)
     assert rep.max_piece == (3, 3)
     assert min_piece_decomposition(rep.per_offset[0]) == 1
-    assert not check_cp(p, 7).holds
+    assert not check_cp(p.relators, 7).holds
 
 
 def test_self_overlap_pieces():
     # b c a b c b c: bcbc occurs at offsets 3 and 5.
-    p = Presentation.from_strings("a b c", ["b c a b c b c"])
-    rep = piece_stats(p)
+    p = presentation_from_strings("a b c", ["b c a b c b c"])
+    rep = piece_stats(p.relators)
     assert rep.max_piece == (4,)
     assert rep.per_offset[0][3] == 4 and rep.per_offset[0][5] >= 2
 

@@ -15,7 +15,6 @@ from hnnembed.stallings import (
     bouquet,
     canonical_form,
     fold,
-    graphs_equal,
     hang,
     is_monomorphism,
     membership,
@@ -25,7 +24,10 @@ from hnnembed.stallings import (
     unused_basepoint_labels,
     wedge_extension_check,
 )
+from hnnembed.parsing import parse_word
 from hnnembed.words import Alphabet, Word, free_reduce
+
+from helpers import graphs_equal
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -88,6 +90,13 @@ def random_words(rng: random.Random, size: int, count: int) -> list[Word]:
     return words
 
 
+def assert_well_formed(g: CoreGraph) -> None:
+    assert 0 <= g.basepoint < g.num_vertices
+    for u, v, lab in g.edges:
+        assert 0 <= u < g.num_vertices and 0 <= v < g.num_vertices
+        assert 1 <= lab <= g.alphabet.size
+
+
 def test_bouquet_rejects_bad_generators():
     with pytest.raises(ValueError, match="empty generator"):
         bouquet(AB, [Word.of()])
@@ -95,8 +104,30 @@ def test_bouquet_rejects_bad_generators():
         bouquet(AB, [Word.of(3)])
 
 
+def test_hang_rejects_loops_outside_the_alphabet():
+    core = subgroup_core(AB, [parse_word(AB, "a")])
+    with pytest.raises(ValueError, match="generator word outside alphabet"):
+        hang(core, [parse_word(AB, "b"), Word.of(1, -3, 2)])
+
+
+def test_built_graphs_are_well_formed():
+    # CoreGraph checks nothing itself: words are checked where they become
+    # edges, and every other graph is a renumbering of a checked one.
+    rng = random.Random(41)
+    for _ in range(200):
+        size = rng.randint(1, 3)
+        alphabet = Alphabet.of(*ABC.names[:size])
+        gens = random_words(rng, size, rng.randint(0, 4))
+        raw = bouquet(alphabet, gens)
+        folded = fold(raw, order_seed=rng.randint(0, 3))
+        core = trim_to_core(folded)
+        hung = hang(core, random_words(rng, size, rng.randint(0, 3)))
+        for g in (raw, folded, core, hung, fold(hung), trim_to_core(fold(hung))):
+            assert_well_formed(g)
+
+
 def test_fold_conjugate_loop_shape():
-    g = fold(bouquet(AB, [AB.word("a b a'"), AB.word("b")]))
+    g = fold(bouquet(AB, [parse_word(AB, "a b a'"), parse_word(AB, "b")]))
     core = trim_to_core(g)
     assert core.num_vertices == 2
     assert len(core.edges) == 3
@@ -106,31 +137,31 @@ def test_fold_conjugate_loop_shape():
 
 
 def test_fold_identifies_duplicate_generators():
-    core = subgroup_core(AB, [AB.word("a b"), AB.word("a b")])
+    core = subgroup_core(AB, [parse_word(AB, "a b"), parse_word(AB, "a b")])
     assert core.num_vertices == 2
     assert len(core.edges) == 2
     assert rank(core) == 1
 
 
 def test_membership_examples():
-    core = subgroup_core(AB, [AB.word("a a")])
-    assert membership(core, AB.word("a a"))
-    assert membership(core, AB.word("a' a'"))
-    assert membership(core, AB.word("a a b b' a a"))
-    assert not membership(core, AB.word("a"))
-    assert not membership(core, AB.word("b"))
+    core = subgroup_core(AB, [parse_word(AB, "a a")])
+    assert membership(core, parse_word(AB, "a a"))
+    assert membership(core, parse_word(AB, "a' a'"))
+    assert membership(core, parse_word(AB, "a a b b' a a"))
+    assert not membership(core, parse_word(AB, "a"))
+    assert not membership(core, parse_word(AB, "b"))
 
 
 def test_monomorphism_examples():
-    assert is_monomorphism(AB, [AB.word("a a"), AB.word("b a b'")])
-    assert not is_monomorphism(AB, [AB.word("a b"), AB.word("a b")])
-    assert not is_monomorphism(AB, [AB.word("a"), AB.word("b"), AB.word("a b")])
-    assert not is_monomorphism(AB, [AB.word("a"), AB.word("a a'")])
+    assert is_monomorphism(AB, [parse_word(AB, "a a"), parse_word(AB, "b a b'")])
+    assert not is_monomorphism(AB, [parse_word(AB, "a b"), parse_word(AB, "a b")])
+    assert not is_monomorphism(AB, [parse_word(AB, "a"), parse_word(AB, "b"), parse_word(AB, "a b")])
+    assert not is_monomorphism(AB, [parse_word(AB, "a"), parse_word(AB, "a a'")])
     assert is_monomorphism(AB, [])
 
 
 def test_rank_preconditions():
-    raw = bouquet(AB, [AB.word("a b a'")])
+    raw = bouquet(AB, [parse_word(AB, "a b a'")])
     with pytest.raises(ValueError, match="not folded"):
         rank(raw)
     folded = fold(raw)
@@ -193,23 +224,23 @@ def test_basepoint_degree_bounded_by_twice_generator_count():
 
 
 def test_redundant_generating_sets_give_equal_cores():
-    left = subgroup_core(AB, [AB.word("a"), AB.word("a b")])
-    right = subgroup_core(AB, [AB.word("a"), AB.word("b")])
+    left = subgroup_core(AB, [parse_word(AB, "a"), parse_word(AB, "a b")])
+    right = subgroup_core(AB, [parse_word(AB, "a"), parse_word(AB, "b")])
     assert graphs_equal(left, right)
-    other = subgroup_core(AB, [AB.word("a a"), AB.word("b")])
+    other = subgroup_core(AB, [parse_word(AB, "a a"), parse_word(AB, "b")])
     assert not graphs_equal(left, other)
 
 
 def test_wedge_extension_check_cases():
-    loop_a = subgroup_core(AB, [AB.word("a")])
-    assert wedge_extension_check(loop_a, [AB.word("b")])
-    assert not wedge_extension_check(loop_a, [AB.word("a b")])
-    loop_b = subgroup_core(AB, [AB.word("b")])
-    assert wedge_extension_check(loop_b, [AB.word("a b a'")])
-    assert not wedge_extension_check(loop_b, [AB.word("a b a'"), AB.word("a b' a'")])
-    assert not wedge_extension_check(loop_b, [AB.word("b a")])
+    loop_a = subgroup_core(AB, [parse_word(AB, "a")])
+    assert wedge_extension_check(loop_a, [parse_word(AB, "b")])
+    assert not wedge_extension_check(loop_a, [parse_word(AB, "a b")])
+    loop_b = subgroup_core(AB, [parse_word(AB, "b")])
+    assert wedge_extension_check(loop_b, [parse_word(AB, "a b a'")])
+    assert not wedge_extension_check(loop_b, [parse_word(AB, "a b a'"), parse_word(AB, "a b' a'")])
+    assert not wedge_extension_check(loop_b, [parse_word(AB, "b a")])
     with pytest.raises(ValueError, match="trivial loop"):
-        wedge_extension_check(loop_b, [AB.word("a a'")])
+        wedge_extension_check(loop_b, [parse_word(AB, "a a'")])
 
 
 def test_wedge_extension_matches_folded_union():
@@ -237,15 +268,15 @@ def test_wedge_extension_matches_folded_union():
 
 
 def test_hang_spells_stem_and_cycle():
-    core = subgroup_core(AB, [AB.word("b")])
-    raw = hang(core, [AB.word("a b a'")])
+    core = subgroup_core(AB, [parse_word(AB, "b")])
+    raw = hang(core, [parse_word(AB, "a b a'")])
     # the b loop, the stem a, and the b cycle at the stem's end
     assert raw.num_vertices == 2
     assert raw.edges == ((0, 0, 2), (0, 1, 1), (1, 1, 2))
     assert raw.folded
     folded = fold(raw)
     assert folded.num_vertices == 2 and folded.edges == raw.edges
-    assert not hang(core, [AB.word("b a")]).folded  # a second b at the basepoint
+    assert not hang(core, [parse_word(AB, "b a")]).folded  # a second b at the basepoint
 
 
 def test_hang_is_marked_folded_exactly_when_folding_merges_nothing():
@@ -262,10 +293,14 @@ def test_hang_is_marked_folded_exactly_when_folding_merges_nothing():
         merges_nothing = merged.num_vertices == raw.num_vertices and len(merged.edges) == len(raw.edges)
         assert raw.folded == merges_nothing
         assert raw.folded == wedge_extension_check(core, loops)
+        assert raw.cored == core.cored
         seen[raw.folded] += 1
         if raw.folded:
+            trimmed = trim_to_core(raw)
+            assert trimmed.num_vertices == raw.num_vertices
+            assert len(trimmed.edges) == len(raw.edges)
             combined = subgroup_core(ABC, [w for w in gens + loops if free_reduce(w)])
-            assert graphs_equal(trim_to_core(raw), combined)
+            assert graphs_equal(raw, combined)
     assert min(seen.values()) > 30
 
 
@@ -278,7 +313,7 @@ def test_canonical_form_ignores_vertex_numbering():
 
 
 def test_with_alphabet_extension():
-    core = subgroup_core(AB, [AB.word("a b")])
+    core = subgroup_core(AB, [parse_word(AB, "a b")])
     wide = core.with_alphabet(ABC)
     assert wide.alphabet is ABC
     assert wide.edges == core.edges

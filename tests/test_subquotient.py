@@ -13,10 +13,10 @@ from hnnembed.subquotient import (
 )
 from hnnembed.words import Word, cyclically_equal, exponent
 
-from helpers import cancellable_alignment, random_cyclically_reduced_word
+from helpers import cancellable_alignment, presentation_from_strings, random_cyclically_reduced_word
 
-X1 = Presentation.from_strings("a b c", ["b c a b c b c"])
-X2 = Presentation.from_strings("a b c", ["a b c", "a b c c"])
+X1 = presentation_from_strings("a b c", ["b c a b c b c"])
+X2 = presentation_from_strings("a b c", ["a b c", "a b c c"])
 
 
 def test_spec_validation():
@@ -57,7 +57,7 @@ def test_quotient_by_nothing_is_identity():
 
 
 def test_quotient_drops_inside_cells():
-    p = Presentation.from_strings("a b", ["a a", "a b"])
+    p = presentation_from_strings("a b", ["a a", "a b"])
     spec = SubcomplexSpec.spanned_by(p, ["a"])
     q = quotient(spec)
     assert q.dropped == (0,)
@@ -89,7 +89,7 @@ def test_no_extra_powers_examples():
 
 
 def test_projects_to_point_fails():
-    p = Presentation.from_strings("a b", ["a a", "a b"])
+    p = presentation_from_strings("a b", ["a a", "a b"])
     spec = SubcomplexSpec(p, frozenset({1}), ())  # keep the a a cell outside
     rep = check_no_extra_powers(spec)
     assert not rep.verdict
@@ -109,7 +109,7 @@ def test_no_duplicates_examples():
 
 def test_inverted_duplicate_is_warning_only():
     # Projections are inverse rotations of each other, originals are not.
-    p = Presentation.from_strings("a b c", ["a b c", "b' a' c"])
+    p = presentation_from_strings("a b c", ["a b c", "b' a' c"])
     spec = SubcomplexSpec.spanned_by(p, ["c"])
     rep = check_no_duplicates(spec)
     assert rep.verdict  # rotation-equality mode sees no collision
@@ -117,12 +117,12 @@ def test_inverted_duplicate_is_warning_only():
 
 
 def test_cancellable_alignment():
-    p = Presentation.from_strings("a b c", ["a b c", "a b c c"])
-    same = Presentation.from_strings("a b c", ["a b c", "a b c"])
+    p = presentation_from_strings("a b c", ["a b c", "a b c c"])
+    same = presentation_from_strings("a b c", ["a b c", "a b c"])
     d = TwoCellDiagram(0, 1, 1, 0, 0)
     assert cancellable_alignment(same, d)
     assert not cancellable_alignment(p, TwoCellDiagram(0, 1, 1, 0, 0))
-    pp = Presentation.from_strings("a b", ["a b a b", "a b a b"])
+    pp = presentation_from_strings("a b", ["a b a b", "a b a b"])
     assert cancellable_alignment(pp, TwoCellDiagram(0, 1, 1, 0, 2))
     # Symmetry of the relation.
     assert cancellable_alignment(pp, TwoCellDiagram(1, 0, 1, 2, 0))
@@ -133,7 +133,7 @@ def test_cancellable_alignment():
 
 
 def test_seeded_lift_counterexample():
-    p = Presentation.from_strings("a b c", ["a b c a b c c"])
+    p = presentation_from_strings("a b c", ["a b c a b c c"])
     spec = SubcomplexSpec.spanned_by(p, ["c"])
     assert exponent(p.relators[0]) == 1
     q = quotient(spec)
@@ -164,7 +164,7 @@ def test_passing_checks_mean_no_counterexample():
             w = random_cyclically_reduced_word(rng, len(names), rng.randrange(1, 11))
             rels.append(w)
         try:
-            p = Presentation.from_strings(ab, [])
+            p = presentation_from_strings(ab, [])
             p = Presentation(p.alphabet, tuple(rels))
         except ValueError:
             continue
@@ -187,7 +187,7 @@ def test_counterexamples_require_failed_checks():
         for _ in range(rng.randrange(1, 3)):
             rels.append(random_cyclically_reduced_word(rng, 3, rng.randrange(2, 9)))
         try:
-            p = Presentation.from_strings(" ".join(names), [])
+            p = presentation_from_strings(" ".join(names), [])
             p = Presentation(p.alphabet, tuple(rels))
         except ValueError:
             continue
@@ -203,7 +203,7 @@ def test_counterexamples_require_failed_checks():
 
 def test_duplicate_originals_are_fine():
     # Identical cells stay identical: that is not a duplication failure.
-    p = Presentation.from_strings("a b y", ["a b y", "a b y"])
+    p = presentation_from_strings("a b y", ["a b y", "a b y"])
     spec = SubcomplexSpec.spanned_by(p, ["y"])
     rep = check_no_duplicates(spec)
     assert rep.verdict

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from hnnembed.parsing import ParseError, parse_word
 from hnnembed.words import (
     EMPTY,
     Alphabet,
@@ -70,12 +71,14 @@ def test_alphabet_roundtrip():
     assert ab.size == 3
     assert ab.letter("b'") == -2 and ab.letter("c") == 3
     assert ab.symbol(-1) == "a'"
-    w = ab.word("a b' c c")
+    w = parse_word(ab, "a b' c c")
     assert w == Word.of(1, -2, 3, 3)
     assert ab.word_str(w) == "a b' c c"
-    assert ab.word("1") == EMPTY and ab.word_str(EMPTY) == "1"
+    assert parse_word(ab, "1") == EMPTY and ab.word_str(EMPTY) == "1"
     with pytest.raises(KeyError):
-        ab.word("d")
+        ab.letter("d")
+    with pytest.raises(ParseError, match="unknown generator 'd'"):
+        parse_word(ab, "d")
     with pytest.raises(ValueError):
         Alphabet.of("a", "a")
     with pytest.raises(ValueError):
