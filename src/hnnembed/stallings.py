@@ -7,10 +7,15 @@ pairs that break determinism until, at every vertex, each signed label
 is readable outgoing at most once.  The result is the classic subgroup
 graph: membership, rank, and basepoint structure all read off it.
 
-Folding runs on a union-find over vertices with per-class slot maps,
-merging small into large, so big generator families stay near-linear.
-The fold result is unique up to based labeled isomorphism; use
-:func:`canonical_form` to compare graphs modulo vertex naming.
+Folding keeps one slot map per vertex, keyed by signed label, and
+writes each half-edge into it once.  Only a half-edge whose slot is
+already taken by another target queues a merge, so a long bouquet,
+where almost nothing collides, costs about one dict write per
+half-edge; a graph where nothing collides is returned without
+renumbering.  Merges move the smaller vertex class into the larger one,
+so big generator families stay near-linear.  The fold result is unique
+up to based labeled isomorphism; use :func:`canonical_form` to compare
+graphs modulo vertex naming.
 
 Words are checked against the alphabet where they become edges, in
 :func:`bouquet` and :func:`hang`.  Every other graph here is a
@@ -20,6 +25,7 @@ nothing.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -65,19 +71,16 @@ def _spell(
     """Append a path reading ``w`` from ``start`` through fresh vertices to
     ``end``, or to one more fresh vertex when ``end`` is None.  Returns the
     new vertex count and the path's last vertex."""
-    cur = start
-    for i, x in enumerate(w):
-        if end is not None and i == len(w) - 1:
-            nxt = end
-        else:
-            nxt = n
-            n += 1
-        if x > 0:
-            edges.append((cur, nxt, x))
-        else:
-            edges.append((nxt, cur, -x))
-        cur = nxt
-    return n, cur
+    if not w:
+        return n, start
+    fresh = len(w) - (end is not None)
+    path = [start, *range(n, n + fresh)]
+    if end is not None:
+        path.append(end)
+    edges += [
+        (p, q, x) if x > 0 else (q, p, -x) for p, q, x in zip(path, path[1:], w.letters)
+    ]
+    return n + fresh, path[-1]
 
 
 def _check_letters(alphabet: Alphabet, w: Word) -> None:
@@ -102,102 +105,103 @@ def hang(core: CoreGraph, loops: Sequence[Word]) -> CoreGraph:
     """The core with each loop hung at its basepoint.
 
     A loop's stem (its conjugator) becomes a path out of the basepoint
-    and its cyclically reduced part a cycle at the stem's end.  The
-    result is marked folded exactly when no vertex reads a signed label
-    twice, in which case folding it would merge nothing.  Every vertex
-    added lies on a cycle or on a stem leading to one, so it has degree
-    at least 2, and the result is cored exactly when the core is.
+    and its cyclically reduced part a cycle at the stem's end.  Every
+    vertex added lies on a cycle or on a stem leading to one, so it has
+    degree at least 2, and the result is cored exactly when the core is.
+
+    The result is marked folded exactly when the core is and no vertex
+    reads a signed label twice, in which case folding it would merge
+    nothing.  Only the basepoint needs checking.  The core's other
+    vertices gain no edge.  A fresh vertex inside a stem or cycle reads
+    ``-x, y`` for consecutive letters of a freely reduced word, so
+    ``y != -x``.  A stem's end reads ``-s_k, c_1, -c_m``, which are
+    distinct because ``s c s'`` is freely reduced and ``c`` cyclically
+    reduced.  The basepoint reads the core's labels there plus, per
+    loop, its stem's first letter, or both ends of its cycle when it has
+    no stem: the same labels :func:`wedge_extension_check` compares.
     """
     edges = list(core.edges)
     n = core.num_vertices
+    star = list(core.outgoing_labels(core.basepoint))
     for w in loops:
         _check_letters(core.alphabet, w)
         inner, stem = cyclic_reduce(w)
+        if stem:
+            star.append(stem[0])
+        elif inner:
+            star += (inner[0], -inner[-1])
         n, at = _spell(edges, n, core.basepoint, stem, None)
         n, _ = _spell(edges, n, at, inner, at)
-    folded = _deterministic(edges)
+    folded = core.folded and len(star) == len(set(star))
     return CoreGraph(core.alphabet, n, core.basepoint, tuple(edges), folded, core.cored)
-
-
-def _deterministic(edges: Sequence[tuple[int, int, int]]) -> bool:
-    """Does every vertex read each signed label at most once?"""
-    seen: set[tuple[int, int]] = set()
-    for u, v, g in edges:
-        if (u, g) in seen or (v, -g) in seen:
-            return False
-        seen.add((u, g))
-        seen.add((v, -g))
-    return True
 
 
 def fold(g: CoreGraph, order_seed: int | None = None) -> CoreGraph:
     """Identify non-deterministic edge pairs until none remain.
 
+    Each half-edge goes into its vertex's slot map under its signed
+    label.  A pair of vertices is queued for merging only when a slot is
+    already taken by another target; when no slot is, and no edge
+    repeats, the graph is already folded and comes back with its edges
+    sorted and its vertices as they were.  Otherwise classes merge small
+    into large, the smaller class's slots moving into the larger one's,
+    and the classes are numbered in the order of their representatives.
+
     The result is independent of the fold order up to isomorphism;
-    ``order_seed`` shuffles the work order, which the tests use to
+    ``order_seed`` shuffles the edge order, which the tests use to
     exercise exactly that.
     """
-    n = g.num_vertices
-    parent = list(range(n))
-    size = [1] * n
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    slots: list[dict[tuple[int, int], int]] = [dict() for _ in range(n)]
-    pending: deque[tuple[int, int]] = deque()
-
-    def add_half(vertex: int, key: tuple[int, int], other: int) -> None:
-        cur = slots[vertex].get(key)
-        if cur is None:
-            slots[vertex][key] = other
-        else:
-            pending.append((cur, other))
-
-    edge_list = list(g.edges)
+    edges = g.edges
     if order_seed is not None:
-        import random
+        edges = list(edges)
+        random.Random(order_seed).shuffle(edges)
+    n = g.num_vertices
+    slots: list[dict[int, int]] = [{} for _ in range(n)]
+    pending: list[tuple[int, int]] = []
+    for u, v, lab in edges:
+        cur = slots[u].setdefault(lab, v)
+        if cur != v:
+            pending.append((cur, v))
+        cur = slots[v].setdefault(-lab, u)
+        if cur != u:
+            pending.append((cur, u))
+    if not pending and sum(map(len, slots)) == 2 * len(edges):
+        return CoreGraph(g.alphabet, n, g.basepoint, tuple(sorted(edges)), True, False)
 
-        random.Random(order_seed).shuffle(edge_list)
-    for u, v, lab in edge_list:
-        add_half(u, (lab, 1), v)
-        add_half(v, (lab, -1), u)
-
+    rep = list(range(n))  # each vertex's class representative
+    members: dict[int, list[int]] = {}  # classes of more than one vertex
     while pending:
-        a, b = pending.popleft()
-        ra, rb = find(a), find(b)
+        a, b = pending.pop()
+        ra, rb = rep[a], rep[b]
         if ra == rb:
             continue
-        if size[ra] < size[rb] or (size[ra] == size[rb] and len(slots[ra]) < len(slots[rb])):
-            ra, rb = rb, ra
-        parent[rb] = ra
-        size[ra] += size[rb]
-        moved = slots[rb]
-        slots[rb] = {}
-        for key, nb in moved.items():
-            cur = slots[ra].get(key)
-            if cur is None:
-                slots[ra][key] = nb
-            elif find(cur) != find(nb):
+        big, small = members.pop(ra, [ra]), members.pop(rb, [rb])
+        if len(big) < len(small):
+            ra, rb, big, small = rb, ra, small, big
+        for x in small:
+            rep[x] = ra
+        big += small
+        members[ra] = big
+        into = slots[ra]
+        for lab, nb in slots[rb].items():
+            cur = into.setdefault(lab, nb)
+            if cur != nb and rep[cur] != rep[nb]:
                 pending.append((cur, nb))
+        slots[rb] = {}
 
-    roots = sorted({find(v) for v in range(n)})
-    renum = {r: i for i, r in enumerate(roots)}
-    out_edges = set()
-    for r in roots:
-        for (lab, direction), nb in slots[r].items():
-            if direction == 1:
-                out_edges.add((renum[r], renum[find(nb)], lab))
+    index = [0] * n
+    roots = [v for v in range(n) if rep[v] == v]
+    for i, r in enumerate(roots):
+        index[r] = i
+    out = [
+        (index[r], index[rep[nb]], lab)
+        for r in roots
+        for lab, nb in slots[r].items()
+        if lab > 0
+    ]
+    out.sort()
     return CoreGraph(
-        g.alphabet,
-        len(roots),
-        renum[find(g.basepoint)],
-        tuple(sorted(out_edges)),
-        True,
-        False,
+        g.alphabet, len(roots), index[rep[g.basepoint]], tuple(out), True, False
     )
 
 
@@ -209,18 +213,27 @@ def _require(g: CoreGraph, folded: bool = False, cored: bool = False) -> None:
 
 
 def trim_to_core(g: CoreGraph) -> CoreGraph:
-    """Drop non-basepoint vertices of degree at most 1, repeatedly."""
+    """Drop non-basepoint vertices of degree at most 1, repeatedly.
+
+    Degrees are counted in one pass.  When every vertex but the
+    basepoint already has degree at least 2 nothing is dropped, and the
+    graph comes back as it is, marked cored; a folded bouquet of freely
+    reduced words always does.
+    """
     _require(g, folded=True)
-    incident: list[set[int]] = [set() for _ in range(g.num_vertices)]
     deg = [0] * g.num_vertices
-    for i, (u, v, _) in enumerate(g.edges):
-        incident[u].add(i)
-        incident[v].add(i)
+    for u, v, _ in g.edges:
         deg[u] += 1
         deg[v] += 1
+    queue = [v for v, d in enumerate(deg) if d <= 1 and v != g.basepoint]
+    if not queue:
+        return replace(g, cored=True)
+    incident: list[list[int]] = [[] for _ in range(g.num_vertices)]
+    for i, (u, v, _) in enumerate(g.edges):
+        incident[u].append(i)
+        incident[v].append(i)
     dead_edge = [False] * len(g.edges)
     dead_vertex = [False] * g.num_vertices
-    queue = [v for v in range(g.num_vertices) if v != g.basepoint and deg[v] <= 1]
     while queue:
         v = queue.pop()
         if dead_vertex[v] or v == g.basepoint:

@@ -170,6 +170,39 @@ def test_fold_membership_exit_codes(files, capsys):
     assert code == 1 and not data["member"]
 
 
+# A generating set whose fold both merges and trims: a duplicate
+# generator, a conjugate, an unreduced word and a word that reduces to 1.
+GENERATING_SET = "gens: a b c\nrel: a b\nrel: a b\nrel: a c a'\nrel: b b' a a\nrel: c a a' c'\n"
+GENERATING_SET_CORE = {
+    "basepoint_degree": 3,
+    "edges": [[0, 1, "a"], [1, 0, "a"], [1, 0, "b"], [1, 1, "c"]],
+    "rank": 3,
+    "vertices": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "word,exit_code,digest",
+    [
+        (None, 0, "4a4d42ee7bcd65ba85d99f44dc5f999bcaf4238a354ca32e7446157cf909a3bf"),
+        ("a c c a'", 0, "ba021d115a463f23dedbae3f9f5cbbaa3e6f801ef5e804bcfac1447db1eac8c8"),
+        ("b", 1, "43390af1a8d1cfcf2bb973d53e200aa6bc18812ec7e487dfcdc8a887068dfd8c"),
+    ],
+)
+def test_fold_stdout_is_pinned(word, exit_code, digest, tmp_path, capsys):
+    source = tmp_path / "gens.pres"
+    source.write_text(GENERATING_SET)
+    argv = ["fold", str(source)] + ([] if word is None else ["--word", word])
+    code, data = run_json(capsys, *argv)
+    assert code == exit_code
+    expected = dict(GENERATING_SET_CORE)
+    if word is not None:
+        expected.update(word=word, member=exit_code == 0)
+    assert data == expected
+    out = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_embed_writes_files_and_certifies(files, tmp_path, capsys):
     out_pres = str(tmp_path / "g.pres")
     cert_path = str(tmp_path / "cert.json")

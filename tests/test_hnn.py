@@ -7,6 +7,7 @@ could in principle disagree with a fresh computation.
 """
 
 import functools
+import hashlib
 import itertools
 import os
 import random
@@ -27,7 +28,7 @@ from hnnembed.hnn import (
     generate_relator_family,
     validate,
 )
-from hnnembed.parsing import parse_hnn, parse_word
+from hnnembed.parsing import hnn_source, parse_hnn, parse_word
 from hnnembed.presentation import check_cprime, piece_stats
 from hnnembed.suffixes import match_table
 from hnnembed.stallings import (
@@ -560,3 +561,36 @@ def test_sweep_attempt_scans_equal_the_letter_scan(n, construct, monkeypatch):
     assert scanned
     for words, include_inverses in scanned:
         assert match_table(words, include_inverses) == letter_match_table(words, include_inverses)
+
+
+# sha256 of the certificate JSON and of G.pres on the n+n sweep inputs,
+# byte for byte as scripts/sweep.py prints them.
+SWEEP_GOLDEN = {
+    (2, "irreducible"): (
+        "b778790976c75558d554afb505e4f4a4f89cc87cca86a1b995990beb35f9c5cc",
+        "76b92464069e1bfad029e13e7a86d13aee38ee166c92bcdfc67422f93cb5f454",
+    ),
+    (2, "plain"): (
+        "f37777e24e7844fb63bed30455b3156ad87800bbbc8a736b4aaf87bf0971c801",
+        "115010798009cf9e80f97f4dac5b6f959c28cb4ffad31ee4695dda627aa76766",
+    ),
+    (4, "irreducible"): (
+        "170122a7ebc0df6e0595863602893cbf0f450c064063e29cafa65d268de7917b",
+        "2dc1a60fe4865c625bc5f0eb0935b4cd1d5d319723b35086a9dffd8710ad4191",
+    ),
+    (4, "plain"): (
+        "4ee5ab40b8349b72ff9c392b0f258af1a39b827f569031a1c46533ff8d455d3b",
+        "fd7d30ef64baba5ea5cc6fcffe5dd9a37c281cfded1510c2c0d71ce5ff0e14f5",
+    ),
+}
+
+
+@pytest.mark.parametrize("n,construction", sorted(SWEEP_GOLDEN))
+def test_sweep_outputs_are_pinned(n, construction):
+    construct = {"plain": construct_embedding, "irreducible": construct_irreducible_embedding}
+    res = construct[construction](sweep_input(n))
+    digests = tuple(
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for text in (_canonical(_certificate_json(res)), hnn_source(_full_extension(res)))
+    )
+    assert digests == SWEEP_GOLDEN[n, construction]

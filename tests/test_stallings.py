@@ -2,10 +2,13 @@
 
 The oracle is a deliberately naive fold: rescan the whole edge set for
 any vertex with two equally-labeled outgoing edges, merge, repeat.  The
-fast union-find fold must produce an isomorphic based graph.
+fast slot-map fold must produce an isomorphic based graph, on bouquets
+and on arbitrary connected multigraphs alike; the naive trim is the
+oracle for :func:`trim_to_core` in the same way.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -88,6 +91,32 @@ def random_words(rng: random.Random, size: int, count: int) -> list[Word]:
         n = rng.randint(1, 8)
         words.append(Word.of(*(rng.choice([-1, 1]) * rng.randint(1, size) for _ in range(n))))
     return words
+
+
+def random_connected_graph(rng: random.Random, alphabet: Alphabet, n: int) -> CoreGraph:
+    """An unfolded based multigraph on n vertices: a random spanning tree
+    plus extra edges, which are often self-loops and may repeat an edge."""
+    edges = []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    for _ in range(rng.randint(0, n)):
+        u = rng.randrange(n)
+        edges.append((u, rng.choice([u, rng.randrange(n)])))
+    labeled = [(u, v, rng.randint(1, alphabet.size)) for u, v in edges]
+    if labeled and rng.random() < 0.3:
+        labeled.append(rng.choice(labeled))
+    rng.shuffle(labeled)
+    return CoreGraph(alphabet, n, rng.randrange(n), tuple(labeled), False, False)
+
+
+def renumbered(rng: random.Random, g: CoreGraph) -> CoreGraph:
+    """The same graph under a random vertex renaming, edges shuffled."""
+    perm = list(range(g.num_vertices))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v], lab) for u, v, lab in g.edges]
+    rng.shuffle(edges)
+    return replace(g, basepoint=perm[g.basepoint], edges=tuple(edges))
 
 
 def assert_well_formed(g: CoreGraph) -> None:
@@ -193,6 +222,74 @@ def test_fold_confluence_under_shuffled_orders():
         base = fold(bouquet(alphabet, gens))
         for seed in (1, 2, 3):
             assert graphs_equal(base, fold(bouquet(alphabet, gens), order_seed=seed))
+
+
+def test_fold_matches_naive_oracle_on_arbitrary_graphs():
+    # Not bouquets: repeated edges, self-loops, and graphs hung on unfolded
+    # cores, folded in shuffled orders.  Re-folding a renumbered fold merges
+    # nothing and must hand back exactly the renumbered edges, sorted.
+    rng = random.Random(20261018)
+    hung_unfolded = 0
+    for _ in range(300):
+        size = rng.randint(1, 3)
+        alphabet = Alphabet.of(*ABC.names[:size])
+        if rng.random() < 0.3:
+            gens = random_words(rng, size, rng.randint(1, 3))
+            g = hang(bouquet(alphabet, gens), random_words(rng, size, rng.randint(1, 2)))
+            hung_unfolded += 1
+        else:
+            g = random_connected_graph(rng, alphabet, rng.randint(1, 9))
+        slow = naive_fold(g)
+        for seed in (None, rng.randint(0, 99)):
+            fast = fold(g, order_seed=seed)
+            assert graphs_equal(slow, fast)
+            assert (fast.folded, fast.cored) == (True, False)
+        again = renumbered(rng, fast)
+        refolded = fold(again, order_seed=rng.choice([None, 1]))
+        assert refolded.edges == tuple(sorted(again.edges))
+        assert (refolded.num_vertices, refolded.basepoint) == (again.num_vertices, again.basepoint)
+    assert hung_unfolded > 50
+
+
+def test_trim_matches_naive_oracle():
+    # Folded graphs with hairs (random folds, stems hanging off the
+    # basepoint) and without (their trims), basepoint degrees 0 and 1 included.
+    rng = random.Random(1018)
+    bare = CoreGraph(AB, 1, 0, (), True, False)
+    hair = CoreGraph(AB, 2, 0, ((0, 1, 1),), True, False)
+    stem = fold(bouquet(AB, [parse_word(AB, "a b a'")]))
+    graphs = [bare, hair, stem]
+    for _ in range(300):
+        size = rng.randint(1, 3)
+        alphabet = Alphabet.of(*ABC.names[:size])
+        graphs.append(fold(random_connected_graph(rng, alphabet, rng.randint(1, 9))))
+    degrees = set()
+    for g in graphs:
+        for h in (g, renumbered(rng, g)):
+            trimmed = trim_to_core(h)
+            assert graphs_equal(trimmed, naive_trim(h))
+            assert (trimmed.folded, trimmed.cored) == (True, True)
+            again = trim_to_core(trimmed)
+            assert graphs_equal(again, trimmed)
+            degrees.add(min(trimmed.degree(trimmed.basepoint), 2))
+    assert trim_to_core(bare).num_vertices == 1
+    assert trim_to_core(hair).num_vertices == 1
+    assert basepoint_degree(trim_to_core(stem)) == 1
+    assert degrees == {0, 1, 2}
+
+
+def test_hang_on_an_unfolded_core_is_not_marked_folded():
+    # The one-loop graph reads no label twice, but it is not marked folded,
+    # so nothing hung on it is either.
+    loop = CoreGraph(AB, 1, 0, ((0, 0, 1),), False, False)
+    assert not hang(loop, [parse_word(AB, "b")]).folded
+    assert hang(replace(loop, folded=True), [parse_word(AB, "b")]).folded
+    rng = random.Random(53)
+    for _ in range(100):
+        size = rng.randint(1, 3)
+        alphabet = Alphabet.of(*ABC.names[:size])
+        raw = bouquet(alphabet, random_words(rng, size, rng.randint(1, 3)))
+        assert not hang(raw, random_words(rng, size, rng.randint(0, 2))).folded
 
 
 def test_generators_stay_members_through_fold_and_trim():
