@@ -26,7 +26,6 @@ from .stallings import (
     is_monomorphism,
     membership,
     subgroup_core,
-    wedge_extension_check,
 )
 from .subquotient import (
     SubcomplexSpec,
@@ -74,6 +73,5 @@ __all__ = [
     "subgroup_core",
     "validate",
     "verify_steps",
-    "wedge_extension_check",
 ]
 __version__ = "0.1.0"

@@ -67,7 +67,6 @@ from .stallings import (
     rank,
     subgroup_core,
     unused_basepoint_labels,
-    wedge_extension_check,
 )
 from .subquotient import (
     NoDuplicatesReport,
@@ -222,9 +221,10 @@ class IrreducibleEvidence:
     the letters the free generators' new loops attach along: each loop's
     inverted last letter, then each one's first.  ``digram_coverage``
     has one verdict per whole new image (its pattern segment's coverage
-    implies it).  ``wedge_check`` and ``basepoint_degree`` (against twice
-    |ascending|) read the prescribed images' core; ``core_matches_wedge``
-    says hanging the new loops on it merges nothing.
+    implies it).  ``basepoint_degree`` (against twice |ascending|) reads
+    the prescribed images' core.  ``wedge_check`` and ``core_matches_wedge``
+    are one basepoint test under two JSON names: hanging the new loops on
+    that core merges nothing.
     """
 
     x_labels: tuple[int, ...]
@@ -452,7 +452,8 @@ def _irreducible_evidence(
     that merges nothing at any vertex, the hung graph is a folded core,
     and so it is the image subgroup's core, since a folded core is unique
     for its subgroup; otherwise no image core is returned and the caller
-    folds.
+    folds.  That one basepoint test is both the wedge check and the core
+    match; the completed presentation has rejected unreduced loops.
     """
     loops = images[len(h.ascending) :]
     attached = loops[: len(h.free)]
@@ -462,7 +463,7 @@ def _irreducible_evidence(
     evidence = IrreducibleEvidence(
         x_labels=tuple(-w[-1] for w in attached) + tuple(w[0] for w in attached),
         digram_coverage=tuple(contains_all_reduced_digrams(w, letters) for w in loops),
-        wedge_check=wedge_extension_check(core, loops),
+        wedge_check=hung.folded,
         basepoint_degree=core.degree(core.basepoint),
         degree_bound=2 * len(h.ascending),
         core_matches_wedge=hung.folded,

@@ -13,9 +13,10 @@ and a partial ascending extension, marked by its header line::
     map b: ( a c )^9 b
 
 Words are whitespace-separated symbols, a trailing ``'`` inverts, and a
-parenthesized group raised to an integer power expands literally.  ``1``
-denotes the empty word.  ``#`` starts a comment.  Every error carries the
-1-based source line it was found on.
+parenthesized group raised to an integer power expands literally, up to
+:data:`MAX_WORD_LETTERS` letters per word.  ``1`` denotes the empty word.
+``#`` starts a comment.  Every error carries the 1-based source line it
+was found on.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-_TOKEN = re.compile(r"\(|\)(?:\^(-?\d+))?|[^\s()^]+")
+# per word; above the 1.41M image letters of a whole 16+16 irreducible completion
+MAX_WORD_LETTERS = 2**21
+
+_TOKEN = re.compile(r"\(|\)(?:\^(-?)(\d+))?|[^\s()^]+")
 
 
 def _tokenize(text: str, line: int | None) -> list[tuple[str, object]]:
@@ -50,7 +54,11 @@ def _tokenize(text: str, line: int | None) -> list[tuple[str, object]]:
             if tok == "(":
                 tokens.append(("open", None))
             elif tok.startswith(")"):
-                tokens.append(("close", int(m.group(1)) if m.group(1) else 1))
+                digits = (m.group(2) or "1").lstrip("0") or "0"
+                # the digit count alone rules out a huge exponent before int() reads it
+                if len(digits) > len(str(MAX_WORD_LETTERS)) or int(digits) > MAX_WORD_LETTERS:
+                    raise ParseError(f"exponent above {MAX_WORD_LETTERS}", line)
+                tokens.append(("close", -int(digits) if m.group(1) else int(digits)))
             else:
                 tokens.append(("symbol", tok))
         if pos != len(chunk):
@@ -63,7 +71,9 @@ def parse_word(alphabet: Alphabet, text: str, line: int | None = None) -> Word:
     free reduction), so malformed inputs stay visible to later validators.
 
     One explicit stack holds the letters of each open group, so nesting
-    depth is bounded by memory rather than by the interpreter's stack."""
+    depth is bounded by memory rather than by the interpreter's stack.  A
+    power is refused before it is built if it would take its group past
+    :data:`MAX_WORD_LETTERS`, and so is a longer word."""
     stack: list[list[int]] = [[]]
     for kind, value in _tokenize(text, line):
         if kind == "open":
@@ -72,6 +82,8 @@ def parse_word(alphabet: Alphabet, text: str, line: int | None = None) -> Word:
             if len(stack) == 1:
                 raise ParseError("unmatched ')'", line)
             inner = stack.pop()
+            if len(stack[-1]) + len(inner) * abs(value) > MAX_WORD_LETTERS:
+                raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters", line)
             if value < 0:
                 inner = [-x for x in reversed(inner)]
             stack[-1] += inner * abs(value)
@@ -82,6 +94,8 @@ def parse_word(alphabet: Alphabet, text: str, line: int | None = None) -> Word:
                 raise ParseError(f"unknown generator {str(value).rstrip(chr(39))!r}", line) from None
     if len(stack) != 1:
         raise ParseError("missing ')'", line)
+    if len(stack[0]) > MAX_WORD_LETTERS:
+        raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters", line)
     return Word(tuple(stack[0]))
 
 

@@ -20,7 +20,9 @@ graphs modulo vertex naming.
 Words are checked against the alphabet where they become edges, in
 :func:`bouquet` and :func:`hang`.  Every other graph here is a
 renumbering of one of theirs, so :class:`CoreGraph` itself checks
-nothing.
+nothing; it carries what its builders know: ``folded``, ``cored`` and
+``connected``.  Hanging, folding and trimming keep a bouquet connected,
+so :func:`rank` walks only a graph not marked so, such as a hand-built one.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class CoreGraph:
     edges: tuple[tuple[int, int, int], ...]  # (source, target, positive label)
     folded: bool
     cored: bool
+    connected: bool = False
 
     def with_alphabet(self, alphabet: Alphabet) -> "CoreGraph":
         """Reinterpret over a larger alphabet sharing the name prefix."""
@@ -98,7 +101,7 @@ def bouquet(alphabet: Alphabet, generators: Sequence[Word]) -> CoreGraph:
         _check_letters(alphabet, w)
         n, _ = _spell(edges, n, 0, w, 0)
     folded = not generators
-    return CoreGraph(alphabet, n, 0, tuple(edges), folded, folded)
+    return CoreGraph(alphabet, n, 0, tuple(edges), folded, folded, True)
 
 
 def hang(core: CoreGraph, loops: Sequence[Word]) -> CoreGraph:
@@ -118,7 +121,7 @@ def hang(core: CoreGraph, loops: Sequence[Word]) -> CoreGraph:
     distinct because ``s c s'`` is freely reduced and ``c`` cyclically
     reduced.  The basepoint reads the core's labels there plus, per
     loop, its stem's first letter, or both ends of its cycle when it has
-    no stem: the same labels :func:`wedge_extension_check` compares.
+    no stem; that is the wedge test of an irreducible certificate.
     """
     edges = list(core.edges)
     n = core.num_vertices
@@ -133,7 +136,7 @@ def hang(core: CoreGraph, loops: Sequence[Word]) -> CoreGraph:
         n, at = _spell(edges, n, core.basepoint, stem, None)
         n, _ = _spell(edges, n, at, inner, at)
     folded = core.folded and len(star) == len(set(star))
-    return CoreGraph(core.alphabet, n, core.basepoint, tuple(edges), folded, core.cored)
+    return replace(core, num_vertices=n, edges=tuple(edges), folded=folded)
 
 
 def fold(g: CoreGraph, order_seed: int | None = None) -> CoreGraph:
@@ -166,7 +169,7 @@ def fold(g: CoreGraph, order_seed: int | None = None) -> CoreGraph:
         if cur != u:
             pending.append((cur, u))
     if not pending and sum(map(len, slots)) == 2 * len(edges):
-        return CoreGraph(g.alphabet, n, g.basepoint, tuple(sorted(edges)), True, False)
+        return replace(g, edges=tuple(sorted(edges)), folded=True, cored=False)
 
     rep = list(range(n))  # each vertex's class representative
     members: dict[int, list[int]] = {}  # classes of more than one vertex
@@ -201,7 +204,7 @@ def fold(g: CoreGraph, order_seed: int | None = None) -> CoreGraph:
     ]
     out.sort()
     return CoreGraph(
-        g.alphabet, len(roots), index[rep[g.basepoint]], tuple(out), True, False
+        g.alphabet, len(roots), index[rep[g.basepoint]], tuple(out), True, False, g.connected
     )
 
 
@@ -258,7 +261,7 @@ def trim_to_core(g: CoreGraph) -> CoreGraph:
             if not dead_edge[i]
         )
     )
-    return CoreGraph(g.alphabet, len(keep), renum[g.basepoint], edges, True, True)
+    return CoreGraph(g.alphabet, len(keep), renum[g.basepoint], edges, True, True, g.connected)
 
 
 def _adjacency(g: CoreGraph) -> list[dict[int, int]]:
@@ -298,7 +301,7 @@ def _reachable(g: CoreGraph) -> set[int]:
 def rank(g: CoreGraph) -> int:
     """First Betti number |E| - |V| + 1 of the folded core."""
     _require(g, folded=True, cored=True)
-    if len(_reachable(g)) != g.num_vertices:
+    if not g.connected and len(_reachable(g)) != g.num_vertices:
         raise ValueError("graph is disconnected")
     return len(g.edges) - g.num_vertices + 1
 
@@ -333,32 +336,6 @@ def is_monomorphism(alphabet: Alphabet, images: Sequence[Word]) -> bool:
     if not images:
         return True
     return rank(subgroup_core(alphabet, images)) == len(images)
-
-
-def wedge_extension_check(core: CoreGraph, new_loops: Sequence[Word]) -> bool:
-    """Would attaching the loops at the basepoint stay fold-free there?
-
-    Each loop contributes its two end labels to the basepoint star; a
-    loop that is a conjugate hangs by its stem and contributes only the
-    stem's first letter.  True iff the contributions and the existing
-    basepoint labels are pairwise distinct, in which case the folded
-    union is the wedge of the core with the loops.
-    """
-    _require(core, folded=True)
-    labels: list[int] = sorted(core.outgoing_labels(core.basepoint))
-    for w in new_loops:
-        fr = free_reduce(w)
-        if len(fr) == 0:
-            raise ValueError("trivial loop")
-        if fr.max_letter() > core.alphabet.size:
-            raise ValueError("loop word outside alphabet")
-        _core_part, conj = cyclic_reduce(fr)
-        if conj:
-            labels.append(conj[0])
-        else:
-            labels.append(fr[0])
-            labels.append(-fr[-1])
-    return len(labels) == len(set(labels))
 
 
 def canonical_form(g: CoreGraph) -> tuple:

@@ -5,7 +5,8 @@ generators together with every chosen relator cell supported on them.
 Collapsing the subcomplex to a point deletes its letters from the other
 relator boundaries.  Everything downstream works with those projected
 boundary words verbatim: backtracks introduced by the deletion are kept,
-nothing is freely reduced, and exponents are literal.
+nothing is freely reduced, and exponents are literal.  A spec projects
+once, and :func:`quotient` and every check below read that projection.
 
 The two relative checks ask whether collapsing changes boundary-word
 structure: power counts must be preserved cell by cell, and distinct
@@ -18,6 +19,7 @@ violations of exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .presentation import Presentation
@@ -61,7 +63,29 @@ class SubcomplexSpec:
         return cls(parent, gens, rels)
 
     def outside_relators(self) -> list[int]:
-        return [i for i in range(len(self.parent.relators)) if i not in set(self.sub_relators)]
+        inside = set(self.sub_relators)
+        return [i for i in range(len(self.parent.relators)) if i not in inside]
+
+    @cached_property
+    def projection(self) -> "QuotientPresentation":
+        """The collapsed boundaries, built on first use and then kept."""
+        parent = self.parent
+        kept = [i + 1 for i in range(parent.alphabet.size) if i + 1 not in self.sub_generators]
+        new_index = {g: k + 1 for k, g in enumerate(kept)}
+        alphabet = Alphabet(tuple(parent.alphabet.names[g - 1] for g in kept))
+
+        def project(w: Word) -> Word:
+            out = []
+            for x in w:
+                n = new_index.get(abs(x))
+                if n is not None:
+                    out.append(n if x > 0 else -n)
+            return Word(tuple(out))
+
+        projected = tuple(
+            ProjectedRelator(i, project(parent.relators[i])) for i in self.outside_relators()
+        )
+        return QuotientPresentation(alphabet, projected, tuple(self.sub_relators))
 
 
 @dataclass(frozen=True)
@@ -85,23 +109,7 @@ class QuotientPresentation:
 
 
 def quotient(spec: SubcomplexSpec) -> QuotientPresentation:
-    parent = spec.parent
-    kept = [i + 1 for i in range(parent.alphabet.size) if i + 1 not in spec.sub_generators]
-    new_index = {g: k + 1 for k, g in enumerate(kept)}
-    alphabet = Alphabet(tuple(parent.alphabet.names[g - 1] for g in kept))
-
-    def project(w: Word) -> Word:
-        out = []
-        for x in w:
-            n = new_index.get(abs(x))
-            if n is not None:
-                out.append(n if x > 0 else -n)
-        return Word(tuple(out))
-
-    projected = tuple(
-        ProjectedRelator(i, project(parent.relators[i])) for i in spec.outside_relators()
-    )
-    return QuotientPresentation(alphabet, projected, tuple(spec.sub_relators))
+    return spec.projection
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ Importable from every test module because pytest puts this directory on
 ``sys.path``.
 """
 
+import functools
 import os
 import random
 import sys
@@ -14,7 +15,7 @@ from hnnembed.hnn import PartialAscendingHNN, validate
 from hnnembed.parsing import parse_word
 from hnnembed.presentation import Presentation, best_piece_decomposition
 from hnnembed.stallings import CoreGraph, canonical_form
-from hnnembed.subquotient import TwoCellDiagram
+from hnnembed.subquotient import SubcomplexSpec, TwoCellDiagram
 from hnnembed.suffixes import MatchTable
 from hnnembed.words import Alphabet, Word, exponent, random_reduced_word
 
@@ -34,6 +35,21 @@ def hnn_from_strings(ascending, free=(), stable: str = "t") -> PartialAscendingH
     return PartialAscendingHNN(
         names, tuple(free), tuple(parse_word(ab, w) for _, w in ascending), stable
     )
+
+
+def count_projections(monkeypatch) -> list:
+    """Record each spec whose projection is computed, not read back."""
+    calls: list = []
+    real = SubcomplexSpec.__dict__["projection"].func
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(SubcomplexSpec, "projection")
+    monkeypatch.setattr(SubcomplexSpec, "projection", prop)
+    return calls
 
 
 def graphs_equal(a: CoreGraph, b: CoreGraph) -> bool:

@@ -85,6 +85,35 @@ def test_parse_deep_nesting(tmp_path, capsys):
     assert err == f"error: {unclosed}: line 2: missing ')'\n"
 
 
+BUDGET = 2**21  # parsing.MAX_WORD_LETTERS, written out so the boundary is pinned
+
+
+@pytest.mark.parametrize(
+    "word,diagnostic",
+    [
+        (f"( a )^{BUDGET}", None),
+        (f"( a )^{BUDGET + 1}", f"exponent above {BUDGET}"),
+        (f"( a )^{BUDGET} a", f"word longer than {BUDGET} letters"),
+        ("( ( a b )^65536 )^65536", f"word longer than {BUDGET} letters"),
+        ("( a b )^" + "9" * 5000, f"exponent above {BUDGET}"),
+    ],
+    ids=["at-budget", "power-over", "letter-over", "nested", "5000-digit-exponent"],
+)
+def test_word_letter_budget(word, diagnostic, tmp_path, capsys):
+    """A word may hold up to the budget of letters.  A power that would
+    pass it is refused before it is expanded, so a hostile exponent exits
+    2 with one line instead of a traceback or an unbounded expansion."""
+    path = tmp_path / "h.pres"
+    path.write_text(f"hnn: t; ascending: a; free: b\nmap a: {word}\n")
+    if diagnostic is None:
+        code, out, err = run(capsys, "parse", str(path))
+        assert (code, err) == (0, "") and "ascending a" in out
+        return
+    for command in ("parse", "check-smallcancel"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: line 2: {diagnostic}\n")
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "parse", "/nonexistent/nope.pres")
     assert code == 2 and "error:" in err
@@ -458,20 +487,24 @@ def test_certify_rejects_an_honest_certificate_of_a_non_injective_group(tmp_path
     [
         ("map c: a", "error: image of c uses no new generator, so its quotient cell is empty\n"),
         ("map c1: c1 c1'", "error: relator c1 is not cyclically reduced\n"),
+        ("map c: c1 c1'", "error: relator c is not cyclically reduced\n"),
     ],
 )
 def test_certify_rejects_unusable_group_files(line, diagnostic, tmp_path, capsys):
-    """A group file whose cells the checks cannot read exits 2 with one line."""
-    h, g, cert = embed_files(tmp_path, capsys, INTRO, False)
-    name = line.split(":")[0]
-    text = "".join(
-        (line + "\n") if old.startswith(name + ":") else old
-        for old in open(g).readlines()
-    )
-    bad = tmp_path / "bad.pres"
-    bad.write_text(text)
-    code, out, err = run(capsys, "certify", "--in", h, "--g", str(bad), "--cert", cert)
-    assert (code, out, err) == (2, "", diagnostic)
+    """A group file whose cells the checks cannot read exits 2 with one
+    line, for plain and irreducible certificates alike.  A new loop that
+    reduces to nothing is rejected here, where the group file enters."""
+    for irreducible in (False, True):
+        h, g, cert = embed_files(tmp_path, capsys, INTRO, irreducible)
+        name = line.split(":")[0]
+        text = "".join(
+            (line + "\n") if old.startswith(name + ":") else old
+            for old in open(g).readlines()
+        )
+        bad = tmp_path / "bad.pres"
+        bad.write_text(text)
+        code, out, err = run(capsys, "certify", "--in", h, "--g", str(bad), "--cert", cert)
+        assert (code, out, err) == (2, "", diagnostic), irreducible
 
 
 def test_certify_rejects_unusable_input(tmp_path, capsys):

@@ -37,7 +37,6 @@ from hnnembed.stallings import (
     rank,
     subgroup_core,
     trim_to_core,
-    wedge_extension_check,
 )
 from hnnembed.subquotient import quotient
 from hnnembed.words import (
@@ -50,6 +49,7 @@ from hnnembed.words import (
 
 from helpers import (
     complete_workload_inputs,
+    count_projections,
     criterion_6_inputs,
     graphs_equal,
     hnn_from_strings,
@@ -312,7 +312,7 @@ def test_irreducible_core_is_a_wedge():
     assert rank(phi_core) == rank(gamma) + len(h.free) + 2
     assert res.certificate.irreducible.core_matches_wedge
     new_loops = list(res.images[len(h.ascending) :])
-    assert wedge_extension_check(gamma.with_alphabet(nonstable), new_loops)
+    assert hang(gamma.with_alphabet(nonstable), new_loops).folded
 
 
 def test_full_image_list_is_folded_once(monkeypatch):
@@ -349,6 +349,47 @@ def test_full_image_list_is_folded_once(monkeypatch):
     assert folded.count(res.images) == 0
     assert res.certificate.irreducible.core_matches_wedge
     assert fold_sizes and max(fold_sizes) <= sum(len(w) for w in h.images)
+
+
+@pytest.mark.parametrize("irreducible", [False, True], ids=["plain", "irreducible"])
+def test_one_projection_per_certificate(irreducible, monkeypatch):
+    """Each certificate projects its subcomplex once; the quotient it
+    stores and both relative checks read that one projection."""
+    certified = []
+    real = hnn._certify
+
+    def counted_certify(*args):
+        certified.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hnn, "_certify", counted_certify)
+    projections = count_projections(monkeypatch)
+    h = intro_example()
+    construct = construct_irreducible_embedding if irreducible else construct_embedding
+    res = construct(h)
+    again = certify_completion(h, _full_extension(res), irreducible)
+    assert len(certified) == len(projections) == 2
+    assert projections == [res.pair, again.pair]
+    assert res.certificate.quotient is quotient(res.pair)
+
+
+def test_built_graphs_are_not_walked_for_connectivity(monkeypatch):
+    """bouquet, fold, trim_to_core and hang cannot disconnect a graph, so
+    rank never walks the graphs they build."""
+
+    def walk(g):
+        raise AssertionError("connectivity walk on a built graph")
+
+    monkeypatch.setattr(stallings, "_reachable", walk)
+    h = intro_example()
+    for construct, irreducible in (
+        (construct_embedding, False),
+        (construct_irreducible_embedding, True),
+    ):
+        res = construct(h)
+        assert res.certificate.all_true()
+        again = certify_completion(h, _full_extension(res), irreducible)
+        assert again.certificate == res.certificate
 
 
 @pytest.mark.parametrize(

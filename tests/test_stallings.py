@@ -25,7 +25,6 @@ from hnnembed.stallings import (
     subgroup_core,
     trim_to_core,
     unused_basepoint_labels,
-    wedge_extension_check,
 )
 from hnnembed.parsing import parse_word
 from hnnembed.words import Alphabet, Word, free_reduce
@@ -201,6 +200,17 @@ def test_rank_preconditions():
         rank(two_loops)
 
 
+def test_connected_flag_is_carried_from_the_bouquet():
+    # Only a hand-built graph is left for rank to walk.
+    for words in (["a b a'"], ["b b", "a"]):  # folding merges, folding merges nothing
+        raw = bouquet(AB, [parse_word(AB, w) for w in words])
+        core = trim_to_core(fold(raw))
+        assert raw.connected and fold(raw).connected and core.connected
+        assert hang(core, [parse_word(AB, "a a")]).connected
+        assert core.with_alphabet(ABC).connected
+    assert not CoreGraph(AB, 1, 0, ((0, 0, 1),), True, True).connected
+
+
 def test_fold_matches_naive_oracle():
     rng = random.Random(20260822)
     for _ in range(200):
@@ -329,15 +339,15 @@ def test_redundant_generating_sets_give_equal_cores():
 
 
 def test_wedge_extension_check_cases():
+    # The wedge test is hang's folded flag: a loop adds its stem's first
+    # letter, or both ends of its cycle, to the basepoint star.
     loop_a = subgroup_core(AB, [parse_word(AB, "a")])
-    assert wedge_extension_check(loop_a, [parse_word(AB, "b")])
-    assert not wedge_extension_check(loop_a, [parse_word(AB, "a b")])
+    assert hang(loop_a, [parse_word(AB, "b")]).folded
+    assert not hang(loop_a, [parse_word(AB, "a b")]).folded
     loop_b = subgroup_core(AB, [parse_word(AB, "b")])
-    assert wedge_extension_check(loop_b, [parse_word(AB, "a b a'")])
-    assert not wedge_extension_check(loop_b, [parse_word(AB, "a b a'"), parse_word(AB, "a b' a'")])
-    assert not wedge_extension_check(loop_b, [parse_word(AB, "b a")])
-    with pytest.raises(ValueError, match="trivial loop"):
-        wedge_extension_check(loop_b, [parse_word(AB, "a a'")])
+    assert hang(loop_b, [parse_word(AB, "a b a'")]).folded
+    assert not hang(loop_b, [parse_word(AB, "a b a'"), parse_word(AB, "a b' a'")]).folded
+    assert not hang(loop_b, [parse_word(AB, "b a")]).folded
 
 
 def test_wedge_extension_matches_folded_union():
@@ -349,13 +359,7 @@ def test_wedge_extension_matches_folded_union():
         gens = random_words(rng, 3, rng.randint(1, 3))
         loops = [w for w in random_words(rng, 3, rng.randint(1, 2)) if free_reduce(w)]
         core = subgroup_core(ABC, gens)
-        if not loops:
-            continue
-        try:
-            ok = wedge_extension_check(core, loops)
-        except ValueError:
-            continue
-        if not ok:
+        if not loops or not hang(core, loops).folded:
             continue
         accepted += 1
         combined = subgroup_core(ABC, list(gens) + loops)
@@ -389,7 +393,6 @@ def test_hang_is_marked_folded_exactly_when_folding_merges_nothing():
         merged = fold(raw)
         merges_nothing = merged.num_vertices == raw.num_vertices and len(merged.edges) == len(raw.edges)
         assert raw.folded == merges_nothing
-        assert raw.folded == wedge_extension_check(core, loops)
         assert raw.cored == core.cored
         seen[raw.folded] += 1
         if raw.folded:

@@ -13,10 +13,28 @@ from hnnembed.subquotient import (
 )
 from hnnembed.words import Word, cyclically_equal, exponent
 
-from helpers import cancellable_alignment, presentation_from_strings, random_cyclically_reduced_word
+from helpers import (
+    cancellable_alignment,
+    count_projections,
+    presentation_from_strings,
+    random_cyclically_reduced_word,
+)
 
 X1 = presentation_from_strings("a b c", ["b c a b c b c"])
 X2 = presentation_from_strings("a b c", ["a b c", "a b c c"])
+
+
+def test_checks_on_one_spec_share_one_projection(monkeypatch):
+    calls = count_projections(monkeypatch)
+    spec = SubcomplexSpec.spanned_by(X2, ["c"])
+    assert check_no_extra_powers(spec).verdict
+    assert check_no_duplicates(spec).collisions == ((0, 1),)
+    liftability_counterexample_search(spec)
+    assert quotient(spec) is quotient(spec)
+    assert calls == [spec]
+    other = SubcomplexSpec.spanned_by(X2, ["a"])
+    assert quotient(other) is not quotient(spec)
+    assert calls == [spec, other]
 
 
 def test_spec_validation():
