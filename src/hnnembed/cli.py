@@ -10,6 +10,7 @@ unusable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -458,6 +459,7 @@ def _cmd_isoperimetry(args) -> int:
     return 0
 
 
+@functools.cache  # one argparse tree per process, not per main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hnnembed",

@@ -42,40 +42,34 @@ MAX_WORD_LETTERS = 2**21
 _TOKEN = re.compile(r"\(|\)(?:\^(-?)(\d+))?|[^\s()^]+")
 
 
-def _tokenize(text: str, line: int | None) -> list[tuple[str, object]]:
+def _chunk_tokens(chunk: str, line: int | None) -> list[tuple[str, object]]:
+    """Tokens of one whitespace-free chunk of word text."""
     tokens: list[tuple[str, object]] = []
-    for chunk in text.split():
-        pos = 0
-        for m in _TOKEN.finditer(chunk):
-            if m.start() != pos:
-                raise ParseError(f"bad word syntax near {chunk!r}", line)
-            pos = m.end()
-            tok = m.group(0)
-            if tok == "(":
-                tokens.append(("open", None))
-            elif tok.startswith(")"):
-                digits = (m.group(2) or "1").lstrip("0") or "0"
-                # the digit count alone rules out a huge exponent before int() reads it
-                if len(digits) > len(str(MAX_WORD_LETTERS)) or int(digits) > MAX_WORD_LETTERS:
-                    raise ParseError(f"exponent above {MAX_WORD_LETTERS}", line)
-                tokens.append(("close", -int(digits) if m.group(1) else int(digits)))
-            else:
-                tokens.append(("symbol", tok))
-        if pos != len(chunk):
+    pos = 0
+    for m in _TOKEN.finditer(chunk):
+        if m.start() != pos:
             raise ParseError(f"bad word syntax near {chunk!r}", line)
+        pos = m.end()
+        tok = m.group(0)
+        if tok == "(":
+            tokens.append(("open", None))
+        elif tok.startswith(")"):
+            digits = (m.group(2) or "1").lstrip("0") or "0"
+            # the digit count alone rules out a huge exponent before int() reads it
+            if len(digits) > len(str(MAX_WORD_LETTERS)) or int(digits) > MAX_WORD_LETTERS:
+                raise ParseError(f"exponent above {MAX_WORD_LETTERS}", line)
+            tokens.append(("close", -int(digits) if m.group(1) else int(digits)))
+        else:
+            tokens.append(("symbol", tok))
+    if pos != len(chunk):
+        raise ParseError(f"bad word syntax near {chunk!r}", line)
     return tokens
 
 
-def parse_word(alphabet: Alphabet, text: str, line: int | None = None) -> Word:
-    """Parse a word over ``alphabet``; concatenation is literal (no implicit
-    free reduction), so malformed inputs stay visible to later validators.
-
-    One explicit stack holds the letters of each open group, so nesting
-    depth is bounded by memory rather than by the interpreter's stack.  A
-    power is refused before it is built if it would take its group past
-    :data:`MAX_WORD_LETTERS`, and so is a longer word."""
-    stack: list[list[int]] = [[]]
-    for kind, value in _tokenize(text, line):
+def _push_tokens(
+    alphabet: Alphabet, stack: list[list[int]], tokens: list[tuple[str, object]], line: int | None
+) -> None:
+    for kind, value in tokens:
         if kind == "open":
             stack.append([])
         elif kind == "close":
@@ -90,8 +84,40 @@ def parse_word(alphabet: Alphabet, text: str, line: int | None = None) -> Word:
         elif value != "1":
             try:
                 stack[-1].append(alphabet.letter(value))
-            except KeyError:
-                raise ParseError(f"unknown generator {str(value).rstrip(chr(39))!r}", line) from None
+            except KeyError as e:
+                raise ParseError(e.args[0], line) from None
+
+
+def parse_word(alphabet: Alphabet, text: str, line: int | None = None) -> Word:
+    """Parse a word over ``alphabet``; concatenation is literal (no implicit
+    free reduction), so malformed inputs stay visible to later validators.
+
+    The text is read one whitespace-separated chunk at a time.  A chunk
+    that is a whole symbol of ``alphabet`` is looked up in its symbol
+    table; every other chunk (parentheses, ``)^k``, ``1``, unknown or
+    malformed text) goes through the tokenizer.  A syntax error anywhere
+    in the text is reported before any other error, as if the whole text
+    were tokenized first.
+
+    One explicit stack holds the letters of each open group, so nesting
+    depth is bounded by memory rather than by the interpreter's stack.  A
+    power is refused before it is built if it would take its group past
+    :data:`MAX_WORD_LETTERS`, and so is a longer word."""
+    by_symbol = alphabet.tables[0]
+    chunks = text.split()
+    stack: list[list[int]] = [[]]
+    for i, chunk in enumerate(chunks):
+        x = by_symbol.get(chunk)
+        if x is not None:
+            stack[-1].append(x)
+            continue
+        tokens = _chunk_tokens(chunk, line)
+        try:
+            _push_tokens(alphabet, stack, tokens, line)
+        except ParseError:
+            for rest in chunks[i + 1 :]:
+                _chunk_tokens(rest, line)
+            raise
     if len(stack) != 1:
         raise ParseError("missing ')'", line)
     if len(stack[0]) > MAX_WORD_LETTERS:

@@ -13,6 +13,7 @@ letters in that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -104,24 +105,31 @@ class Alphabet:
     def signed(self) -> tuple[int, ...]:
         return signed_letters(self.size)
 
+    @cached_property
+    def tables(self) -> tuple[dict[str, int], dict[int, str]]:
+        """Symbol to letter and letter to symbol, built on first use."""
+        by_symbol: dict[str, int] = {}
+        for i, name in enumerate(self.names, 1):
+            by_symbol[name] = i
+            by_symbol[name + "'"] = -i
+        return by_symbol, {x: s for s, x in by_symbol.items()}
+
     def letter(self, symbol: str) -> int:
         """Letter for a rendered symbol, e.g. ``"b'"`` -> -2."""
-        inv = symbol.endswith("'")
-        name = symbol[:-1] if inv else symbol
         try:
-            i = self.names.index(name) + 1
-        except ValueError:
+            return self.tables[0][symbol]
+        except KeyError:
+            name = symbol[:-1] if symbol.endswith("'") else symbol
             raise KeyError(f"unknown generator {name!r}") from None
-        return -i if inv else i
 
     def symbol(self, letter: int) -> str:
-        name = self.names[abs(letter) - 1]
-        return name + "'" if letter < 0 else name
+        """Rendered symbol of a letter; ``KeyError`` outside ±1..±size."""
+        return self.tables[1][letter]
 
     def word_str(self, w: Word) -> str:
         if not w:
             return "1"
-        return " ".join(self.symbol(x) for x in w)
+        return " ".join(map(self.tables[1].__getitem__, w.letters))
 
 
 def free_reduce(w: Word) -> Word:
@@ -158,9 +166,26 @@ def is_cyclically_reduced(w: Word) -> bool:
 
 def literal_period(letters: tuple[int, ...]) -> int:
     """Shortest d such that the nonempty ``letters`` are a literal power
-    of their first d letters."""
+    of their first d letters.
+
+    By Fine and Wilf's lemma the periods of a word that divide its length n
+    are exactly the multiples of the least one.  So starting from d = n and
+    dividing d by each prime factor p of n while d / p is still a period
+    ends at the least period, with one slice comparison per division tried.
+    """
     n = len(letters)
-    return next(d for d in range(1, n + 1) if n % d == 0 and letters[d:] == letters[: n - d])
+    d = rest = n
+    p = 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left of n is prime
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            while d % p == 0 and letters[d // p :] == letters[: n - d // p]:
+                d //= p
+        p += 1
+    return d
 
 
 def exponent(w: Word) -> int:

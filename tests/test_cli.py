@@ -1,3 +1,4 @@
+import argparse
 import copy
 import dataclasses
 import functools
@@ -117,6 +118,27 @@ def test_word_letter_budget(word, diagnostic, tmp_path, capsys):
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "parse", "/nonexistent/nope.pres")
     assert code == 2 and "error:" in err
+
+
+def test_argument_parser_is_built_once_per_process(files, capsys, monkeypatch):
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "hnnembed":  # the top-level parser, not a subcommand's
+            builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    assert run(capsys, "parse", files["x1"])[0] == 0
+    assert run(capsys, "parse", files["intro"], "--emit")[0] == 0
+    assert run(capsys, "parse", "/nonexistent/nope.pres")[0] == 2
+    assert len(builds) == 1
+    with pytest.raises(SystemExit) as exited:
+        main(["no-such-command"])
+    assert exited.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_pieces_reports_shared_subword(files, capsys):

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -16,7 +17,11 @@ from hnnembed.parsing import (
 from hnnembed.presentation import Presentation
 from hnnembed.words import EMPTY, Alphabet, Word
 
-from helpers import hnn_from_strings, presentation_from_strings
+from helpers import (
+    hnn_from_strings,
+    presentation_from_strings,
+    random_cyclically_reduced_word,
+)
 
 
 AB = Alphabet.of("a", "b", "c")
@@ -81,6 +86,50 @@ class TestWordGrammar:
             parse_word(AB, "(" * 3000 + "a", line=4)
 
 
+# names that are prefixes of one another, with digits and underscores
+PREFIXES = Alphabet.of("a", "a1", "a_b", "ab")
+
+
+def _grouped(ab: Alphabet, rng: random.Random, w: Word) -> str:
+    """Text for ``w`` that mixes plain symbols with ``1``, ``( u )^1`` and
+    ``( u^-1 )^-1`` pieces, spaced and unspaced."""
+    out = []
+    i = 0
+    while i < len(w):
+        j = rng.randint(i + 1, min(len(w), i + 4))
+        piece = w[i:j]
+        kind = rng.randrange(4)
+        if kind == 0:
+            out.append(ab.word_str(piece))
+        elif kind == 1:
+            out.append(f"1 {ab.word_str(piece)}")
+        elif kind == 2:
+            out.append(f"( {ab.word_str(piece)} )^1")
+        else:
+            out.append(f"({ab.word_str(piece.inverse())})^-1")
+        i = j
+    return " ".join(out)
+
+
+@pytest.mark.parametrize(
+    "ab", [AB, PREFIXES, Alphabet.of("x_1", "x_10", "yy", "y"), Alphabet.of("g")]
+)
+def test_rendered_words_parse_back(ab):
+    rng = random.Random(f"parse-back:{ab.names}")
+    for _ in range(300):
+        w = Word(tuple(rng.choice(ab.signed()) for _ in range(rng.randrange(0, 25))))
+        assert parse_word(ab, ab.word_str(w)) == w
+        assert parse_word(ab, _grouped(ab, rng, w)) == w
+
+
+def test_prefix_names_are_whole_symbols():
+    symbols = "a a1 a_b ab a' a1' a_b' ab'"
+    assert parse_word(PREFIXES, symbols) == Word.of(1, 2, 3, 4, -1, -2, -3, -4)
+    assert parse_word(PREFIXES, "(a a1)^2 (ab')^-1") == Word.of(1, 2, 1, 2, 4)
+    with pytest.raises(ParseError, match="unknown generator 'a1_b'"):
+        parse_word(PREFIXES, "a a1_b")
+
+
 class TestPresentationFiles:
     def test_parse_with_comments_and_names(self):
         src = """\
@@ -98,6 +147,15 @@ rel second: a b c c  # trailing comment
     def test_round_trip(self):
         p = presentation_from_strings("a b c", ["b c a b c b c", "a b c c"])
         assert parse_presentation(presentation_source(p)) == p
+
+    def test_source_round_trips_byte_for_byte(self):
+        rng = random.Random(12)
+        for ab in (AB, PREFIXES):
+            rels = [
+                random_cyclically_reduced_word(rng, ab.size, rng.randint(1, 30)) for _ in range(4)
+            ]
+            src = presentation_source(Presentation(ab, tuple(rels), ("r1", "r2", "x", "y_2")))
+            assert presentation_source(parse_source(src)) == src
 
     def test_empty_alphabet_and_no_relators(self):
         assert parse_presentation("gens:\n").alphabet == Alphabet(())
@@ -153,6 +211,16 @@ map b: ( a c )^9 b
     def test_round_trip(self):
         h = parse_hnn(self.INTRO)
         assert parse_hnn(hnn_source(h)) == h
+
+    def test_source_round_trips_byte_for_byte(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            images = tuple(
+                Word(tuple(rng.choice(PREFIXES.signed()) for _ in range(rng.randint(1, 40))))
+                for _ in range(2)
+            )
+            src = hnn_source(PartialAscendingHNN(("a", "a1"), ("a_b", "ab"), images, "t"))
+            assert hnn_source(parse_source(src)) == src
 
     def test_map_lines_in_any_order(self):
         shuffled = """\
@@ -218,6 +286,13 @@ class TestGeneratingSetFiles:
             ("gens: a\nrel: 1\n", "line 2: generator word r1 is empty"),
             ("gens: a\nrel: a a'\nrel twist: 1\n", "line 3: generator word twist is empty"),
             ("gens: a\nrel: b\n", "line 2: unknown generator 'b'"),
+            # one inverse mark is stripped, so the name is the unknown a'
+            ("gens: a b\nrel: a'' b\n", "line 2: unknown generator \"a'\""),
+            ("gens: a\nrel: d'\n", "line 2: unknown generator 'd'"),
+            # a syntax error anywhere in the word outranks any other error
+            ("gens: a\nrel: zz a^2\n", "line 2: bad word syntax near 'a^2'"),
+            ("gens: a\nrel: a )^2 a^\n", "line 2: bad word syntax near 'a^'"),
+            ("gens: a\nrel: a )^2 ( a\n", "line 2: unmatched ')'"),
         ],
     )
     def test_diagnostics_are_pinned(self, src, diagnostic):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -18,6 +19,7 @@ from hnnembed.words import (
     is_cyclically_reduced,
     is_reduced,
     letter_key,
+    literal_period,
     random_reduced_word,
     signed_letters,
 )
@@ -47,6 +49,12 @@ def exponent_oracle(w: Word) -> int:
     ls = w.letters
     n = len(ls)
     return sum(1 for r in range(n) if ls[r:] + ls[:r] == ls)
+
+
+def period_oracle(letters: tuple[int, ...]) -> int:
+    # Every d from 1 to n, in order: the first divisor that is a period.
+    n = len(letters)
+    return next(d for d in range(1, n + 1) if n % d == 0 and letters[d:] == letters[: n - d])
 
 
 def test_letter_order():
@@ -83,6 +91,18 @@ def test_alphabet_roundtrip():
         Alphabet.of("a", "a")
     with pytest.raises(ValueError):
         Alphabet.of("2x")
+
+
+def test_symbol_outside_the_alphabet_raises():
+    ab = Alphabet.of("a", "b", "c")
+    # letter 0 once rendered as names[-1], the last generator
+    for letter in (0, 4, -4):
+        with pytest.raises(KeyError):
+            ab.symbol(letter)
+    with pytest.raises(KeyError):
+        ab.word_str(Word.of(1, 4))
+    with pytest.raises(KeyError):
+        Alphabet(()).symbol(1)
 
 
 def test_free_reduce_known():
@@ -146,6 +166,25 @@ def test_exponent_random_vs_oracle():
         w = Word(base.letters * k)
         assert exponent(w) == exponent_oracle(w)
         assert exponent(w) % k == 0  # k divides the true exponent
+
+
+def test_literal_period_exhaustive_vs_oracle():
+    for n in range(1, 12):
+        for letters in itertools.product((1, -1, 2), repeat=n):
+            assert literal_period(letters) == period_oracle(letters)
+
+
+@pytest.mark.parametrize("n", [12, 36, 64, 210])
+def test_literal_period_of_powers_vs_oracle(n):
+    # lengths with many divisors, so several prime factors are divided out
+    rng = random.Random(n)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for _ in range(200):
+        d = rng.choice(divisors)
+        u = tuple(rng.choice((1, -1, 2)) for _ in range(d))
+        letters = u * (n // d)
+        assert literal_period(letters) == period_oracle(letters)
+        assert literal_period(letters) <= d
 
 
 def test_is_proper_power():
