@@ -95,7 +95,7 @@ def test_alphabet_roundtrip():
 
 def test_symbol_outside_the_alphabet_raises():
     ab = Alphabet.of("a", "b", "c")
-    # letter 0 once rendered as names[-1], the last generator
+    # 0 must not wrap round to names[-1]
     for letter in (0, 4, -4):
         with pytest.raises(KeyError):
             ab.symbol(letter)
