@@ -51,7 +51,7 @@ def main() -> None:
                 "construction": construction,
                 "seconds": round(seconds, 3),
                 "cert_sha256": _sha256(cli._canonical(cli._certificate_json(result))),
-                "g_sha256": _sha256(parsing.hnn_source(cli._full_extension(result))),
+                "g_sha256": _sha256(parsing.hnn_source(result.group)),
             }
             print(json.dumps(row, sort_keys=True), flush=True)
 

@@ -278,20 +278,12 @@ def _cmd_fold(args) -> int:
     return code
 
 
-def _full_extension(result: ExtensionResult) -> PartialAscendingHNN:
-    """The completed group as a fully ascending input file: no free part,
-    every non-stable generator mapped."""
-    h = result.source
-    return PartialAscendingHNN(
-        h.ascending + h.free + result.new_names, (), result.images, h.stable
-    )
-
-
 def _certificate_json(result: ExtensionResult) -> dict:
     cert = result.certificate
     h = result.source
     quotient_alphabet = cert.quotient.alphabet
-    group_alphabet = result.presentation.alphabet
+    group = result.group
+    group_alphabet = result.pair.parent.alphabet
     irr = cert.irreducible
     checks = {
         "c7": cert.c7,
@@ -315,7 +307,7 @@ def _certificate_json(result: ExtensionResult) -> dict:
             "wedge_check": irr.wedge_check,
             "basepoint_degree": irr.basepoint_degree,
             "degree_bound": irr.degree_bound,
-            "core_matches_wedge": irr.core_matches_wedge,
+            "core_matches_wedge": irr.wedge_check,
         },
     }
     return {
@@ -331,7 +323,7 @@ def _certificate_json(result: ExtensionResult) -> dict:
         },
         "new_generators": list(result.new_names),
         "images": {
-            name: group_alphabet.word_str(w) for name, w in result.image_map().items()
+            name: group_alphabet.word_str(w) for name, w in zip(group.ascending, group.images)
         },
         "quotient": {
             "generators": list(quotient_alphabet.names),
@@ -354,13 +346,13 @@ def _construct(h: PartialAscendingHNN, irreducible: bool) -> ExtensionResult:
 def _cmd_embed(args) -> int:
     h = _load(args.infile, parse_hnn)
     result = _construct(h, args.irreducible)
-    _write(args.out, hnn_source(_full_extension(result)))
+    _write(args.out, hnn_source(result.group))
     cert_json = _certificate_json(result)
     _write(args.cert, _canonical(cert_json))
     verdict = "all checks pass" if cert_json["all_true"] else "CHECKS FAILING"
     print(
         f"adjoined {', '.join(result.new_names)}; "
-        f"{len(result.presentation.relators)} relators; {verdict}"
+        f"{len(result.pair.parent.relators)} relators; {verdict}"
     )
     return 0 if cert_json["all_true"] else 1
 

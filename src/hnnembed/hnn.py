@@ -36,9 +36,11 @@ stored words first; one that fails C'(1/7) there is already failed and
 builds no more of its certificate, except at the last scale.
 
 Builders build and :func:`_certify` checks.  A builder returns only
-images; the stored quotient words and every verdict are computed from
-the input and the images alone, so :func:`certify_completion` checks a
-completed group without running construction code.  The monomorphism
+images, which become the completed group G (every generator ascending)
+once their scan passes.  The stored quotient words and every verdict are
+computed from the input and G alone, and the result carries that G, so
+:func:`certify_completion` checks a completed group by passing it
+through, without running construction code.  The monomorphism
 verdict reads the core of the image subgroup.  The plain construction
 folds the full image list for it.  The irreducible one hangs the new
 loops on the core of the prescribed images; when no vertex then reads a
@@ -167,21 +169,14 @@ def validate(h: PartialAscendingHNN) -> list[str]:
     return diags
 
 
-def build_complex_pair(
-    h: PartialAscendingHNN, new_names: Sequence[str], images: Sequence[Word]
-) -> SubcomplexSpec:
+def build_complex_pair(h: PartialAscendingHNN, g: PartialAscendingHNN) -> SubcomplexSpec:
     """Presentation complex of the completed group over the input's subcomplex.
 
-    ``images`` holds one word per non-stable generator of the completed
-    group, in alphabet order (ascending, free, new), over the extended
-    alphabet.  The parent presentation gets one cell t g t' image' per
-    generator; the subcomplex keeps the old generators, the stable
-    letter, and exactly the prescribed cells.
+    The parent is ``g``'s own presentation, one cell t x t' image(x)'
+    per generator x; the subcomplex keeps the input's generators, the
+    stable letter, and exactly the prescribed cells.
     """
-    names = h.ascending + h.free + tuple(new_names)
-    if len(images) != len(names):
-        raise ValueError("need exactly one image per non-stable generator")
-    parent = PartialAscendingHNN(names, (), tuple(images), h.stable).presentation()
+    parent = g.presentation()
     t = parent.alphabet.size
     old = frozenset(range(1, len(h.ascending) + len(h.free) + 1)) | {t}
     return SubcomplexSpec(parent, old, tuple(range(len(h.ascending))))
@@ -222,9 +217,9 @@ class IrreducibleEvidence:
     inverted last letter, then each one's first.  ``digram_coverage``
     has one verdict per whole new image (its pattern segment's coverage
     implies it).  ``basepoint_degree`` (against twice |ascending|) reads
-    the prescribed images' core.  ``wedge_check`` and ``core_matches_wedge``
-    are one basepoint test under two JSON names: hanging the new loops on
-    that core merges nothing.
+    the prescribed images' core.  ``wedge_check``, written under the JSON
+    names ``wedge_check`` and ``core_matches_wedge``, is one basepoint
+    test: hanging the new loops on that core merges nothing.
     """
 
     x_labels: tuple[int, ...]
@@ -232,14 +227,12 @@ class IrreducibleEvidence:
     wedge_check: bool
     basepoint_degree: int
     degree_bound: int
-    core_matches_wedge: bool
 
     def all_true(self) -> bool:
         return (
             all(self.digram_coverage)
             and self.wedge_check
             and self.basepoint_degree <= self.degree_bound
-            and self.core_matches_wedge
         )
 
 
@@ -292,16 +285,17 @@ class EmbeddingCertificate:
 
 @dataclass(frozen=True)
 class ExtensionResult:
+    """The completed group (the input's generators then the new ones, all
+    ascending), its complex pair over the input, and its certificate."""
+
     source: PartialAscendingHNN
-    new_names: tuple[str, ...]
-    images: tuple[Word, ...]  # per non-stable generator, alphabet order
-    presentation: Presentation
+    group: PartialAscendingHNN
     pair: SubcomplexSpec
     certificate: EmbeddingCertificate
 
-    def image_map(self) -> dict[str, Word]:
-        names = self.source.ascending + self.source.free + self.new_names
-        return dict(zip(names, self.images))
+    @property
+    def new_names(self) -> tuple[str, ...]:
+        return self.group.ascending[len(self.source.ascending) + len(self.source.free) :]
 
 
 class NotACompletion(ValueError):
@@ -368,7 +362,8 @@ def _escalate(
         report = piece_stats(list(stored), include_inverses=True)
         if e < MAX_ESCALATIONS and not cprime_from_stats(report, 1, 7).holds:
             continue
-        result = _certify(h, new_names, images, irreducible, stored, report)
+        g = PartialAscendingHNN(h.ascending + h.free + new_names, (), tuple(images), h.stable)
+        result = _certify(h, g, irreducible, stored, report)
         failing = result.certificate.failing()
         if not failing:
             return result
@@ -377,23 +372,22 @@ def _escalate(
 
 def _certify(
     h: PartialAscendingHNN,
-    new_names: tuple[str, ...],
-    images: list[Word],
+    g: PartialAscendingHNN,
     irreducible: bool,
     stored: tuple[Word, ...],
     report: PieceReport,
 ) -> ExtensionResult:
-    """Assemble the completed group from the images and certify it.
+    """Certify the completed group ``g`` of the input ``h``.
 
-    ``stored`` is :func:`_quotient_words` of the images and ``report``
+    ``stored`` is :func:`_quotient_words` of ``g``'s images and ``report``
     its piece scan, which the caller has already run to decide whether
-    to certify at all.  The monomorphism verdict reads the image
-    subgroup's core.  For the irreducible construction that core is the
-    trim of the prescribed images' core with the new loops hung on it,
-    whenever the hanging merges nothing; only otherwise is the full
-    image list folded.
+    to certify at all.  The result carries ``g`` itself.  The monomorphism
+    verdict reads the image subgroup's core.  For the irreducible
+    construction that core is the trim of the prescribed images' core with
+    the new loops hung on it, whenever the hanging merges nothing; only
+    otherwise is the full image list folded.
     """
-    pair = build_complex_pair(h, new_names, images)
+    pair = build_complex_pair(h, g)
     parent = pair.parent
     # Soundness anchors: the input's cells survive verbatim (same
     # generator letters, the stable letter renumbered but rendering
@@ -416,13 +410,13 @@ def _certify(
     # least 8 factors, so the metric verdict implies the overlap one and
     # the exact (slower) decomposition only runs when the metric fails.
     c7 = cprime.holds or cp_from_stats(report, 7).holds
-    alphabet = Alphabet(h.ascending + h.free + new_names)
+    alphabet = g.base_alphabet
     image_core, evidence = None, None
     if irreducible:
-        image_core, evidence = _irreducible_evidence(h, alphabet, images)
+        image_core, evidence = _irreducible_evidence(h, alphabet, g.images)
     if image_core is None:
         # Every image is nonempty, so this is is_monomorphism's own test.
-        image_core = subgroup_core(alphabet, images)
+        image_core = subgroup_core(alphabet, g.images)
     cert = EmbeddingCertificate(
         quotient=q,
         quotient_words=stored,
@@ -436,14 +430,14 @@ def _certify(
         ),
         no_extra_powers=check_no_extra_powers(pair),
         no_duplicates=check_no_duplicates(pair),
-        monomorphism=rank(image_core) == len(images),
+        monomorphism=rank(image_core) == len(g.images),
         irreducible=evidence,
     )
-    return ExtensionResult(h, new_names, tuple(images), parent, pair, cert)
+    return ExtensionResult(h, g, pair, cert)
 
 
 def _irreducible_evidence(
-    h: PartialAscendingHNN, alphabet: Alphabet, images: list[Word]
+    h: PartialAscendingHNN, alphabet: Alphabet, images: Sequence[Word]
 ) -> tuple[CoreGraph | None, IrreducibleEvidence]:
     """Side conditions of the irreducible construction, and the image
     subgroup's core when it is a genuine wedge.
@@ -466,7 +460,6 @@ def _irreducible_evidence(
         wedge_check=hung.folded,
         basepoint_degree=core.degree(core.basepoint),
         degree_bound=2 * len(h.ascending),
-        core_matches_wedge=hung.folded,
     )
     return (hung if hung.folded else None), evidence
 
@@ -487,11 +480,13 @@ def certify_completion(
 ) -> ExtensionResult:
     """Certify a completed group of the input from its images alone.
 
-    ``g`` must keep ``h``'s stable letter, generators and prescribed
-    images, add exactly two generators and map every generator to a
-    nonempty word without the stable letter, or NotACompletion is raised.
-    A free generator whose image uses no new generator has an empty
-    quotient cell, and raises ValueError naming it.
+    ``g`` is passed through unchanged: it is the group that is presented
+    and certified, and the result's ``group``.  It must keep ``h``'s
+    stable letter, generators and prescribed images, add exactly two
+    generators and map every generator to a nonempty word without the
+    stable letter, or NotACompletion is raised.  A free generator whose
+    image uses no new generator has an empty quotient cell, and raises
+    ValueError naming it.
     """
     _check_usable(h, irreducible)
     old = h.ascending + h.free
@@ -504,15 +499,14 @@ def certify_completion(
         or any(not w or w.max_letter() > len(g.ascending) for w in g.images)
     ):
         raise NotACompletion("the completed group does not extend the input")
-    images = list(g.images)
-    stored = _quotient_words(h, images)
+    stored = _quotient_words(h, g.images)
     for name, word in zip(h.free, stored):
         if not word:
             raise ValueError(
                 f"image of {name} uses no new generator, so its quotient cell is empty"
             )
     report = piece_stats(list(stored), include_inverses=True)
-    return _certify(h, g.ascending[len(old) :], images, irreducible, stored, report)
+    return _certify(h, g, irreducible, stored, report)
 
 
 def construct_embedding(h: PartialAscendingHNN) -> ExtensionResult:

@@ -160,11 +160,12 @@ def check_no_duplicates(spec: SubcomplexSpec) -> NoDuplicatesReport:
         for b in range(a + 1, len(cells)):
             s1, r1, p1 = cells[a]
             s2, r2, p2 = cells[b]
-            if p1 and p2 and cyclically_equal(p1, p2) and not cyclically_equal(r1, r2):
+            # projections that are empty or differ in length never collide
+            if not p1 or len(p1) != len(p2):
+                continue
+            if cyclically_equal(p1, p2) and not cyclically_equal(r1, r2):
                 collisions.append((s1, s2))
-            if p1 and p2 and cyclically_equal(p1, p2.inverse()) and not cyclically_equal(
-                r1, r2.inverse()
-            ):
+            if cyclically_equal(p1, p2.inverse()) and not cyclically_equal(r1, r2.inverse()):
                 inverted.append((s1, s2))
     return NoDuplicatesReport(not collisions, tuple(collisions), tuple(inverted))
 

@@ -199,23 +199,29 @@ def exponent(w: Word) -> int:
 
 
 def cyclically_equal(u: Word, v: Word) -> bool:
-    """Literal equality up to rotation."""
-    if len(u) != len(v):
-        return False
-    if not u:
-        return True
-    return _contains(u.letters + u.letters, v.letters)
+    """Literal equality up to rotation, in time linear in the length.
 
-
-def _contains(haystack: tuple[int, ...], needle: tuple[int, ...]) -> bool:
-    # Tuple scan is fast enough for the word sizes seen here; the piece
-    # machinery has its own indexed search.
-    n, m = len(haystack), len(needle)
-    first = needle[0]
-    for i in range(n - m + 1):
-        if haystack[i] == first and haystack[i : i + m] == needle:
+    The first few rotations that start with ``v``'s first letter, where a
+    rotation that exists usually is, are compared by slicing.  Past those,
+    ``str.find``, whose search is linear in the worst case, looks for ``v``
+    in ``u`` written twice over, both as comma-separated numbers with a
+    comma at each end, so that every match starts and ends at a letter.
+    """
+    n = len(u)
+    if not n or n != len(v):
+        return n == len(v)
+    hay, needle = u.letters + u.letters, v.letters
+    start = 0
+    for _ in range(4):
+        try:
+            start = hay.index(needle[0], start, n)
+        except ValueError:
+            return False
+        if hay[start : start + n] == needle:
             return True
-    return False
+        start += 1
+    text = ",".join(map(str, u.letters))
+    return f",{text},{text},".find(f",{','.join(map(str, needle))},") >= 0
 
 
 def digrams(w: Word) -> set[tuple[int, int]]:

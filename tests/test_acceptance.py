@@ -110,7 +110,7 @@ def test_criterion_2_intro_embedding_shape(capsys, tmp_path):
         result = construct_embedding(INTRO)
         assert result.new_names == ("c1", "c2")
         assert len(result.new_names) == 2
-        new_relators = len(result.presentation.relators) - len(INTRO.ascending)
+        new_relators = len(result.pair.parent.relators) - len(INTRO.ascending)
         assert new_relators == 3
         assert result.certificate.all_true()
 

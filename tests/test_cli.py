@@ -6,6 +6,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -113,6 +114,23 @@ def test_word_letter_budget(word, diagnostic, tmp_path, capsys):
     for command in ("parse", "check-smallcancel"):
         code, out, err = run(capsys, command, str(path))
         assert (code, out, err) == (2, "", f"error: {path}: line 2: {diagnostic}\n")
+
+
+def test_near_periodic_cells_are_compared_in_linear_time(tmp_path, capsys):
+    """Two 2**17-letter projections that differ in one letter, with every
+    rotation agreeing on the first letter: a rotation scan that slices
+    the whole word at each candidate takes minutes here."""
+    path = tmp_path / "p.pres"
+    path.write_text("gens: a b y\nrel: ( a )^131072 y\nrel: ( a )^131071 b y\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-rel", str(path), "--kill", "y")
+    assert time.perf_counter() - start < 60
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["no_extra_powers"]["verdict"] is False
+    assert report["no_duplicates"] == {
+        "verdict": True, "collisions": [], "inverted_collisions": []
+    }
 
 
 def test_missing_file_exits_2(capsys):
@@ -343,14 +361,23 @@ GOLDEN = {
 }
 
 
+# what embed prints for each GOLDEN case
+EMBED_STDOUT = {
+    ("intro", False): "adjoined c1, c2; 5 relators; all checks pass\n",
+    ("intro", True): "adjoined c1, c2; 5 relators; all checks pass\n",
+    ("escalating", False): "adjoined c1, c2; 10 relators; all checks pass\n",
+    ("escalating", True): "adjoined c1, c2; 10 relators; all checks pass\n",
+}
+
+
 @pytest.mark.parametrize("name,irreducible", sorted(GOLDEN))
 def test_embed_outputs_are_pinned(name, irreducible, tmp_path, capsys):
     source = tmp_path / "h.pres"
     source.write_text({"intro": INTRO, "escalating": ESCALATING}[name])
     out_pres, cert_path = tmp_path / "g.pres", tmp_path / "cert.json"
     argv = ["embed", "--in", str(source), "--out", str(out_pres), "--cert", str(cert_path)]
-    code, _, _ = run(capsys, *argv, *(["--irreducible"] if irreducible else []))
-    assert code == 0
+    code, out, err = run(capsys, *argv, *(["--irreducible"] if irreducible else []))
+    assert (code, out, err) == (0, EMBED_STDOUT[name, irreducible], "")
     digests = tuple(
         hashlib.sha256(path.read_bytes()).hexdigest() for path in (cert_path, out_pres)
     )

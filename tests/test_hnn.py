@@ -18,7 +18,7 @@ import pytest
 
 import hnnembed
 from hnnembed import hnn, stallings
-from hnnembed.cli import _canonical, _certificate_json, _full_extension
+from hnnembed.cli import _canonical, _certificate_json
 from hnnembed.hnn import (
     PartialAscendingHNN,
     build_complex_pair,
@@ -107,11 +107,12 @@ def test_presentation_of_partial_input():
 
 def test_build_complex_pair_shapes():
     h = intro_example()
-    spec = build_complex_pair(
-        h,
-        ("c1", "c2"),
-        [h.images[0], h.images[1], Word.of(4), Word.of(4, 5), Word.of(5, 4)],
+    g = PartialAscendingHNN(
+        ("a", "b", "c", "c1", "c2"),
+        (),
+        (h.images[0], h.images[1], Word.of(4), Word.of(4, 5), Word.of(5, 4)),
     )
+    spec = build_complex_pair(h, g)
     assert spec.parent.alphabet.names == ("a", "b", "c", "c1", "c2", "t")
     assert len(spec.parent.relators) == 5
     assert spec.parent.relator_names == ("a", "b", "c", "c1", "c2")
@@ -146,7 +147,7 @@ def test_family_preconditions():
 def test_construct_embedding_headline():
     res = construct_embedding(intro_example())
     assert res.new_names == ("c1", "c2")
-    assert len(res.presentation.relators) == 5
+    assert len(res.pair.parent.relators) == 5
     assert len(res.certificate.quotient_words) == 3
     assert res.certificate.all_true()
     assert res.certificate.irreducible is None
@@ -155,7 +156,7 @@ def test_construct_embedding_headline():
 def test_construct_embedding_already_ascending():
     h = PartialAscendingHNN(("a",), (), (Word.of(1, 1),))
     res = construct_embedding(h)
-    assert len(res.presentation.relators) == 3
+    assert len(res.pair.parent.relators) == 3
     assert len(res.certificate.quotient_words) == 2
     assert res.certificate.all_true()
 
@@ -185,7 +186,7 @@ def test_round_trip_relators_verbatim():
     h = intro_example()
     own = h.presentation()
     for res in (construct_embedding(h), construct_irreducible_embedding(h)):
-        g = res.presentation
+        g = res.pair.parent
         rendered = [g.alphabet.word_str(r) for r in g.relators]
         for r in own.relators:
             assert own.alphabet.word_str(r) in rendered
@@ -213,7 +214,7 @@ stored = res.certificate.quotient_words
 tampered = (stored[0] * Word.of(1),) + stored[1:]
 report = hnn.piece_stats(list(tampered), include_inverses=True)
 try:
-    hnn._certify(h, res.new_names, list(res.images), False, tampered, report)
+    hnn._certify(h, res.group, False, tampered, report)
 except RuntimeError as e:
     print("stored:", e)
 
@@ -267,7 +268,7 @@ def test_irreducible_shape_failure_does_not_escalate(monkeypatch):
 
 def test_every_relator_has_exponent_one():
     res = construct_embedding(intro_example())
-    for r in res.presentation.relators:
+    for r in res.pair.parent.relators:
         assert exponent(r) == 1
     for w in res.certificate.quotient_words:
         assert exponent(w) == 1
@@ -295,7 +296,7 @@ def test_irreducible_headline():
     # extended alphabet occurs inside each new image.
     lets = signed_letters(5)
     for name in res.new_names + res.source.free:
-        img = res.image_map()[name]
+        img = dict(zip(res.group.ascending, res.group.images))[name]
         have = digram_set(img)
         missing = [
             (p, q) for p in lets for q in lets if q != -p and (p, q) not in have
@@ -308,10 +309,10 @@ def test_irreducible_core_is_a_wedge():
     res = construct_irreducible_embedding(h)
     gamma = subgroup_core(h.base_alphabet, h.images)
     nonstable = Alphabet(h.ascending + h.free + res.new_names)
-    phi_core = subgroup_core(nonstable, list(res.images))
+    phi_core = subgroup_core(nonstable, list(res.group.images))
     assert rank(phi_core) == rank(gamma) + len(h.free) + 2
-    assert res.certificate.irreducible.core_matches_wedge
-    new_loops = list(res.images[len(h.ascending) :])
+    assert res.certificate.irreducible.wedge_check
+    new_loops = list(res.group.images[len(h.ascending) :])
     assert hang(gamma.with_alphabet(nonstable), new_loops).folded
 
 
@@ -341,13 +342,13 @@ def test_full_image_list_is_folded_once(monkeypatch):
     h = intro_example()
     res = construct_embedding(h)
     assert len(families) == 1
-    assert folded.count(res.images) == 1
+    assert folded.count(res.group.images) == 1
     folded.clear()
     fold_sizes.clear()
     res = construct_irreducible_embedding(h)
     assert len(families) == 2
-    assert folded.count(res.images) == 0
-    assert res.certificate.irreducible.core_matches_wedge
+    assert folded.count(res.group.images) == 0
+    assert res.certificate.irreducible.wedge_check
     assert fold_sizes and max(fold_sizes) <= sum(len(w) for w in h.images)
 
 
@@ -367,7 +368,7 @@ def test_one_projection_per_certificate(irreducible, monkeypatch):
     h = intro_example()
     construct = construct_irreducible_embedding if irreducible else construct_embedding
     res = construct(h)
-    again = certify_completion(h, _full_extension(res), irreducible)
+    again = certify_completion(h, res.group, irreducible)
     assert len(certified) == len(projections) == 2
     assert projections == [res.pair, again.pair]
     assert res.certificate.quotient is quotient(res.pair)
@@ -388,7 +389,7 @@ def test_built_graphs_are_not_walked_for_connectivity(monkeypatch):
     ):
         res = construct(h)
         assert res.certificate.all_true()
-        again = certify_completion(h, _full_extension(res), irreducible)
+        again = certify_completion(h, res.group, irreducible)
         assert again.certificate == res.certificate
 
 
@@ -403,11 +404,12 @@ def test_loops_merging_at_the_basepoint_fold_the_full_image_list(loops, injectiv
     h = PartialAscendingHNN(("a",), ("b",), (Word.of(1),))
     wide = Alphabet.of("a", "b", "c1", "c2")
     images = [Word.of(1)] + [parse_word(wide, w) for w in loops]
-    pair = build_complex_pair(h, ("c1", "c2"), images)
+    g = PartialAscendingHNN(wide.names, (), tuple(images))
+    pair = build_complex_pair(h, g)
     stored = tuple(pr.word.inverse() for pr in quotient(pair).projected)
     report = piece_stats(list(stored), include_inverses=True)
-    cert = hnn._certify(h, ("c1", "c2"), images, True, stored, report).certificate
-    assert not cert.irreducible.core_matches_wedge
+    cert = hnn._certify(h, g, True, stored, report).certificate
+    assert not cert.irreducible.wedge_check
     assert cert.monomorphism == is_monomorphism(wide, images) == injective
 
 
@@ -432,10 +434,10 @@ def test_hung_wedge_trim_is_the_image_core(name):
     for res in completions(name, True):
         h = res.source
         wide = Alphabet(h.ascending + h.free + res.new_names)
-        images = list(res.images)
+        images = list(res.group.images)
         prescribed = subgroup_core(h.base_alphabet, h.images).with_alphabet(wide)
         hung = hang(prescribed, images[len(h.ascending) :])
-        assert hung.folded and hung.cored and res.certificate.irreducible.core_matches_wedge
+        assert hung.folded and hung.cored and res.certificate.irreducible.wedge_check
         trimmed = trim_to_core(hung)
         assert (trimmed.num_vertices, len(trimmed.edges)) == (hung.num_vertices, len(hung.edges))
         assert graphs_equal(hung, subgroup_core(wide, images))
@@ -448,15 +450,39 @@ def test_certify_completion_gives_the_written_certificate(name, irreducible):
     """Certifying the completed group from the input and its images alone
     gives, byte for byte, the certificate that embed writes."""
     for res in completions(name, irreducible):
-        again = certify_completion(res.source, _full_extension(res), irreducible)
+        again = certify_completion(res.source, res.group, irreducible)
         assert _canonical(_certificate_json(again)) == _canonical(_certificate_json(res))
+
+
+@pytest.mark.parametrize("irreducible", [False, True], ids=["plain", "irreducible"])
+def test_certify_completion_passes_the_group_through(irreducible, monkeypatch):
+    """The completed group given to certify_completion is the one object
+    that build_complex_pair presents and the result carries, and the
+    certificate of a construction's own group is the one it came with."""
+    h = intro_example()
+    construct = construct_irreducible_embedding if irreducible else construct_embedding
+    res = construct(h)
+    presented = []
+    build = hnn.build_complex_pair
+
+    def spy(h, g):
+        presented.append(g)
+        return build(h, g)
+
+    monkeypatch.setattr(hnn, "build_complex_pair", spy)
+    g = parse_hnn(hnn_source(res.group))  # equal to res.group, another object
+    again = certify_completion(h, g, irreducible)
+    assert len(presented) == 1 and presented[0] is g and again.group is g
+    assert g == res.group and g is not res.group
+    assert certify_completion(h, res.group, irreducible).certificate == res.certificate
+    assert presented[1] is res.group
 
 
 def test_certify_completion_checks_the_input_first():
     """An irreducible certificate needs a free generator, as the
     construction does, and an unusable input fails before the group."""
     h = PartialAscendingHNN(("a",), (), (Word.of(1, 1),))
-    g = _full_extension(construct_embedding(h))
+    g = construct_embedding(h).group
     with pytest.raises(ValueError, match="no free part"):
         certify_completion(h, g, True)
     bad = PartialAscendingHNN(("a",), (), (Word.of(2),))
@@ -632,6 +658,6 @@ def test_sweep_outputs_are_pinned(n, construction):
     res = construct[construction](sweep_input(n))
     digests = tuple(
         hashlib.sha256(text.encode("utf-8")).hexdigest()
-        for text in (_canonical(_certificate_json(res)), hnn_source(_full_extension(res)))
+        for text in (_canonical(_certificate_json(res)), hnn_source(res.group))
     )
     assert digests == SWEEP_GOLDEN[n, construction]

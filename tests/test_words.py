@@ -206,6 +206,52 @@ def test_rotations_and_cyclic_equality():
         assert cyclically_equal(u, Word(u.letters[r:] + u.letters[:r]))
 
 
+def cyclic_oracle(u: Word, v: Word) -> bool:
+    """The definition: some rotation of u is v."""
+    return len(u) == len(v) and any(
+        u.letters[r:] + u.letters[:r] == v.letters for r in range(max(len(u), 1))
+    )
+
+
+# Large letters, and letters whose digits run into one another when
+# written side by side: 1 11 reads like 11 1
+LETTER_SETS = [
+    ((1, 2), 7, 106),
+    ((1, -1, 2), 5, 107),
+    ((1, 11, -1), 5, 108),
+    ((10**6 + 1, -(10**6 + 1)), 7, 109),
+    ((10**18, -(10**18) - 1, 3), 5, 110),
+]
+
+
+def cyclic_cases(letters: tuple[int, ...], max_len: int, seed: int):
+    """Every pair of words over ``letters`` up to ``max_len``, then seeded
+    powers u^k against their rotations and against rotations with one
+    letter changed, which agree with u^k on almost every rotation."""
+    for n in range(max_len + 1):
+        words = [Word(t) for t in itertools.product(letters, repeat=n)]
+        yield from itertools.product(words, words)
+    rng = random.Random(seed)
+    for _ in range(300):
+        u = tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))
+        w = u * rng.randint(1, 60)
+        r = rng.randrange(len(w))
+        rotated = w[r:] + w[:r]
+        i = rng.randrange(len(w))
+        changed = rotated[:i] + (rng.choice(letters),) + rotated[i + 1 :]
+        for v in (rotated, changed, changed[::-1]):
+            yield Word(w), Word(v)
+
+
+@pytest.mark.parametrize("letters,max_len,seed", LETTER_SETS)
+def test_cyclic_equality_vs_oracle(letters, max_len, seed):
+    """Exact against the definition, both where slicing finds the rotation
+    and where the text search runs: words of five letters or more whose
+    rotations mostly share the first letter reach the search."""
+    for u, v in cyclic_cases(letters, max_len, seed):
+        assert cyclically_equal(u, v) == cyclic_oracle(u, v), (u, v)
+
+
 def test_digrams():
     w = Word.of(1, 1, -2, 1)
     assert digrams(w) == {(1, 1), (1, -2), (-2, 1)}
