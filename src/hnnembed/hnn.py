@@ -52,6 +52,7 @@ image core, because a folded core is unique for its subgroup (Stallings
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .presentation import (
@@ -119,11 +120,11 @@ class PartialAscendingHNN:
             raise ValueError(f"stable letter {self.stable!r} collides with a generator")
         self.full_alphabet  # name validation
 
-    @property
+    @cached_property
     def base_alphabet(self) -> Alphabet:
         return Alphabet(self.ascending + self.free)
 
-    @property
+    @cached_property
     def full_alphabet(self) -> Alphabet:
         return Alphabet(self.ascending + self.free + (self.stable,))
 

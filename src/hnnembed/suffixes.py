@@ -10,13 +10,18 @@ subword never needs to be counted beyond one full turn of either cyclic
 word.
 
 Layout.  One combined text holds each word doubled, per reading direction,
-with a unique negative sentinel after each section.  A *live* position is a
-letter of a first copy; only live positions start the occurrences the scan
-reports.  The text is run-length encoded into (letter, run length) tokens.
-Runs never cross a sentinel, but one may cross the seam between the two
-copies of a word.  A live position p lies in a run of letter x with m
-letters of that run left from p on, so the text from p reads x^m and then
-the text from the next token.
+with a unique negative sentinel after each section.  Each word is first
+rotated to start right after a change of letter, which every word but a
+power of one letter allows.  The text is run-length encoded into (letter,
+run length) tokens, and runs never cross a sentinel.  A *live* position is
+one of the first p letters of a section, p the word's literal period: one
+position per appearance class.  Positions p apart read the same letters for
+more than a word length, so they match every other position equally far up
+to the cap, and the scan reports each class once and repeats it along the
+word.  Thanks to the rotation the live letters of a section are whole runs.
+A live position with m letters of its run left, its *level*, reads x^m and
+then the text from the run's next token.  A power of one letter x^n is one
+run x^2n up to the sentinel, with one live position at level 2n.
 
 Token order.  Token ids rank tokens by (letter, length), and the suffix
 array is built on token ids.  Let F(u, v) be the number of letters on which
@@ -33,23 +38,30 @@ of other letters between runs of x, and the minimum would drop to the t
 whole tokens.  :func:`lcp_array` finds t for any pair of suffixes by binary
 lifting over the ranks of the doubling rounds.
 
-Match lengths.  Take two live positions p, q of letter x with m, m' letters
-of their runs left.  They agree on:
+Match lengths.  Two live positions of letter x at levels m and m' agree on
+min(m, m') letters when m != m', and on m + F(their next tokens) letters
+when m == m'.  So at level m of a run, every other run of x that reaches
+level m is a partner worth min(c', m + F) letters, c' its cap, which is at
+least m since a run is shorter than its word; positions at other levels
+give at most m.  Only the tallest run of a letter has levels no other run
+reaches: there the value is m, and at its first letter the best other
+position, its own second letter or a power of one letter.
 
-- min(m, m') letters when m != m' (one run ends inside the other);
-- m + F(next token after p, next token after q) letters when m == m'.
-
-Sort the live positions by letter, then m ascending if the next letter is
-below x, then m descending if it is above x, then by the rank of the next
-token.  Positions with equal letter, side and m form a *level*.  Adjacent
-positions of one letter in different levels agree on the smaller m;
-adjacent positions in one level agree on m + F, and F is a range minimum
-along the level.  So the match length of any two positions is the minimum
-of the adjacent lengths between them, just as along a letter-level suffix
-array.  One forward and one backward sweep, each keeping the two best
-appearance classes, then give every live position its longest
-different-appearance match.  The sweeps are Python loops over live
-letters only; the tokenizing, sorting and lifting are array work.
+Sweeps.  The runs of one letter are sorted by the rank of their next token,
+and F between any two of them is the minimum of the links, F of
+neighbours, between them.  The runs that reach level m are those of length
+at least m, in the same order, so one forward and one backward sweep over
+the runs find every level's partners at once: a stack of level segments
+keeps, for each range of levels, the earlier run that is best there for
+every later run.  A run takes over the levels it reaches, except where a
+partner's longer cap beats its own and their match is longer than its own
+word; then it leaves those levels to the partner.  Each run pushes one
+segment and pops the ones below its length, so the sweeps are Python loops
+over runs, plus a segment for each range of levels that such a longer
+match keeps.  A run's values come out as a few ramps m + f and constants,
+written into the output by slices; the per-word rows repeat the classes
+along the word.  With inverses, the best piece in a word's inverse is the
+inverse of one in the word, so only the words' own sections are filled.
 
 Letters are the nonzero ints of :mod:`hnnembed.words`; this module does
 not reduce or validate words beyond requiring them nonempty.
@@ -57,6 +69,7 @@ not reduce or validate words beyond requiring them nonempty.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from operator import neg
 from typing import Sequence
@@ -84,22 +97,21 @@ def suffix_array(text: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     width = int(rank.max()) + 1
     if width > 2**31:
         raise ValueError("suffix array symbols must be below 2**31")
-    key = np.empty(n, dtype=np.int64)
-    heads = np.empty(n, dtype=np.int64)
-    heads[0] = 1
+    heads = np.empty(n, dtype=bool)
+    heads[0] = True
     h = 1
     while True:
-        np.multiply(rank, width, out=key)
+        key = rank * width
         key[: n - h] += rank[h:]
         sa = key.argsort()
         ordered = key[sa]
         # dense ranks from 1: one more at each change along the sorted keys
-        np.subtract(ordered[1:], ordered[:-1], out=heads[1:])
-        np.sign(heads[1:], out=heads[1:])
+        np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
+        dense = heads.cumsum()
         rank = np.empty(n, dtype=np.int64)
-        rank[sa] = heads.cumsum()
+        rank[sa] = dense
         history.append(rank)
-        if rank[sa[-1]] == n:
+        if dense[-1] == n:
             return sa, history
         width = n + 1
         h *= 2
@@ -135,38 +147,202 @@ class MatchTable:
     per_word_max: tuple[int, ...]
 
 
+_UNBOUNDED = 1 << 62
+_UNQUERIED = -(1 << 62)  # output offset of an inverse section
+
+
+def _sweep(length, cap, letter, links):
+    """The partners on one side of each run, visiting the runs in order.
+
+    ``links[k]`` is F between run k and the run before it.  Returns, per
+    run, its pieces ``(hi, c, f, hi, c, f, ...)`` that cover its levels from 1
+    up, lowest first: at a level m up to ``hi`` the best earlier run of its
+    letter agrees with it on min(c, m + f) letters.  The pieces stop at the
+    tallest earlier run of the letter.  For a run of one letter it holds
+    that value at level 1 instead, or -1.
+
+    The state is a stack of level segments, lowest levels on top, each with
+    an owner: the earlier run that is best there for every later run.  The
+    owner's cap and F to the visited run give the piece.  A run takes over
+    the levels where its own cap beats the owner's value, which is the lower
+    part of each segment it reaches: all of it unless the owner's cap is at
+    least its own and their F binds.  F to an owner is a range minimum of
+    links: a segment holds F as of its last rewrite and ``lam``, the least
+    link since, which holds for the segments below it too.
+    """
+    # the top segment in scalars, the ones below it flat, bottom first
+    inf = _UNBOUNDED
+    pieces: list = []
+    below: list[int] = []
+    hi = c_top = f_top = lam_top = 0
+    x = None
+    for lk, ck, y, lam in zip(length, cap, letter, links):
+        if y != x:
+            x = y
+            below = []
+            hi, c_top, f_top, lam_top = lk, ck, inf, inf
+            pieces.append(-1 if lk == 1 else ())
+            continue
+        if lam_top < lam:
+            lam = lam_top
+        if hi >= lk:
+            # the top segment holds every level of the run
+            c = c_top
+            f = f_top if f_top < lam else lam
+            if ck > c or ck - f > lk:
+                # and the run takes all of them over
+                if hi > lk:
+                    below += (hi, c_top, f_top, lam)
+                    hi = lk
+                elif below and lam < below[-1]:
+                    below[-1] = lam
+                c_top, f_top, lam_top = ck, inf, inf
+                pieces.append((c if c <= f else f + 1) if lk == 1 else (lk, c, f))
+                continue
+        stack = below
+        stack += (hi, c_top, f_top, lam_top)
+        got: list[int] = []
+        lost = []  # (lo, hi, c, f): levels lo + 1 .. hi that stay with their owner
+        lo = 0
+        while stack:
+            hi = stack[-4]
+            c = stack[-3]
+            f = stack[-2]
+            if stack[-1] < lam:
+                lam = stack[-1]
+            if f > lam:
+                f = lam
+            top = hi if hi < lk else lk
+            got += (top, c, f)
+            if ck <= c and ck - f <= top:
+                lost.append((max(lo, ck - f - 1), top, c, f))
+            if hi > lk:
+                stack[-1] = lam
+                break
+            del stack[-4:]
+            lo = hi
+            if hi == lk:
+                if stack and lam < stack[-1]:
+                    stack[-1] = lam
+                break
+        top = lk
+        for lo, hi, c, f in reversed(lost):
+            if hi < top:
+                stack += (top, ck, inf, inf)
+            stack += (hi, c, f, inf)
+            top = lo
+        if top > 0:
+            stack += (top, ck, inf, inf)
+        hi, c_top, f_top, lam_top = stack[-4:]
+        del stack[-4:]
+        pieces.append((got[1] if got[1] <= got[2] else got[2] + 1) if lk == 1 else got)
+    return pieces
+
+
+def _fill(out, end, lk, ck, head, left, right, numbers):
+    """Write one run's values for levels m = 1 .. lk to ``out[end - m]``.
+
+    Where a side's pieces cover m, the value is the larger of the two
+    sides' min(c, m + f), capped at ``ck``.  Above both, no other run of the
+    letter reaches level m: the value is m, except ``head`` at m = lk.
+    Ramps are slices of ``numbers``, ``list(range(longest word + 1))``, so
+    the rows share one int object per value.
+    """
+    a = 1
+    i = j = 0
+    nl = len(left)
+    nr = len(right)
+    while i < nl or j < nr:
+        # the larger of two ramps that stop at their caps: the ramp with the
+        # larger f up to its cap, that cap until the other ramp passes it,
+        # then the other ramp up to its own cap
+        if i < nl:
+            z, c, f = left[i : i + 3]
+            c2 = -1
+            if j < nr:
+                z2, c2, f2 = right[j : j + 3]
+                if z2 < z:
+                    z = z2
+                if f2 > f or f2 == f and c2 > c:
+                    c, f, c2, f2 = c2, f2, c, f
+        else:
+            z, c, f = right[j : j + 3]
+            c2 = -1
+        if c > ck:
+            c = ck
+        if c2 > ck:
+            c2 = ck
+        e = c - f if c - f < z else z
+        if e >= a:
+            out[end - e : end - a + 1] = numbers[e + f : a + f - 1 : -1]
+            a = e + 1
+        if c2 > c:
+            e = c - f2 if c - f2 < z else z
+            if e >= a:
+                out[end - e : end - a + 1] = [c] * (e - a + 1)
+                a = e + 1
+            c, f = c2, f2
+            e = c - f if c - f < z else z
+            if e >= a:
+                out[end - e : end - a + 1] = numbers[e + f : a + f - 1 : -1]
+                a = e + 1
+        if z >= a:
+            out[end - z : end - a + 1] = [c] * (z - a + 1)
+            a = z + 1
+        if i < nl and left[i] == z:
+            i += 3
+        if j < nr and right[j] == z:
+            j += 3
+    if a < lk:
+        out[end - lk + 1 : end - a + 1] = numbers[lk - 1 : a - 1 : -1]
+    if a <= lk:
+        out[end - lk] = head
+
+
 def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True) -> MatchTable:
+    """The longest different-appearance match at every rotation of every
+    word, and each word's longest, by the run sweeps of the module
+    docstring: Python steps visit runs, and each run's values are written
+    as a few ramps and constants.  Raises ValueError on an empty word."""
     words = [tuple(r) for r in relators]
     if any(len(w) == 0 for w in words):
         raise ValueError("empty word in scan input")
 
-    # Section layout: doubled word then one unique sentinel per section.
-    # Live positions are listed section by section, with the cap and the
-    # appearance class, named by the live index of its first offset.
+    # Sections: each word rotated to start after a change of letter, doubled
+    # per reading direction, then one unique sentinel.  The live positions
+    # are the first period letters of a section, one per appearance class;
+    # those of a word's own section take up ``slot`` onwards in the output,
+    # and an inverse section is swept but not filled.  A power of one letter
+    # has one live position, whose run fills its section; it is set at the
+    # end.
     sides = 2 if include_inverses else 1
-    sep = min(min(map(min, words)), -max(map(max, words))) - 1
+    sep = low = min(min(map(min, words)), -max(map(max, words))) - 1
     longest = max(map(len, words))
-    chunks: list[int] = []
-    pos: list[int] = []
-    cap: list[int] = []
-    periodic = []
+    chunks = array("q")
+    sections: list[int] = []  # per section: end of its live letters, cap, slot - start
+    layout = []  # per word: its first slot, period and rotation
+    powers = []  # (letter, cap, slot) of one-letter powers, slot -1 if inverse
+    slot = 0
     for w in words:
         lw = len(w)
         period = literal_period(w)
+        shift = 0
+        if w[-1] == w[0] and period > 1:
+            shift = next(i for i, x in enumerate(w) if x != w[0])
+            w = w[shift:] + w[:shift]
+        layout.append((slot, period, shift))
+        live = period if period > 1 else 0
         for ow in (w, tuple(map(neg, reversed(w))))[:sides]:
-            if period < lw:
-                periodic.append((len(pos), lw, period))
-            pos.extend(range(len(chunks), len(chunks) + lw))
-            cap.extend([lw] * lw)
+            if period == 1:
+                powers.append((ow[0], lw, slot if ow is w else -1))
+            start = len(chunks)
+            sections += (start + live, lw, slot - start if ow is w else _UNQUERIED)
             chunks.extend(ow)
             chunks.extend(ow)
             chunks.append(sep)
             sep -= 1
-    nlive = len(pos)
-    cls = list(range(nlive))
-    for lo, lw, period in periodic:
-        cls[lo : lo + lw] = [lo + off % period for off in range(lw)]
-    text = np.array(chunks, dtype=np.int64)
+        slot += period
+    text = np.frombuffer(chunks, dtype=np.int64)
     n = text.size
 
     # Runs: token t covers text[bounds[t] : bounds[t + 1]].
@@ -177,96 +353,84 @@ def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True
     first = bounds[:-1]
     tletter = text[first]
     tlen = bounds[1:] - first
-    ntok = tlen.size
     tokens = np.array((first, tlen, tletter))
+    del text, change, chunks
     # token ids ranked by (letter, length); a run is at most two word lengths
     _, history = suffix_array((tletter - sep) * (2 * longest + 1) + tlen)
 
-    # Per live position: letter, the letters left in its run (m), and the
-    # next token (index, rank, letter).  Sort key: letter, then m ascending
-    # when the next letter is below, descending after all of those when it
-    # is above, then the next token's rank.
-    pos_a = np.array(pos, dtype=np.int64)
-    run = first.searchsorted(pos_a, side="right")
-    letter = text[pos_a]
-    left = bounds[run] - pos_a
-    rows = 4 * longest + 2
-    if -2 * sep * rows * (ntok + 1) >= 2**63:
-        raise ValueError("scan input too large")
-    level = (letter - sep) * rows + np.where(tletter[run] > letter, rows - left, left)
-    order = (level * (ntok + 1) + history[-1][run]).argsort()
+    # Live runs, sorted by letter and then by the rank of the next token.
+    # A live position p with m letters of its run left reads x^m and then
+    # the text from the next token.
+    sentinel = tletter <= low
+    sec = sentinel.cumsum() - sentinel
+    live_end, cap, delta = np.array(sections, dtype=np.int64).reshape(-1, 3).T
+    runs = (first < live_end[sec]).nonzero()[0]
+    nxt = runs + 1
+    order = np.lexsort((history[-1][nxt], tletter[runs]))
+    runs = runs[order]
+    nxt = nxt[order]
+    # F between neighbouring runs: the letters of their next tokens' t
+    # shared whole tokens, plus the shorter of the next two runs when those
+    # share a letter
+    u = nxt[:-1]
+    v = nxt[1:]
+    t = lcp_array(history, u, v)
+    at_u = tokens[:, u + t]
+    at_v = tokens[:, v + t]
+    links = at_u[0] - first[u] + np.minimum(at_u[1], at_v[1]) * (at_u[2] == at_v[2])
+    sec = sec[runs]
+    at, length, letter = tokens[:, runs]
+    length, letter, capl, endl = np.array((length, letter, cap[sec], delta[sec] + at + length)).tolist()
+    links = links.tolist()
+    left = _sweep(length, capl, letter, [0, *links])
+    out = [0] * slot
+    numbers = list(range(longest + 1))
+    # a run above every other run of its letter keeps m at its lower levels
+    # and at its first letter the best of another position: its second
+    # letter, or a one-letter power of cap at least its length
+    power_cap: dict[int, int] = {}
+    for x, c, _ in powers:
+        if c > power_cap.get(x, 0):
+            power_cap[x] = c
+    length.reverse()
+    capl.reverse()
+    letter.reverse()
+    links.append(0)
+    links.reverse()
+    for lk, ck, end, x, lp, rp in zip(
+        length, capl, reversed(endl), letter, reversed(left), _sweep(length, capl, letter, links)
+    ):
+        if end < 0:
+            continue
+        if lk == 1:
+            if rp > lp:
+                lp = rp
+            if lp < 0:
+                lp = 1 if power_cap and x in power_cap else 0
+            out[end - 1] = lp if lp < ck else ck
+        else:
+            head = lk if power_cap and power_cap.get(x, 0) >= lk else lk - 1
+            _fill(out, end, lk, ck, head, lp, rp, numbers)
+    if powers:
+        # a one-letter power x^c reads x^2c, so it matches min(c, m') of
+        # any other live x with m' letters of its run left
+        tallest: dict[int, int] = {}
+        for x, lk in zip(letter, length):
+            if lk > tallest.get(x, 0):
+                tallest[x] = lk
+        for x, c, s in powers:
+            if s < 0:
+                continue
+            best = max([tallest.get(x, 0)] + [c2 for x2, c2, s2 in powers if x2 == x and s2 != s])
+            out[s] = min(c, best)
 
-    # Adjacent match lengths along that order: min(m, m') across levels,
-    # m + F(next tokens) within one level.
-    letter, left, run, level = letter[order], left[order], run[order], level[order]
-    lcp = np.zeros(nlive + 1, dtype=np.int64)  # lcp[nlive] = 0 ends the backward sweep
-    lcp[1:nlive] = np.minimum(left[1:], left[:-1]) * (letter[1:] == letter[:-1])
-    within = (level[1:] == level[:-1]).nonzero()[0]
-    if within.size:
-        # F(u, v): letters of the shared whole tokens, plus the shorter of
-        # the next two runs when those share a letter
-        u, v = run[within], run[within + 1]
-        t = lcp_array(history, u, v)
-        at_u = tokens[:, u + t]
-        at_v = tokens[:, v + t]
-        lcp[within + 1] += (
-            at_u[0] - first[u] + np.minimum(at_u[1], at_v[1]) * (at_u[2] == at_v[2])
-        )
-
-    lcpl = lcp.tolist()
-    orderl = order.tolist()
-    clsl = [cls[i] for i in orderl]
-    capl = [cap[i] for i in orderl]
-    best = [0] * nlive
-
-    def sweep(indices, step):
-        # Keep the two best (class, value) pairs with distinct classes;
-        # values decay through the min-LCP chain, so anything dropped can
-        # never beat the kept pair later.
-        c1 = c2 = -1
-        v1 = v2 = 0
-        for i in indices:
-            d = lcpl[i + step]
-            if v1 > d:
-                v1 = d
-            if v2 > d:
-                v2 = d
-            cp = clsl[i]
-            cap_i = capl[i]
-            if c1 != cp:
-                cand = v1 if v1 < cap_i else cap_i
-            elif c2 != -1:
-                cand = v2 if v2 < cap_i else cap_i
-            else:
-                cand = 0
-            if cand > best[i]:
-                best[i] = cand
-            if c1 == cp:
-                if cap_i > v1:
-                    v1 = cap_i
-            elif c2 == cp:
-                if cap_i > v2:
-                    v2 = cap_i
-                if v2 > v1:
-                    c1, c2, v1, v2 = c2, c1, v2, v1
-            elif cap_i >= v1:
-                c2, v2 = c1, v1
-                c1, v1 = cp, cap_i
-            elif cap_i >= v2:
-                c2, v2 = cp, cap_i
-
-    sweep(range(nlive), 0)
-    sweep(range(nlive - 1, -1, -1), 1)
-
-    values = [0] * nlive
-    for i, b in zip(orderl, best):
-        values[i] = b
     per_offset: list[tuple[int, ...]] = []
     per_max = []
-    lo = 0
-    for w in words:
-        hi = lo + sides * len(w)
-        per_offset.append(tuple(values[lo : lo + len(w)]))
-        per_max.append(max(values[lo:hi]))
-        lo = hi
+    for w, (lo, period, shift) in zip(words, layout):
+        window = out[lo : lo + period]
+        per_max.append(max(window))
+        row = window * (len(w) // period)
+        if shift:
+            row = row[-shift:] + row[:-shift]
+        per_offset.append(tuple(row))
     return MatchTable(tuple(per_offset), tuple(per_max))

@@ -68,7 +68,7 @@ class Word:
 
     def max_letter(self) -> int:
         """Largest generator number used, 0 for the empty word."""
-        return max((abs(x) for x in self.letters), default=0)
+        return max(map(abs, self.letters), default=0)
 
 
 EMPTY = Word()

@@ -13,7 +13,7 @@ import pytest
 from hnnembed import cli, hnn
 from hnnembed.cli import main
 from hnnembed.parsing import hnn_source, parse_hnn, parse_presentation
-from hnnembed.words import Word
+from hnnembed.words import Alphabet, Word
 
 
 X1 = "gens: a b c\nrel: b c a b c b c\n"
@@ -270,6 +270,37 @@ def test_fold_stdout_is_pinned(word, exit_code, digest, tmp_path, capsys):
     assert data == expected
     out = json.dumps(data, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_embed_builds_alphabets_independent_of_ascending_count(tmp_path, capsys, monkeypatch):
+    """An embed builds the input's alphabets once each, not once per
+    ascending generator that the certificate renders."""
+    builds = []
+    init = Alphabet.__post_init__
+
+    def counted(self):
+        builds.append(self.names)
+        init(self)
+
+    monkeypatch.setattr(Alphabet, "__post_init__", counted)
+    images = ["( a b c )^8", "( a c )^9 b", "c a c b", "b c ( a )^2"]
+    counts = []
+    for k in range(1, 5):
+        ascending = ["a", "b", "d", "e"][:k]
+        free = "b c" if k == 1 else "c"
+        path = tmp_path / f"h{k}.pres"
+        path.write_text(
+            f"hnn: t; ascending: {' '.join(ascending)}; free: {free}\n"
+            + "".join(f"map {g}: {img}\n" for g, img in zip(ascending, images))
+        )
+        builds.clear()
+        code, _, err = run(
+            capsys, "embed", "--in", str(path), "--out", str(tmp_path / "g.pres"),
+            "--cert", str(tmp_path / "cert.json"),
+        )
+        assert code == 0, err
+        counts.append(len(builds))
+    assert len(set(counts)) == 1, counts
 
 
 def test_embed_writes_files_and_certifies(files, tmp_path, capsys):

@@ -630,6 +630,30 @@ def test_sweep_attempt_scans_equal_the_letter_scan(n, construct, monkeypatch):
         assert match_table(words, include_inverses) == letter_match_table(words, include_inverses)
 
 
+@pytest.mark.parametrize(
+    "construct", [construct_embedding, construct_irreducible_embedding], ids=["plain", "irreducible"]
+)
+def test_complete_workload_scans_equal_the_letter_scan(construct, monkeypatch):
+    """Every scan of the benchmark's seed-101 ``complete`` pass, in the
+    construction and in the check of its result, gives the same table on
+    runs as letter by letter."""
+    scanned = []
+
+    def recorded(words, include_inverses=True):
+        scanned.append(([w.letters for w in words], include_inverses))
+        return piece_stats(words, include_inverses)
+
+    monkeypatch.setattr(hnn, "piece_stats", recorded)
+    irreducible = construct is construct_irreducible_embedding
+    inputs = complete_workload_inputs(101)
+    for h in inputs:
+        res = construct(h)
+        assert certify_completion(h, res.group, irreducible).certificate.all_true()
+    assert len(scanned) == 2 * len(inputs)
+    for words, include_inverses in scanned:
+        assert match_table(words, include_inverses) == letter_match_table(words, include_inverses)
+
+
 # sha256 of the certificate JSON and of G.pres on the n+n sweep inputs,
 # byte for byte as scripts/sweep.py prints them.
 SWEEP_GOLDEN = {

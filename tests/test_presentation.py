@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -243,6 +244,54 @@ def test_match_table_pinned_run_families(words):
         assert got == letter_match_table(words, include_inverses=inv)
     got = match_table(words)
     assert (list(got.per_offset), list(got.per_word_max)) == (want_off, want_max)
+
+
+def _inverse(w):
+    return tuple(-x for x in reversed(w))
+
+
+# Families where a match runs past a whole word, so that word's length caps
+# it, and families where the scan keeps one position per appearance class.
+CAP_FAMILIES = {
+    "powers of one word": [(1, 1, 2) * k for k in (1, 2, 3, 5)] + [(1, 2, -1) * 2],
+    "powers at coprime lengths": [(1, 2) * 3, (1, 2) * 2, (2, 1) * 5, (1, 2, 1, 2, 2)],
+    "a^k": [(1,) * k for k in range(1, 13)],
+    "a^k b": [(1,) * k + (2,) for k in range(1, 16)],
+    "a^k b, falling": [(1,) * k + (2,) for k in range(15, 0, -1)] + [(2, 2, 1)],
+    "a^k among runs": [(1,) * k for k in (3, 7, 8)] + [(1, 1, 1, 2, 1, 1, -2), (2, 1, 1, 1, 1)],
+    "equal and inverse": [(1, 1, 2, -1, 2, 2)] * 2 + [_inverse((1, 1, 2, -1, 2, 2))] * 2,
+    "inverse runs": [(1, 1, 2, 2, 2), (-2, -2, -2, -1, -1), (1, 1, 2, 2, 2, 1)],
+    "seam runs": [(1, 1, 2, 1, 1, 1), (2, 1, 2, 2), (1, 2, 2, 1, 1, 2, 2, 1), (1, 2, 1)],
+    "seam power": [(1, 1, 2, 1) * 3, (1, 2, 1, 1) * 2, (1, 1, 1, 2, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(CAP_FAMILIES))
+def test_match_table_on_binding_caps_and_periodic_families(family):
+    words = CAP_FAMILIES[family]
+    for inv in (True, False):
+        got = match_table(words, include_inverses=inv)
+        assert got == letter_match_table(words, include_inverses=inv)
+        want_off, want_max = brute_table(words, include_inverses=inv)
+        assert (list(got.per_offset), list(got.per_word_max)) == (want_off, want_max)
+
+
+def test_match_table_on_a_long_cap_binding_family_is_fast():
+    """About 188k letters where whole words recur inside longer ones: eight
+    powers of one word, three powers of a^k b and one long run.  The budget
+    guards against a sweep whose work grows with the square of a letter's
+    runs or levels."""
+    words = (
+        [(1, 1, 1, 2, 1, 2) * k for k in range(1000, 1008)]
+        + [((1,) * k + (2,)) * 512 for k in (63, 64, 65)]
+        + [(1,) * 40000 + (2,)]
+    )
+    start = time.perf_counter()
+    got = match_table(words)
+    assert time.perf_counter() - start < 10
+    assert got.per_word_max == (
+        6000, 6006, 6012, 6018, 6024, 6030, 6036, 6036, 127, 129, 131, 39999
+    )
 
 
 def test_suffix_array_and_pair_lcp_against_sorting():
