@@ -41,12 +41,14 @@ once their scan passes.  The stored quotient words and every verdict are
 computed from the input and G alone, and the result carries that G, so
 :func:`certify_completion` checks a completed group by passing it
 through, without running construction code.  The monomorphism
-verdict reads the core of the image subgroup.  The plain construction
-folds the full image list for it.  The irreducible one hangs the new
-loops on the core of the prescribed images; when no vertex then reads a
-label twice, the hung graph is already a folded core, and so it is the
-image core, because a folded core is unique for its subgroup (Stallings
-1983).
+verdict reads the rank of the image subgroup.  The plain construction
+folds the full image list for it.  The irreducible one reads it off the
+new loops: hung on the core of the prescribed images, each loop's stem
+becomes a path out of the basepoint and its cyclically reduced part a
+circle at the stem's end.  When the basepoint then reads no label twice,
+nothing folds, so that wedge is the image subgroup's core, because a
+folded core is unique for its subgroup (Stallings 1983), and its rank is
+the prescribed core's plus one per loop.  No graph is built for it.
 """
 
 from __future__ import annotations
@@ -63,14 +65,7 @@ from .presentation import (
     cprime_from_stats,
     piece_stats,
 )
-from .stallings import (
-    CoreGraph,
-    hang,
-    is_monomorphism,
-    rank,
-    subgroup_core,
-    unused_basepoint_labels,
-)
+from .stallings import is_monomorphism, rank, subgroup_core, unused_basepoint_labels
 from .subquotient import (
     NoDuplicatesReport,
     NoExtraPowersReport,
@@ -220,7 +215,9 @@ class IrreducibleEvidence:
     implies it).  ``basepoint_degree`` (against twice |ascending|) reads
     the prescribed images' core.  ``wedge_check``, written under the JSON
     names ``wedge_check`` and ``core_matches_wedge``, is one basepoint
-    test: hanging the new loops on that core merges nothing.
+    test: the labels that core reads at its basepoint and those the new
+    loops add there are all distinct, so the image subgroup's core is
+    that core wedged with one circle per loop.
     """
 
     x_labels: tuple[int, ...]
@@ -383,10 +380,9 @@ def _certify(
     ``stored`` is :func:`_quotient_words` of ``g``'s images and ``report``
     its piece scan, which the caller has already run to decide whether
     to certify at all.  The result carries ``g`` itself.  The monomorphism
-    verdict reads the image subgroup's core.  For the irreducible
-    construction that core is the trim of the prescribed images' core with
-    the new loops hung on it, whenever the hanging merges nothing; only
-    otherwise is the full image list folded.
+    verdict compares the image subgroup's rank with the number of images.
+    For the irreducible construction that rank is read off the wedge test
+    whenever it holds; only otherwise is the full image list folded.
     """
     pair = build_complex_pair(h, g)
     parent = pair.parent
@@ -411,13 +407,12 @@ def _certify(
     # least 8 factors, so the metric verdict implies the overlap one and
     # the exact (slower) decomposition only runs when the metric fails.
     c7 = cprime.holds or cp_from_stats(report, 7).holds
-    alphabet = g.base_alphabet
-    image_core, evidence = None, None
+    image_rank, evidence = None, None
     if irreducible:
-        image_core, evidence = _irreducible_evidence(h, alphabet, g.images)
-    if image_core is None:
+        image_rank, evidence = _irreducible_evidence(h, g.images)
+    if image_rank is None:
         # Every image is nonempty, so this is is_monomorphism's own test.
-        image_core = subgroup_core(alphabet, g.images)
+        image_rank = rank(subgroup_core(g.base_alphabet, g.images))
     cert = EmbeddingCertificate(
         quotient=q,
         quotient_words=stored,
@@ -431,38 +426,57 @@ def _certify(
         ),
         no_extra_powers=check_no_extra_powers(pair),
         no_duplicates=check_no_duplicates(pair),
-        monomorphism=rank(image_core) == len(g.images),
+        monomorphism=image_rank == len(g.images),
         irreducible=evidence,
     )
     return ExtensionResult(h, g, pair, cert)
 
 
 def _irreducible_evidence(
-    h: PartialAscendingHNN, alphabet: Alphabet, images: Sequence[Word]
-) -> tuple[CoreGraph | None, IrreducibleEvidence]:
+    h: PartialAscendingHNN, images: Sequence[Word]
+) -> tuple[int | None, IrreducibleEvidence]:
     """Side conditions of the irreducible construction, and the image
-    subgroup's core when it is a genuine wedge.
+    subgroup's rank when its core is a genuine wedge.
 
-    The new loops are hung on the core of the prescribed images.  When
-    that merges nothing at any vertex, the hung graph is a folded core,
-    and so it is the image subgroup's core, since a folded core is unique
-    for its subgroup; otherwise no image core is returned and the caller
-    folds.  That one basepoint test is both the wedge check and the core
-    match; the completed presentation has rejected unreduced loops.
+    Hang the new loops on the core of the prescribed images: a loop
+    ``s c s'`` with ``c`` cyclically reduced adds a stem path reading
+    ``s`` out of the basepoint and a cycle reading ``c`` at its end.  A
+    fresh vertex inside a stem or cycle reads ``-x, y`` for consecutive
+    letters of a reduced word, so ``y != -x``; a stem's end reads
+    ``-s_k, c_1, -c_m``, distinct because ``c`` is cyclically reduced and
+    the loop reduced; the core's other vertices gain no edge.  So that
+    graph folds nothing exactly when the basepoint reads no label twice:
+    the core's labels there plus, per loop, its stem's first letter, or
+    both ends of its cycle when it has no stem.  That one test is both the
+    wedge check and the core match.  The graph is then the image
+    subgroup's core, since a folded core is unique for its subgroup, and
+    its rank |E| - |V| + 1 is the prescribed core's plus one per nonempty
+    cycle: ``s`` and ``c`` add |s| + |c| edges and |s| + |c| - 1 vertices.
+    Otherwise no rank is returned and the caller folds.  The completed
+    presentation has rejected unreduced loops.
     """
     loops = images[len(h.ascending) :]
     attached = loops[: len(h.free)]
-    core = subgroup_core(h.base_alphabet, h.images).with_alphabet(alphabet)
-    hung = hang(core, loops)
-    letters = signed_letters(alphabet.size)
+    core = subgroup_core(h.base_alphabet, h.images)
+    star = list(core.outgoing_labels(core.basepoint))
+    cycles = 0
+    for w in loops:
+        inner, stem = cyclic_reduce(w)
+        if stem:
+            star.append(stem[0])
+        elif inner:
+            star += (inner[0], -inner[-1])
+        cycles += bool(inner)
+    wedge = len(star) == len(set(star))
+    letters = signed_letters(len(images))
     evidence = IrreducibleEvidence(
         x_labels=tuple(-w[-1] for w in attached) + tuple(w[0] for w in attached),
         digram_coverage=tuple(contains_all_reduced_digrams(w, letters) for w in loops),
-        wedge_check=hung.folded,
+        wedge_check=wedge,
         basepoint_degree=core.degree(core.basepoint),
         degree_bound=2 * len(h.ascending),
     )
-    return (hung if hung.folded else None), evidence
+    return (rank(core) + cycles if wedge else None), evidence
 
 
 def _check_usable(h: PartialAscendingHNN, irreducible: bool) -> None:

@@ -47,10 +47,6 @@ class Presentation:
             if not is_cyclically_reduced(r):
                 raise ValueError(f"relator {name} is not cyclically reduced")
 
-    @property
-    def rank(self) -> int:
-        return self.alphabet.size
-
     def __str__(self) -> str:
         gens = " ".join(self.alphabet.names)
         rels = ", ".join(self.alphabet.word_str(r) for r in self.relators)

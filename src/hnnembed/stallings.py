@@ -18,11 +18,11 @@ up to based labeled isomorphism; use :func:`canonical_form` to compare
 graphs modulo vertex naming.
 
 Words are checked against the alphabet where they become edges, in
-:func:`bouquet` and :func:`hang`.  Every other graph here is a
-renumbering of one of theirs, so :class:`CoreGraph` itself checks
+:func:`bouquet`.  Folding and trimming merge, renumber and drop
+vertices and edges but add no label, so :class:`CoreGraph` itself checks
 nothing; it carries what its builders know: ``folded``, ``cored`` and
-``connected``.  Hanging, folding and trimming keep a bouquet connected,
-so :func:`rank` walks only a graph not marked so, such as a hand-built one.
+``connected``.  Folding and trimming keep a bouquet connected, so
+:func:`rank` walks only a graph not marked so, such as a hand-built one.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .words import Alphabet, Word, cyclic_reduce, free_reduce, letter_key
+from .words import Alphabet, Word, free_reduce
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,6 @@ class CoreGraph:
     folded: bool
     cored: bool
     connected: bool = False
-
-    def with_alphabet(self, alphabet: Alphabet) -> "CoreGraph":
-        """Reinterpret over a larger alphabet sharing the name prefix."""
-        if alphabet.names[: self.alphabet.size] != self.alphabet.names:
-            raise ValueError("alphabet is not an extension")
-        return replace(self, alphabet=alphabet)
 
     def outgoing_labels(self, vertex: int) -> set[int]:
         """Signed labels readable leaving the vertex."""
@@ -68,29 +62,6 @@ class CoreGraph:
         return d
 
 
-def _spell(
-    edges: list[tuple[int, int, int]], n: int, start: int, w: Word, end: int | None
-) -> tuple[int, int]:
-    """Append a path reading ``w`` from ``start`` through fresh vertices to
-    ``end``, or to one more fresh vertex when ``end`` is None.  Returns the
-    new vertex count and the path's last vertex."""
-    if not w:
-        return n, start
-    fresh = len(w) - (end is not None)
-    path = [start, *range(n, n + fresh)]
-    if end is not None:
-        path.append(end)
-    edges += [
-        (p, q, x) if x > 0 else (q, p, -x) for p, q, x in zip(path, path[1:], w.letters)
-    ]
-    return n + fresh, path[-1]
-
-
-def _check_letters(alphabet: Alphabet, w: Word) -> None:
-    if w.max_letter() > alphabet.size:
-        raise ValueError("generator word outside alphabet")
-
-
 def bouquet(alphabet: Alphabet, generators: Sequence[Word]) -> CoreGraph:
     """Wedge of one loop path per generator word, unfolded."""
     edges: list[tuple[int, int, int]] = []
@@ -98,45 +69,15 @@ def bouquet(alphabet: Alphabet, generators: Sequence[Word]) -> CoreGraph:
     for w in generators:
         if len(w) == 0:
             raise ValueError("empty generator word")
-        _check_letters(alphabet, w)
-        n, _ = _spell(edges, n, 0, w, 0)
+        if w.max_letter() > alphabet.size:
+            raise ValueError("generator word outside alphabet")
+        path = [0, *range(n, n + len(w) - 1), 0]
+        edges += [
+            (p, q, x) if x > 0 else (q, p, -x) for p, q, x in zip(path, path[1:], w.letters)
+        ]
+        n += len(w) - 1
     folded = not generators
     return CoreGraph(alphabet, n, 0, tuple(edges), folded, folded, True)
-
-
-def hang(core: CoreGraph, loops: Sequence[Word]) -> CoreGraph:
-    """The core with each loop hung at its basepoint.
-
-    A loop's stem (its conjugator) becomes a path out of the basepoint
-    and its cyclically reduced part a cycle at the stem's end.  Every
-    vertex added lies on a cycle or on a stem leading to one, so it has
-    degree at least 2, and the result is cored exactly when the core is.
-
-    The result is marked folded exactly when the core is and no vertex
-    reads a signed label twice, in which case folding it would merge
-    nothing.  Only the basepoint needs checking.  The core's other
-    vertices gain no edge.  A fresh vertex inside a stem or cycle reads
-    ``-x, y`` for consecutive letters of a freely reduced word, so
-    ``y != -x``.  A stem's end reads ``-s_k, c_1, -c_m``, which are
-    distinct because ``s c s'`` is freely reduced and ``c`` cyclically
-    reduced.  The basepoint reads the core's labels there plus, per
-    loop, its stem's first letter, or both ends of its cycle when it has
-    no stem; that is the wedge test of an irreducible certificate.
-    """
-    edges = list(core.edges)
-    n = core.num_vertices
-    star = list(core.outgoing_labels(core.basepoint))
-    for w in loops:
-        _check_letters(core.alphabet, w)
-        inner, stem = cyclic_reduce(w)
-        if stem:
-            star.append(stem[0])
-        elif inner:
-            star += (inner[0], -inner[-1])
-        n, at = _spell(edges, n, core.basepoint, stem, None)
-        n, _ = _spell(edges, n, at, inner, at)
-    folded = core.folded and len(star) == len(set(star))
-    return replace(core, num_vertices=n, edges=tuple(edges), folded=folded)
 
 
 def fold(g: CoreGraph, order_seed: int | None = None) -> CoreGraph:
@@ -315,7 +256,7 @@ def unused_basepoint_labels(g: CoreGraph) -> list[int]:
     """Signed letters not readable leaving the basepoint, canonical order."""
     _require(g, folded=True)
     used = g.outgoing_labels(g.basepoint)
-    return [x for x in sorted(g.alphabet.signed(), key=letter_key) if x not in used]
+    return [x for x in g.alphabet.signed() if x not in used]
 
 
 def subgroup_core(alphabet: Alphabet, generators: Sequence[Word]) -> CoreGraph:
@@ -342,7 +283,7 @@ def canonical_form(g: CoreGraph) -> tuple:
     """Basepoint-BFS normal form; equal iff based labeled graphs agree."""
     _require(g, folded=True)
     adj = _adjacency(g)
-    order = sorted(g.alphabet.signed(), key=letter_key)
+    order = g.alphabet.signed()
     ids = {g.basepoint: 0}
     queue = deque([g.basepoint])
     while queue:

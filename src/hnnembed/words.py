@@ -5,9 +5,9 @@ its formal inverse is ``-i``.  A word is a tuple of letters wrapped in
 :class:`Word`.  Nothing here reduces implicitly; every function states
 whether it works with the literal letter sequence or reduces first.
 
-The canonical order on signed letters is ``1 < -1 < 2 < -2 < ...``
-(:func:`letter_key`).  Deterministic constructions below always walk
-letters in that order.
+The canonical order on signed letters is ``1 < -1 < 2 < -2 < ...``,
+the order :func:`signed_letters` lists them in.  Deterministic
+constructions below always walk letters in that order.
 """
 
 from __future__ import annotations
@@ -15,11 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
-
-
-def letter_key(x: int) -> tuple[int, int]:
-    """Sort key realising the canonical signed-letter order."""
-    return (abs(x), 0 if x > 0 else 1)
 
 
 def signed_letters(rank: int) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ import functools
 import os
 import random
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from hnnembed.presentation import Presentation, best_piece_decomposition
 from hnnembed.stallings import CoreGraph, canonical_form
 from hnnembed.subquotient import SubcomplexSpec, TwoCellDiagram
 from hnnembed.suffixes import MatchTable
-from hnnembed.words import Alphabet, Word, exponent, random_reduced_word
+from hnnembed.words import Alphabet, Word, cyclic_reduce, exponent, random_reduced_word
 
 _PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -55,6 +56,51 @@ def count_projections(monkeypatch) -> list:
 def graphs_equal(a: CoreGraph, b: CoreGraph) -> bool:
     """Equal alphabets and equal based labeled graphs up to vertex naming."""
     return a.alphabet == b.alphabet and canonical_form(a) == canonical_form(b)
+
+
+def _spell(
+    edges: list[tuple[int, int, int]], n: int, start: int, w: Word, end: int | None
+) -> tuple[int, int]:
+    """Append a path reading ``w`` from ``start`` through fresh vertices to
+    ``end``, or to one more fresh vertex when ``end`` is None.  Returns the
+    new vertex count and the path's last vertex."""
+    if not w:
+        return n, start
+    fresh = len(w) - (end is not None)
+    path = [start, *range(n, n + fresh)]
+    if end is not None:
+        path.append(end)
+    edges += [
+        (p, q, x) if x > 0 else (q, p, -x) for p, q, x in zip(path, path[1:], w.letters)
+    ]
+    return n + fresh, path[-1]
+
+
+def hang(core: CoreGraph, loops) -> CoreGraph:
+    """The core with each loop hung at its basepoint: an oracle for the
+    irreducible certificate's wedge test, which builds no graph.
+
+    A loop's stem (its conjugator) becomes a path out of the basepoint
+    and its cyclically reduced part a cycle at the stem's end.  The
+    result is marked folded exactly when the core is and the basepoint
+    reads no signed label twice, the certificate's own test; the tests
+    check that flag against :func:`hnnembed.stallings.fold`.
+    """
+    edges = list(core.edges)
+    n = core.num_vertices
+    star = list(core.outgoing_labels(core.basepoint))
+    for w in loops:
+        if w.max_letter() > core.alphabet.size:
+            raise ValueError("generator word outside alphabet")
+        inner, stem = cyclic_reduce(w)
+        if stem:
+            star.append(stem[0])
+        elif inner:
+            star += (inner[0], -inner[-1])
+        n, at = _spell(edges, n, core.basepoint, stem, None)
+        n, _ = _spell(edges, n, at, inner, at)
+    folded = core.folded and len(star) == len(set(star))
+    return replace(core, num_vertices=n, edges=tuple(edges), folded=folded)
 
 
 def random_cyclically_reduced_word(rng, rank: int, length: int) -> Word:

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -559,6 +560,53 @@ def test_certify_rejects_an_honest_certificate_of_a_non_injective_group(tmp_path
     code, out, err = run(
         capsys, "certify", "--in", h, "--g", str(bad_g), "--cert", str(bad_cert)
     )
+    assert (code, out, err) == (1, "", "reconstructed certificate has failing checks\n")
+
+
+@pytest.mark.parametrize(
+    "free_images,no_proper_powers,pairwise_distinct",
+    [
+        (("c1 c2 c1 c2", "c1 c1 c2"), [False, True, True, True], True),
+        (("c1 c2 c2", "c1 c2 c2"), [True, True, True, True], False),
+    ],
+    ids=["proper-power", "equal-cells"],
+)
+def test_certify_rejects_cells_that_are_powers_or_equal(
+    free_images, no_proper_powers, pairwise_distinct, tmp_path, capsys
+):
+    """Hand-built group files in which a free generator's quotient cell is
+    a proper power, or two free generators' cells are equal.  The two cell
+    verdicts match a literal recomputation from the images, agree with
+    the subquotient's relative checks, and certify rejects the honest
+    certificate."""
+    h_text = "hnn: t; ascending: a; free: b c\nmap a: a b\n"
+    images = {"a": "a b", "b": free_images[0], "c": free_images[1]}
+    images |= {"c1": "c1 c2 c2 c2", "c2": "c2 c1 c2 c2 c2 c2"}
+    g_text = "hnn: t; ascending: a b c c1 c2; free:\n" + "".join(
+        f"map {name}: {w}\n" for name, w in images.items()
+    )
+    # The quotient cells: a free generator's image already reads only new
+    # letters; a new generator's is its image after its own inverse.
+    cells = [tuple(images[x].split()) for x in "bc"]
+    cells += [(x + "'", *images[x].split()) for x in ("c1", "c2")]
+    assert [
+        not any(len(w) % d == 0 and w == w[:d] * (len(w) // d) for d in range(1, len(w)))
+        for w in cells
+    ] == no_proper_powers
+    assert pairwise_distinct == all(
+        v != u[i:] + u[:i] for u, v in itertools.combinations(cells, 2) for i in range(len(u))
+    )
+    result = hnn.certify_completion(parse_hnn(h_text), parse_hnn(g_text), False)
+    checks = cli._certificate_json(result)["checks"]
+    assert checks["no_proper_powers"] == no_proper_powers
+    assert checks["pairwise_distinct"] == pairwise_distinct
+    assert checks["no_extra_powers"] == all(no_proper_powers)
+    assert checks["no_duplicates"] == pairwise_distinct
+    h, g, cert = tmp_path / "h.pres", tmp_path / "g.pres", tmp_path / "cert.json"
+    h.write_text(h_text)
+    g.write_text(g_text)
+    cert.write_text(cli._canonical(cli._certificate_json(result)))
+    code, out, err = run(capsys, "certify", "--in", str(h), "--g", str(g), "--cert", str(cert))
     assert (code, out, err) == (1, "", "reconstructed certificate has failing checks\n")
 
 

@@ -13,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -32,7 +33,7 @@ from hnnembed.parsing import hnn_source, parse_hnn, parse_word
 from hnnembed.presentation import check_cprime, piece_stats
 from hnnembed.suffixes import match_table
 from hnnembed.stallings import (
-    hang,
+    fold,
     is_monomorphism,
     rank,
     subgroup_core,
@@ -52,6 +53,7 @@ from helpers import (
     count_projections,
     criterion_6_inputs,
     graphs_equal,
+    hang,
     hnn_from_strings,
     letter_match_table,
     sweep_input,
@@ -313,7 +315,7 @@ def test_irreducible_core_is_a_wedge():
     assert rank(phi_core) == rank(gamma) + len(h.free) + 2
     assert res.certificate.irreducible.wedge_check
     new_loops = list(res.group.images[len(h.ascending) :])
-    assert hang(gamma.with_alphabet(nonstable), new_loops).folded
+    assert hang(replace(gamma, alphabet=nonstable), new_loops).folded
 
 
 def test_full_image_list_is_folded_once(monkeypatch):
@@ -424,6 +426,14 @@ def completions(name: str, irreducible: bool) -> list:
     return [construct(h) for h in GENERATED[name]()]
 
 
+@functools.cache
+def sweep_completion(n: int, construction: str):
+    """The n+n sweep input completed by one construction, "plain" or
+    "irreducible"."""
+    construct = {"plain": construct_embedding, "irreducible": construct_irreducible_embedding}
+    return construct[construction](sweep_input(n))
+
+
 @pytest.mark.parametrize("name", sorted(GENERATED))
 def test_hung_wedge_trim_is_the_image_core(name):
     """Oracle for the certificate's shortcut, with the full fold as the
@@ -435,13 +445,73 @@ def test_hung_wedge_trim_is_the_image_core(name):
         h = res.source
         wide = Alphabet(h.ascending + h.free + res.new_names)
         images = list(res.group.images)
-        prescribed = subgroup_core(h.base_alphabet, h.images).with_alphabet(wide)
+        prescribed = replace(subgroup_core(h.base_alphabet, h.images), alphabet=wide)
         hung = hang(prescribed, images[len(h.ascending) :])
         assert hung.folded and hung.cored and res.certificate.irreducible.wedge_check
         trimmed = trim_to_core(hung)
         assert (trimmed.num_vertices, len(trimmed.edges)) == (hung.num_vertices, len(hung.edges))
         assert graphs_equal(hung, subgroup_core(wide, images))
         assert (rank(hung) == len(images)) == is_monomorphism(wide, images)
+
+
+def _wedge_against_hang(h: PartialAscendingHNN, wide: Alphabet, images: list) -> tuple:
+    """The certificate's wedge verdict and image rank against the loops
+    hung on the prescribed images' core, with the fold as the oracle for
+    the hung graph: the verdict holds exactly when folding it merges
+    nothing, and the rank is then that of its folded core.  Returns the
+    verdict and the oracle rank."""
+    image_rank, evidence = hnn._irreducible_evidence(h, images)
+    prescribed = replace(subgroup_core(h.base_alphabet, h.images), alphabet=wide)
+    hung = hang(prescribed, images[len(h.ascending) :])
+    merged = fold(hung)
+    merges_nothing = (merged.num_vertices, len(merged.edges)) == (hung.num_vertices, len(hung.edges))
+    assert evidence.wedge_check == hung.folded == merges_nothing
+    oracle = rank(trim_to_core(merged))
+    assert image_rank == (oracle if hung.folded else None)
+    return hung.folded, oracle
+
+
+@pytest.mark.parametrize("name", ["criterion6", "sweep2", "sweep4"])
+def test_wedge_verdict_and_rank_match_the_hung_graph(name):
+    """On the generated criterion-6 inputs and the 2+2 and 4+4 sweep
+    inputs, the wedge holds, the rank read off the loops is the rank of
+    the hung graph's fold, and it gives the monomorphism verdict."""
+    if name == "criterion6":
+        results = completions(name, True)
+    else:
+        results = [sweep_completion(int(name[-1]), "irreducible")]
+    for res in results:
+        images = list(res.group.images)
+        wedge, oracle = _wedge_against_hang(res.source, res.group.base_alphabet, images)
+        assert wedge
+        assert res.certificate.monomorphism == (oracle == len(images))
+
+
+@pytest.mark.parametrize(
+    "loops,wedge",
+    [
+        (("b c1 c2", "c1 c2 c2 c1'", "c2 c1 c1 b"), True),
+        (("a b c1", "c1 c2 c2", "c2 c1 c1"), False),  # a cycle end meets the core's a
+        (("b c1 b'", "c1 c2 c2", "c2 c1' c1'"), False),  # two cycle ends read c1
+        (("b c1 b'", "b c2 b'", "c2 c1 c1"), False),  # two stems start with b
+        (("a c1", "a c1 c2", "c2 c1 c1"), False),
+    ],
+)
+def test_wedge_verdict_and_rank_match_the_hung_graph_on_hand_built_loops(loops, wedge):
+    """Stems and cycle ends that meet at the basepoint: no wedge, no rank
+    read off the loops, and the monomorphism verdict of the fallback fold
+    is the hung graph's."""
+    h = PartialAscendingHNN(("a",), ("b",), (Word.of(1),))
+    wide = Alphabet.of("a", "b", "c1", "c2")
+    images = [Word.of(1)] + [parse_word(wide, w) for w in loops]
+    assert _wedge_against_hang(h, wide, images)[0] == wedge
+    g = PartialAscendingHNN(wide.names, (), tuple(images))
+    stored = tuple(pr.word.inverse() for pr in quotient(build_complex_pair(h, g)).projected)
+    report = piece_stats(list(stored), include_inverses=True)
+    cert = hnn._certify(h, g, True, stored, report).certificate
+    assert cert.irreducible.wedge_check == wedge
+    oracle = rank(trim_to_core(fold(hang(subgroup_core(wide, [Word.of(1)]), images[1:]))))
+    assert cert.monomorphism == (oracle == len(images))
 
 
 @pytest.mark.parametrize("name", sorted(GENERATED))
@@ -678,10 +748,40 @@ SWEEP_GOLDEN = {
 
 @pytest.mark.parametrize("n,construction", sorted(SWEEP_GOLDEN))
 def test_sweep_outputs_are_pinned(n, construction):
-    construct = {"plain": construct_embedding, "irreducible": construct_irreducible_embedding}
-    res = construct[construction](sweep_input(n))
+    res = sweep_completion(n, construction)
     digests = tuple(
         hashlib.sha256(text.encode("utf-8")).hexdigest()
         for text in (_canonical(_certificate_json(res)), hnn_source(res.group))
     )
     assert digests == SWEEP_GOLDEN[n, construction]
+
+
+def test_irreducible_certify_builds_no_graph_of_the_loops(monkeypatch):
+    """The wedge test reads the loops and builds no graph of them: while
+    the 4+4 sweep input's irreducible completion is certified, no graph
+    has more edges than the prescribed images have letters."""
+    res = sweep_completion(4, "irreducible")
+    h = res.source
+    sizes = []
+    init = stallings.CoreGraph.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sizes.append(len(self.edges))
+
+    monkeypatch.setattr(stallings.CoreGraph, "__init__", spy)
+    again = certify_completion(h, res.group, True)
+    assert again.certificate == res.certificate
+    assert sizes and max(sizes) <= sum(len(w) for w in h.images)
+
+
+def test_cell_verdicts_agree_with_the_subquotient_checks():
+    """On every pinned sweep certificate and every seed-101 ``complete``
+    certificate, the two cell verdicts read the same as the two relative
+    checks of the subquotient."""
+    certificates = [sweep_completion(*key).certificate for key in sorted(SWEEP_GOLDEN)]
+    for irreducible in (False, True):
+        certificates += [res.certificate for res in completions("complete101", irreducible)]
+    for cert in certificates:
+        assert cert.pairwise_distinct == cert.no_duplicates.verdict
+        assert all(cert.no_proper_powers) == cert.no_extra_powers.verdict

@@ -76,7 +76,7 @@ def wordlists(*strs):
 
 def test_presentation_validation():
     p = presentation_from_strings("a b c", ["b c a b c b c"])
-    assert p.rank == 3 and str(p) == "< a b c | b c a b c b c >"
+    assert p.alphabet.size == 3 and str(p) == "< a b c | b c a b c b c >"
     assert p.relator_names == ("r1",)
     with pytest.raises(ValueError):
         presentation_from_strings("a b", ["a b a'"])  # not cyclically reduced

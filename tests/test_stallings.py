@@ -18,7 +18,6 @@ from hnnembed.stallings import (
     bouquet,
     canonical_form,
     fold,
-    hang,
     is_monomorphism,
     membership,
     rank,
@@ -29,7 +28,7 @@ from hnnembed.stallings import (
 from hnnembed.parsing import parse_word
 from hnnembed.words import Alphabet, Word, free_reduce
 
-from helpers import graphs_equal
+from helpers import graphs_equal, hang
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -207,7 +206,6 @@ def test_connected_flag_is_carried_from_the_bouquet():
         core = trim_to_core(fold(raw))
         assert raw.connected and fold(raw).connected and core.connected
         assert hang(core, [parse_word(AB, "a a")]).connected
-        assert core.with_alphabet(ABC).connected
     assert not CoreGraph(AB, 1, 0, ((0, 0, 1),), True, True).connected
 
 
@@ -410,12 +408,3 @@ def test_canonical_form_ignores_vertex_numbering():
     assert canonical_form(g1) == canonical_form(g2)
     g3 = CoreGraph(AB, 3, 0, ((0, 1, 1), (1, 2, 2), (0, 2, 1)), True, True)
     assert canonical_form(g1) != canonical_form(g3)
-
-
-def test_with_alphabet_extension():
-    core = subgroup_core(AB, [parse_word(AB, "a b")])
-    wide = core.with_alphabet(ABC)
-    assert wide.alphabet is ABC
-    assert wide.edges == core.edges
-    with pytest.raises(ValueError, match="not an extension"):
-        core.with_alphabet(Alphabet.of("x", "y", "z"))
