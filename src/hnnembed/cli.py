@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .dehn import DehnSolver, area_bound_check, random_trivial_words
+from .dehn import DehnSolver, area_bound_check, check_replay, random_trivial_words
 from .hnn import (
     ExtensionResult,
     NotACompletion,
@@ -400,10 +400,10 @@ def _cmd_word_solve(args) -> int:
     p = _load(args.pres, parse_presentation)
     w = _parse_cli_word(p, args.word)
     try:
-        solver = DehnSolver(p)
-    except ValueError as e:
+        res = DehnSolver(p).solve(w)
+        check_replay(p, w, res)
+    except (ValueError, RuntimeError) as e:
         raise CliError(str(e)) from None
-    res = solver.solve(w)
     _emit(
         {
             "trivial": res.trivial,
@@ -429,7 +429,7 @@ def _cmd_isoperimetry(args) -> int:
     try:
         samples = random_trivial_words(p, args.samples, args.max_conj, args.seed)
         report = area_bound_check(p, samples)
-    except ValueError as e:
+    except (ValueError, RuntimeError) as e:
         raise CliError(str(e)) from None
     _emit(
         {

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .presentation import Presentation, check_cprime
-from .words import EMPTY, Word, cyclic_reduce, free_reduce, random_reduced_word
+from .words import EMPTY, Word, _word, cyclic_reduce, free_reduce, random_reduced_word
 
 _MOD = (1 << 61) - 1
 _BASE = 1_000_003
@@ -100,13 +100,8 @@ class DehnSolver:
         self.presentation = presentation
         # doubled[j][s] spells relator j (s=0) or its inverse (s=1) twice,
         # so any rotation is a contiguous slice
-        self._doubled: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self._lengths: list[int] = []
-        for r in presentation.relators:
-            fwd = r.letters
-            bwd = r.inverse().letters
-            self._doubled.append((fwd + fwd, bwd + bwd))
-            self._lengths.append(len(r))
+        self._doubled = [(r.letters * 2, r.inverse().letters * 2) for r in presentation.relators]
+        self._lengths = [len(r) for r in presentation.relators]
         # one index per relator length: half-prefix hash -> [(j, srank, offset)]
         # in tie order (ascending j, forward orientation first, ascending offset)
         self._classes: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
@@ -134,7 +129,7 @@ class DehnSolver:
             d = self._doubled[j][srank]
             w2 = cur.letters + cur.letters
             complement = tuple(-x for x in reversed(d[off + length : off + ell]))
-            replaced = Word(complement + w2[pos + length : pos + len(cur)])
+            replaced = _word(complement + w2[pos + length : pos + len(cur)])
             cur = cyclic_reduce(replaced)[0]
             steps.append(DehnStep(pos, j, 1 if srank == 0 else -1, off, length))
         return DehnResult(True, tuple(steps), EMPTY)
@@ -256,11 +251,7 @@ def verify_steps(
     """Replay a step log with no searching: check every claimed match against
     the relators letter for letter and redo the replacements.  Returns
     (valid, final_word); a trivial verdict is certified by (True, empty)."""
-    doubled = []
-    for r in presentation.relators:
-        fwd = r.letters
-        bwd = r.inverse().letters
-        doubled.append((fwd + fwd, bwd + bwd))
+    doubled = [(r.letters * 2, r.inverse().letters * 2) for r in presentation.relators]
     cur = cyclic_reduce(w)[0]
     for st in steps:
         n = len(cur)
@@ -278,12 +269,19 @@ def verify_steps(
         if w2[st.position : st.position + st.length] != d[st.offset : st.offset + st.length]:
             return False, cur
         complement = tuple(-x for x in reversed(d[st.offset + st.length : st.offset + ell]))
-        replaced = Word(complement + w2[st.position + st.length : st.position + n])
+        replaced = _word(complement + w2[st.position + st.length : st.position + n])
         nxt = cyclic_reduce(replaced)[0]
         if len(nxt) >= n:
             return False, cur
         cur = nxt
     return True, cur
+
+
+def check_replay(presentation: Presentation, w: Word, result: DehnResult) -> None:
+    """Raise RuntimeError unless :func:`verify_steps` replays ``result``'s
+    step log on ``w`` to the solver's residue."""
+    if verify_steps(presentation, w, result.steps) != (True, result.residue):
+        raise RuntimeError("Dehn step log does not replay")
 
 
 @dataclass(frozen=True)
@@ -311,15 +309,17 @@ def area_bound_check(
 ) -> AreaReport:
     """Solve every sample, recording step count as a proxy for diagram area.
 
-    Raises on a sample the solver cannot certify trivial, and asserts that
-    each area stays within the number of relator-subword segments needed to
-    spell the sample's free reduction (the linear isoperimetric budget).
+    Each step log is replayed before it is counted.  Raises on a sample
+    the solver cannot certify trivial, and asserts that each area stays
+    within the number of relator-subword segments needed to spell the
+    sample's free reduction (the linear isoperimetric budget).
     """
     solver = DehnSolver(presentation)
     rows = []
     failures = []
     for i, sample in enumerate(samples):
         result = solver.solve(sample)
+        check_replay(presentation, sample, result)
         if not result.trivial:
             failures.append(i)
             continue
@@ -346,6 +346,8 @@ def random_trivial_words(
     word of at most 4 letters, freely reduced."""
     if not presentation.relators:
         raise ValueError("need at least one relator")
+    if count < 0:
+        raise ValueError("count must be at least 0")
     if max_conj < 1:
         raise ValueError("max_conj must be at least 1")
     rng = random.Random(seed)

@@ -78,12 +78,14 @@ from .subquotient import (
 from .words import (
     Alphabet,
     Word,
+    _word,
     contains_all_reduced_digrams,
     cyclic_reduce,
     cyclically_equal,
     eulerian_digram_word,
     exponent,
     is_reduced,
+    relabel,
     signed_letters,
 )
 
@@ -200,7 +202,7 @@ def generate_relator_family(count: int, alphabet: Alphabet, scale: int = 1) -> l
         for k in range(1, FAMILY_BLOCKS + 1):
             letters.append(1)
             letters.extend([2] * (scale * (FAMILY_BLOCKS * m + k)))
-        words.append(Word(tuple(letters)))
+        words.append(_word(tuple(letters)))
     return words
 
 
@@ -308,35 +310,22 @@ def _fresh_pair_names(h: PartialAscendingHNN) -> tuple[str, str]:
     return (stem + "1", stem + "2")
 
 
-def _shift(w: Word, offset: int) -> Word:
-    """Renumber letters of a word into an alphabet extended on the left."""
-    return Word(tuple(x + offset if x > 0 else x - offset for x in w))
-
-
-def _keep_above(w: Word, base: int) -> Word:
-    """Delete letters numbered base or below; renumber the rest from 1."""
-    return Word(
-        tuple(
-            (abs(x) - base) * (1 if x > 0 else -1)
-            for x in w
-            if abs(x) > base
-        )
-    )
-
-
 def _quotient_words(h: PartialAscendingHNN, images: Sequence[Word]) -> tuple[Word, ...]:
     """The stored quotient words: for each generator g after the prescribed
     ones, g' image(g) projected onto the new letters, which is the inverse
-    of g's projected cell boundary up to rotation."""
+    of g's projected cell boundary up to rotation.  Images use letters 1 to
+    len(images), so the table renumbers every letter above the input's
+    generators from 1 and drops the rest."""
     base = len(h.ascending) + len(h.free)
+    above = {x: x - base if x > 0 else x + base for x in signed_letters(len(images))[2 * base :]}
     return tuple(
-        _keep_above(Word.of(-g) * images[g - 1], base)
+        relabel(Word.of(-g) * images[g - 1], above)
         for g in range(len(h.ascending) + 1, len(images) + 1)
     )
 
 
-# A per-scale builder turns a relator family into the images of every
-# non-stable generator, in alphabet order.
+# A per-scale builder turns a relator family, renumbered onto the two new
+# generators, into the images of every non-stable generator, in alphabet order.
 Builder = Callable[[list[Word]], list[Word]]
 
 
@@ -353,9 +342,11 @@ def _escalate(
     certificate names every failing check.
     """
     c_alphabet = Alphabet.of(*new_names)
+    base = len(h.ascending) + len(h.free)
+    lift = {x: x + base if x > 0 else x - base for x in signed_letters(2)}
     for e in range(MAX_ESCALATIONS + 1):
         family = generate_relator_family(len(h.free) + 2, c_alphabet, 2**e)
-        images = build(family)
+        images = build([relabel(w, lift) for w in family])
         stored = _quotient_words(h, images)
         report = piece_stats(list(stored), include_inverses=True)
         if e < MAX_ESCALATIONS and not cprime_from_stats(report, 1, 7).holds:
@@ -537,11 +528,8 @@ def construct_embedding(h: PartialAscendingHNN) -> ExtensionResult:
     nfree = len(h.free)
 
     def build(family: list[Word]) -> list[Word]:
-        return (
-            list(h.images)
-            + [_shift(family[j], base) for j in range(nfree)]
-            + [Word.of(base + k) * _shift(family[nfree + k - 1], base) for k in (1, 2)]
-        )
+        tails = [Word.of(base + k) * family[nfree + k - 1] for k in (1, 2)]
+        return list(h.images) + family[:nfree] + tails
 
     return _escalate(h, _fresh_pair_names(h), build, irreducible=False)
 
@@ -589,19 +577,15 @@ def construct_irreducible_embedding(h: PartialAscendingHNN) -> ExtensionResult:
         for k in (1, 2)
     )
 
+    # first and last letter of each loop: its x labels, or c_k and c_k'
+    ends = [(x[nfree + j], -x[j]) for j in range(nfree)] + [(c1, -c1), (c2, -c2)]
+
     def build(family: list[Word]) -> list[Word]:
-        beta = [_shift(family[j], base) for j in range(nfree)]
-        gamma = [_shift(family[nfree], base), _shift(family[nfree + 1], base) * Word.of(c1)]
-        loops: list[Word] = []
-        for j in range(nfree):
-            loops.append(
-                Word.of(x[nfree + j]) * patterns[j] * beta[j] * Word.of(-x[j])
-            )
-        for k in (1, 2):
-            ck = base + k
-            loops.append(
-                Word.of(ck) * patterns[nfree + k - 1] * gamma[k - 1] * Word.of(-ck)
-            )
+        tails = family[: nfree + 1] + [family[nfree + 1] * Word.of(c1)]
+        loops = [
+            Word.of(a) * pattern * tail * Word.of(b)
+            for (a, b), pattern, tail in zip(ends, patterns, tails)
+        ]
         if not _irreducible_shape_ok(loops, nfree, base):
             raise RuntimeError("new images fail the irreducible shape check")
         return list(h.images) + loops

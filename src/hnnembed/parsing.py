@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .hnn import PartialAscendingHNN
 from .presentation import Presentation
-from .words import Alphabet, Word, is_cyclically_reduced
+from .words import Alphabet, Word, _word, is_cyclically_reduced
 
 
 class ParseError(ValueError):
@@ -122,7 +122,7 @@ def parse_word(alphabet: Alphabet, text: str, line: int | None = None) -> Word:
         raise ParseError("missing ')'", line)
     if len(stack[0]) > MAX_WORD_LETTERS:
         raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters", line)
-    return Word(tuple(stack[0]))
+    return _word(tuple(stack[0]))
 
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .presentation import Presentation
-from .words import Alphabet, Word, cyclically_equal, exponent
+from .words import Alphabet, Word, cyclically_equal, exponent, relabel
 
 
 @dataclass(frozen=True)
@@ -71,19 +71,11 @@ class SubcomplexSpec:
         """The collapsed boundaries, built on first use and then kept."""
         parent = self.parent
         kept = [i + 1 for i in range(parent.alphabet.size) if i + 1 not in self.sub_generators]
-        new_index = {g: k + 1 for k, g in enumerate(kept)}
+        table = {s * g: s * k for k, g in enumerate(kept, 1) for s in (1, -1)}
         alphabet = Alphabet(tuple(parent.alphabet.names[g - 1] for g in kept))
-
-        def project(w: Word) -> Word:
-            out = []
-            for x in w:
-                n = new_index.get(abs(x))
-                if n is not None:
-                    out.append(n if x > 0 else -n)
-            return Word(tuple(out))
-
         projected = tuple(
-            ProjectedRelator(i, project(parent.relators[i])) for i in self.outside_relators()
+            ProjectedRelator(i, relabel(parent.relators[i], table))
+            for i in self.outside_relators()
         )
         return QuotientPresentation(alphabet, projected, tuple(self.sub_relators))
 

@@ -28,7 +28,10 @@ def signed_letters(rank: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, slots=True)
 class Word:
-    """Immutable letter sequence.  Multiplication is literal concatenation."""
+    """Immutable letter sequence.  Multiplication is literal concatenation.
+
+    ``Word(...)`` and ``Word.of(...)`` check every letter; words derived
+    here from valid words are built by :func:`_word`, unchecked."""
 
     letters: tuple[int, ...] = ()
 
@@ -52,18 +55,26 @@ class Word:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Word(self.letters[i])
+            return _word(self.letters[i])
         return self.letters[i]
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return _word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple(-x for x in reversed(self.letters)))
+        return _word(tuple(-x for x in reversed(self.letters)))
 
     def max_letter(self) -> int:
         """Largest generator number used, 0 for the empty word."""
         return max(map(abs, self.letters), default=0)
+
+
+def _word(letters: tuple[int, ...]) -> Word:
+    """``Word(letters)`` without the letter check, for ``letters`` that are
+    already known to be a tuple of nonzero ints."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 EMPTY = Word()
@@ -135,7 +146,16 @@ def free_reduce(w: Word) -> Word:
             out.pop()
         else:
             out.append(x)
-    return Word(tuple(out))
+    return _word(tuple(out))
+
+
+def relabel(w: Word, table: dict[int, int]) -> Word:
+    """Map each letter through the signed-letter ``table``, dropping those it
+    leaves out.  The table's values are checked, once per call."""
+    for y in table.values():
+        if not isinstance(y, int) or y == 0:
+            raise ValueError(f"bad letter {y!r} in relabel table")
+    return _word(tuple(filter(None, map(table.get, w.letters))))
 
 
 def is_reduced(w: Word) -> bool:
@@ -152,7 +172,7 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     while i < j and ls[i] == -ls[j]:
         i += 1
         j -= 1
-    return Word(ls[i : j + 1]), Word(ls[:i])
+    return _word(ls[i : j + 1]), _word(ls[:i])
 
 
 def is_cyclically_reduced(w: Word) -> bool:
@@ -275,7 +295,7 @@ def eulerian_digram_word(rank: int) -> Word:
         else:
             circuit.append(stack.pop())
     circuit.reverse()
-    return Word(tuple(circuit))
+    return _word(tuple(circuit))
 
 
 def random_reduced_word(rng, rank: int, length: int) -> Word:
@@ -288,5 +308,5 @@ def random_reduced_word(rng, rank: int, length: int) -> Word:
         x = rng.choice(lets)
         if x != -out[-1]:
             out.append(x)
-    return Word(tuple(out))
+    return _word(tuple(out))
 

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from hnnembed import cli, hnn
+from hnnembed import cli, dehn, hnn
 from hnnembed.cli import main
 from hnnembed.parsing import hnn_source, parse_hnn, parse_presentation
 from hnnembed.words import Alphabet, Word
@@ -690,6 +690,32 @@ def test_isoperimetry_ratios_are_exact(files, capsys):
         if row["ratio"] is not None:
             assert set(row["ratio"]) == {"num", "den"}
     assert data["max_ratio"]["num"] * 1 <= data["max_ratio"]["den"]
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--max-conj", "0", "max_conj must be at least 1"),
+        ("--samples", "-3", "count must be at least 0"),
+    ],
+)
+def test_isoperimetry_rejects_bad_counts(files, capsys, option, value, message):
+    code, out, err = run(capsys, "isoperimetry", "--pres", files["surface"], option, value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("word-solve", "--word", "c ( a b a' b' c d c' d' ) c'"),
+        ("isoperimetry", "--samples", "3"),
+    ],
+    ids=["word-solve", "isoperimetry"],
+)
+def test_a_step_log_that_does_not_replay_exits_2(files, capsys, monkeypatch, argv):
+    monkeypatch.setattr(dehn, "verify_steps", lambda presentation, w, steps: (False, w))
+    code, out, err = run(capsys, argv[0], "--pres", files["surface"], *argv[1:])
+    assert (code, out, err) == (2, "", "error: Dehn step log does not replay\n")
 
 
 def test_isoperimetry_is_deterministic(files, capsys):

@@ -157,6 +157,9 @@ def test_random_trivial_words_deterministic_and_trivial():
 def test_random_trivial_words_argument_validation():
     with pytest.raises(ValueError, match="max_conj"):
         random_trivial_words(P_SURF, 1, 0, seed=0)
+    with pytest.raises(ValueError, match="count"):
+        random_trivial_words(P_SURF, -3, 1, seed=0)
+    assert random_trivial_words(P_SURF, 0, 1, seed=0) == []
     rose = Presentation(Alphabet.of("a"), ())
     with pytest.raises(ValueError, match="relator"):
         random_trivial_words(rose, 1, 1, seed=0)

@@ -785,3 +785,20 @@ def test_cell_verdicts_agree_with_the_subquotient_checks():
     for cert in certificates:
         assert cert.pairwise_distinct == cert.no_duplicates.verdict
         assert all(cert.no_proper_powers) == cert.no_extra_powers.verdict
+
+
+def test_irreducible_construction_checks_only_the_words_that_enter(monkeypatch):
+    """Letters are checked where words enter, not on every derived word:
+    building the 4+4 sweep input's irreducible completion checks fewer
+    letters than 1% of the completed group's image letters."""
+    h = sweep_input(4)
+    checked = []
+    post_init = Word.__post_init__
+
+    def spy(self):
+        checked.append(len(self.letters))
+        post_init(self)
+
+    monkeypatch.setattr(Word, "__post_init__", spy)
+    res = construct_irreducible_embedding(h)
+    assert sum(checked) < sum(len(w) for w in res.group.images) / 100

@@ -20,6 +20,7 @@ from hnnembed.words import (
     is_reduced,
     literal_period,
     random_reduced_word,
+    relabel,
     signed_letters,
 )
 
@@ -71,6 +72,29 @@ def test_word_basics():
     assert EMPTY.max_letter() == 0 and w.max_letter() == 2
     with pytest.raises(ValueError):
         Word.of(0)
+
+
+@pytest.mark.parametrize("bad", [0, 1.5, "a"])
+@pytest.mark.parametrize("make", [lambda *ls: Word(ls), Word.of], ids=["Word", "Word.of"])
+def test_public_constructors_check_every_letter(make, bad):
+    with pytest.raises(ValueError, match="bad letter"):
+        make(1, bad, -2)
+
+
+def test_relabel():
+    table = {1: 2, -1: -2, 3: -1, -3: 1}
+    assert relabel(Word.of(1, -1, 3, -3), table) == Word.of(2, -2, -1, 1)
+    # letters the table leaves out are dropped, backtracks kept
+    assert relabel(Word.of(2, 1, -2, -2, 3, 2), table) == Word.of(2, -1)
+    assert relabel(Word.of(2, -2), table) == EMPTY
+    assert relabel(EMPTY, table) == EMPTY
+    assert relabel(EMPTY, {}) == EMPTY
+
+
+@pytest.mark.parametrize("bad", [0, 1.5, "a", None])
+def test_relabel_rejects_a_bad_table_value(bad):
+    with pytest.raises(ValueError, match="bad letter"):
+        relabel(Word.of(2), {1: 1, -1: bad})
 
 
 def test_alphabet_roundtrip():
