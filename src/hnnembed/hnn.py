@@ -42,19 +42,26 @@ computed from the input and G alone, and the result carries that G, so
 :func:`certify_completion` checks a completed group by passing it
 through, without running construction code.  The monomorphism
 verdict reads the rank of the image subgroup.  The plain construction
-folds the full image list for it.  The irreducible one reads it off the
-new loops: hung on the core of the prescribed images, each loop's stem
-becomes a path out of the basepoint and its cyclically reduced part a
-circle at the stem's end.  When the basepoint then reads no label twice,
-nothing folds, so that wedge is the image subgroup's core, because a
-folded core is unique for its subgroup (Stallings 1983), and its rank is
-the prescribed core's plus one per loop.  No graph is built for it.
+reads it off a free-product split: the prescribed images use only old
+letters and have full rank, so when every other image uses only new
+letters the rank is theirs plus that of the new images, which are a
+free basis when any two of them and their inverses share a prefix
+shorter than half of each (such a set is Nielsen reduced; Lyndon and
+Schupp, Ch. I §2).  The irreducible one reads it off the new loops:
+hung on the core of the prescribed images, each loop's stem becomes a
+path out of the basepoint and its cyclically reduced part a circle at
+the stem's end.  When the basepoint then reads no label twice, nothing
+folds, so that wedge is the image subgroup's core, because a folded core
+is unique for its subgroup (Stallings 1983), and its rank is the
+prescribed core's plus one per loop.  No graph is built for either
+reading.  Where one fails, the full image list is folded instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Sequence
 
 from .presentation import (
@@ -372,8 +379,9 @@ def _certify(
     its piece scan, which the caller has already run to decide whether
     to certify at all.  The result carries ``g`` itself.  The monomorphism
     verdict compares the image subgroup's rank with the number of images.
-    For the irreducible construction that rank is read off the wedge test
-    whenever it holds; only otherwise is the full image list folded.
+    That rank is read off the free-product split and the prefix test for
+    the plain construction, and off the wedge test for the irreducible
+    one, whenever those hold; only otherwise is the full image list folded.
     """
     pair = build_complex_pair(h, g)
     parent = pair.parent
@@ -398,9 +406,11 @@ def _certify(
     # least 8 factors, so the metric verdict implies the overlap one and
     # the exact (slower) decomposition only runs when the metric fails.
     c7 = cprime.holds or cp_from_stats(report, 7).holds
-    image_rank, evidence = None, None
+    evidence = None
     if irreducible:
         image_rank, evidence = _irreducible_evidence(h, g.images)
+    else:
+        image_rank = _plain_image_rank(h, g.images)
     if image_rank is None:
         # Every image is nonempty, so this is is_monomorphism's own test.
         image_rank = rank(subgroup_core(g.base_alphabet, g.images))
@@ -421,6 +431,35 @@ def _certify(
         irreducible=evidence,
     )
     return ExtensionResult(h, g, pair, cert)
+
+
+def _plain_image_rank(h: PartialAscendingHNN, images: Sequence[Word]) -> int | None:
+    """The image subgroup's rank when the new images split off a free basis.
+
+    The prescribed images use only old letters and have full rank (the
+    input is validated).  When every other image uses only new letters,
+    the image subgroup is the free product of the two parts.  The new
+    images X are then a free basis when, for every two distinct u, v in
+    X and X', their common prefix p has 2p < |u| and 2p < |v|: a reduced
+    product of them cancels less than half of each factor, so keeps a
+    middle letter of every factor and is never trivial.  Inverses are read
+    from the end, negated, and each comparison stops at the first
+    differing letter.  Otherwise no rank is returned and the caller folds.
+    The completed presentation has rejected unreduced images.
+    """
+    base = len(h.ascending) + len(h.free)
+    new = [w.letters for w in images[len(h.ascending) :]]
+    if any(min(map(abs, ls)) <= base for ls in new):
+        return None
+    ends = [(ls, False) for ls in new] + [(ls, True) for ls in new]
+    for k, (u, u_inv) in enumerate(ends):
+        for v, v_inv in ends[k + 1 :]:
+            half = (min(len(u), len(v)) + 1) // 2  # 2p < |u|, |v| iff p < half
+            a = (-x for x in reversed(u)) if u_inv else iter(u)
+            b = (-x for x in reversed(v)) if v_inv else iter(v)
+            if all(x == y for x, y in zip(islice(a, half), b)):
+                return None
+    return len(images)
 
 
 def _irreducible_evidence(
@@ -452,12 +491,12 @@ def _irreducible_evidence(
     star = list(core.outgoing_labels(core.basepoint))
     cycles = 0
     for w in loops:
-        inner, stem = cyclic_reduce(w)
-        if stem:
-            star.append(stem[0])
-        elif inner:
-            star += (inner[0], -inner[-1])
-        cycles += bool(inner)
+        ls = w.letters  # reduced, so only its stem strips off: ls[:i]
+        i, j = 0, len(ls) - 1
+        while i < j and ls[i] == -ls[j]:
+            i, j = i + 1, j - 1
+        star += (ls[0],) if i else (ls[0], -ls[-1])
+        cycles += i <= j
     wedge = len(star) == len(set(star))
     letters = signed_letters(len(images))
     evidence = IrreducibleEvidence(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator
 
 
@@ -245,27 +246,21 @@ def cyclically_equal(u: Word, v: Word) -> bool:
     return f",{text},{text},".find(f",{','.join(map(str, needle))},") >= 0
 
 
-def digrams(w: Word) -> set[tuple[int, int]]:
-    """Set of consecutive letter pairs of the literal (linear) word."""
-    ls = w.letters
-    return {(ls[i], ls[i + 1]) for i in range(len(ls) - 1)}
-
-
 def contains_all_reduced_digrams(w: Word, letters: Iterable[int]) -> bool:
     """Whether every reduced two-letter word over ``letters`` occurs in ``w``.
 
     Linear occurrences only; pass a word whose first and last letters agree
-    to cover the wraparound digram of a cyclic word.
+    to cover the wraparound digram of a cyclic word.  The scan stops once
+    every one has been seen.
     """
     lets = list(letters)
-    have = digrams(w)
-    for p in lets:
-        for q in lets:
-            if q == -p:
-                continue
-            if (p, q) not in have:
-                return False
-    return True
+    missing = {(p, q) for p in lets for q in lets if q != -p}
+    ls = w.letters
+    for pair in zip(ls, islice(ls, 1, None)):
+        missing.discard(pair)
+        if not missing:
+            return True
+    return not missing
 
 
 def eulerian_digram_word(rank: int) -> Word:

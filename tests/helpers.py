@@ -53,6 +53,12 @@ def count_projections(monkeypatch) -> list:
     return calls
 
 
+def digrams(w: Word) -> set[tuple[int, int]]:
+    """Set of consecutive letter pairs of the literal (linear) word."""
+    ls = w.letters
+    return {(ls[i], ls[i + 1]) for i in range(len(ls) - 1)}
+
+
 def graphs_equal(a: CoreGraph, b: CoreGraph) -> bool:
     """Equal alphabets and equal based labeled graphs up to vertex naming."""
     return a.alphabet == b.alphabet and canonical_form(a) == canonical_form(b)

@@ -6,6 +6,7 @@ constructions, with independent re-derivations where the certificate
 could in principle disagree with a fresh computation.
 """
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -45,6 +46,9 @@ from hnnembed.words import (
     Word,
     cyclically_equal,
     exponent,
+    is_cyclically_reduced,
+    random_reduced_word,
+    relabel,
     signed_letters,
 )
 
@@ -318,17 +322,14 @@ def test_irreducible_core_is_a_wedge():
     assert hang(replace(gamma, alphabet=nonstable), new_loops).folded
 
 
-def test_full_image_list_is_folded_once(monkeypatch):
-    """The plain path folds the full image list once.  The irreducible
-    path reads the image core off the loops hung on the prescribed
-    images' core, so it folds neither the full list nor the hung graph:
-    every fold it runs is of the prescribed images alone."""
-    folded, fold_sizes, families = [], [], []
-    bouquet, fold, family = stallings.bouquet, stallings.fold, hnn.generate_relator_family
-
-    def counted_bouquet(alphabet, generators):
-        folded.append(tuple(generators))
-        return bouquet(alphabet, generators)
+def test_no_construction_folds_more_than_the_prescribed_images(monkeypatch):
+    """Neither certificate folds the full image list.  The plain one reads
+    the image rank off the free-product split and the prefix test on the
+    new images; the irreducible one off the loops hung on the prescribed
+    images' core.  So every fold either construction runs is of at most
+    the prescribed images' letters."""
+    fold_sizes, families = [], []
+    fold, family = stallings.fold, hnn.generate_relator_family
 
     def counted_fold(g, *args):
         fold_sizes.append(len(g.edges))
@@ -338,20 +339,20 @@ def test_full_image_list_is_folded_once(monkeypatch):
         families.append(args)
         return family(*args)
 
-    monkeypatch.setattr(stallings, "bouquet", counted_bouquet)
     monkeypatch.setattr(stallings, "fold", counted_fold)
     monkeypatch.setattr(hnn, "generate_relator_family", counted_family)
     h = intro_example()
-    res = construct_embedding(h)
-    assert len(families) == 1
-    assert folded.count(res.group.images) == 1
-    folded.clear()
-    fold_sizes.clear()
-    res = construct_irreducible_embedding(h)
-    assert len(families) == 2
-    assert folded.count(res.group.images) == 0
+    prescribed = sum(len(w) for w in h.images)
+    for construct, attempts in (
+        (construct_embedding, 1),
+        (construct_irreducible_embedding, 2),
+    ):
+        fold_sizes.clear()
+        res = construct(h)
+        assert len(families) == attempts
+        assert res.certificate.monomorphism
+        assert fold_sizes and max(fold_sizes) <= prescribed
     assert res.certificate.irreducible.wedge_check
-    assert fold_sizes and max(fold_sizes) <= sum(len(w) for w in h.images)
 
 
 @pytest.mark.parametrize("irreducible", [False, True], ids=["plain", "irreducible"])
@@ -413,6 +414,83 @@ def test_loops_merging_at_the_basepoint_fold_the_full_image_list(loops, injectiv
     cert = hnn._certify(h, g, True, stored, report).certificate
     assert not cert.irreducible.wedge_check
     assert cert.monomorphism == is_monomorphism(wide, images) == injective
+
+
+def _prefix_condition(words) -> bool:
+    """The plain certificate's sufficient condition for a free basis, read
+    literally: any two distinct members of X and X' share a common prefix
+    shorter than half of each."""
+    ends = [w.letters for w in words] + [w.inverse().letters for w in words]
+    for u, v in itertools.combinations(ends, 2):
+        p = len(os.path.commonprefix([u, v]))
+        if 2 * p >= len(u) or 2 * p >= len(v):
+            return False
+    return True
+
+
+def test_plain_monomorphism_verdict_equals_the_fold():
+    """Differential test of the plain certificate's rank shortcut against
+    the fold, on hand-built and seeded image sets for a = a a with one free
+    generator b or none.  The sets cover new images over c1, c2 that pass
+    the prefix test, that fail it yet fold to full rank (c1 c2, c1 c2 c2),
+    that fold to lower rank (equal images, w and w w), and free images
+    that mix old and new letters, so the split fails."""
+    rng = random.Random(17017)
+    seen = collections.Counter()
+    for free in ((), ("b",)):
+        h = PartialAscendingHNN(("a",), free, (Word.of(1, 1),))
+        c1, c2 = len(free) + 2, len(free) + 3
+        lift = {x: x + c1 - 1 if x > 0 else x - c1 + 1 for x in signed_letters(2)}
+        sets = [
+            [Word.of(c1, c2), Word.of(c1, c2, c2)],
+            [Word.of(c1, c2), Word.of(c1, c2)],
+            [Word.of(c1, -c2, c1), Word.of(c1, -c2, c1, c1, -c2, c1)],
+        ]
+        sets = [[Word.of(c1, c1, c2)] * len(free) + xs for xs in sets]
+        for trial in range(150):
+            xs = [
+                relabel(random_reduced_word(rng, 2, rng.randint(1, 6)), lift)
+                for _ in range(len(free) + 2)
+            ]
+            w = rng.choice(xs)
+            if trial % 3 == 1:  # a repeated image, or an image and its square
+                xs[rng.randrange(len(xs))] = w * w if is_cyclically_reduced(w) else w
+            elif trial % 3 == 2 and free:  # the free image mixes old and new letters
+                xs[0] = xs[0] * Word.of(rng.choice([1, -1, 2, -2]))
+            sets.append(xs)
+        for xs in sets:
+            g = PartialAscendingHNN(("a", *free, "c1", "c2"), (), h.images + tuple(xs))
+            folded = rank(subgroup_core(g.base_alphabet, g.images))
+            cert = certify_completion(h, g, False).certificate
+            assert cert.monomorphism == (folded == len(g.images)), g.images
+            read = hnn._plain_image_rank(h, g.images)
+            if any(min(map(abs, x)) < c1 for x in xs):
+                seen["split fails"] += 1
+                assert read is None
+            elif _prefix_condition(xs):
+                seen["prefix test passes"] += 1
+                assert read == folded == len(g.images)
+            else:
+                seen["full rank" if folded == len(g.images) else "lower rank"] += 1
+                assert read is None
+    kinds = ("split fails", "prefix test passes", "full rank", "lower rank")
+    assert min(seen[k] for k in kinds) >= 10, seen
+
+
+def test_prefix_condition_never_claims_a_basis_the_fold_refutes():
+    """The prefix test's sufficient condition, read literally, on seeded
+    sets of 1-4 reduced words over two and three letters: whenever it says
+    free basis, the fold finds full rank."""
+    rng = random.Random(17018)
+    passed = 0
+    for trial in range(600):
+        ab = Alphabet(tuple("xyz"[: 2 + trial % 2]))
+        count = rng.randint(1, 4)
+        xs = [random_reduced_word(rng, ab.size, rng.randint(1, 7)) for _ in range(count)]
+        if _prefix_condition(xs):
+            passed += 1
+            assert rank(subgroup_core(ab, xs)) == len(xs), xs
+    assert passed >= 50
 
 
 # Generated inputs, each completed once by both constructions and shared

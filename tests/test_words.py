@@ -12,7 +12,6 @@ from hnnembed.words import (
     contains_all_reduced_digrams,
     cyclic_reduce,
     cyclically_equal,
-    digrams,
     eulerian_digram_word,
     exponent,
     free_reduce,
@@ -24,7 +23,7 @@ from hnnembed.words import (
     signed_letters,
 )
 
-from helpers import random_cyclically_reduced_word
+from helpers import digrams, random_cyclically_reduced_word
 
 
 # Oracles.  Each recomputes the target property by a different route than
@@ -276,10 +275,24 @@ def test_cyclic_equality_vs_oracle(letters, max_len, seed):
 
 
 def test_digrams():
+    """The coverage scan stops once every reduced digram is seen; its verdict
+    equals the whole word's digram set checked against the full set, on
+    seeded words that cover it early, late (an Eulerian walk behind a long
+    prefix) or not at all (a walk missing one digram)."""
     w = Word.of(1, 1, -2, 1)
     assert digrams(w) == {(1, 1), (1, -2), (-2, 1)}
     assert digrams(Word.of(1)) == set()
     assert not contains_all_reduced_digrams(w, signed_letters(2))
+    assert contains_all_reduced_digrams(Word.of(1), ())
+    rng = random.Random(2727)
+    for rank in (1, 2, 3):
+        lets = signed_letters(rank)
+        full = {(p, q) for p in lets for q in lets if q != -p}
+        walk = eulerian_digram_word(rank) if rank > 1 else Word.of(1, 1, -1, -1)
+        words = [random_reduced_word(rng, rank, rng.randint(0, 60)) for _ in range(200)]
+        words += [walk, random_reduced_word(rng, rank, 40) * walk, walk[:-1], walk[1:]]
+        for w in words:
+            assert contains_all_reduced_digrams(w, lets) == (full <= digrams(w)), w
 
 
 def test_eulerian_digram_word_rank2_frozen():
