@@ -62,6 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from operator import neg
 from typing import Callable, Sequence
 
 from .presentation import (
@@ -87,7 +88,6 @@ from .words import (
     Word,
     _word,
     contains_all_reduced_digrams,
-    cyclic_reduce,
     cyclically_equal,
     eulerian_digram_word,
     exponent,
@@ -137,7 +137,7 @@ class PartialAscendingHNN:
         ab = self.full_alphabet
         t = ab.size
         rels = tuple(
-            Word.of(t, i + 1, -t) * img.inverse()
+            _word((t, i + 1, -t, *map(neg, reversed(img.letters))))
             for i, img in enumerate(self.images)
         )
         return Presentation(ab, rels, self.ascending)
@@ -646,7 +646,9 @@ def _irreducible_shape_ok(loops: list[Word], nfree: int, base: int) -> bool:
             ck = base + (j - nfree) + 1
             if not is_reduced(w):
                 return False
-            if cyclic_reduce(w)[1] != Word.of(ck):
+            # the stem that cyclic reduction strips off is exactly c_k
+            ls = w.letters
+            if not (len(ls) >= 3 and ls[0] == ck and ls[-1] == -ck and ls[1] != -ls[-2]):
                 return False
     return True
 

@@ -12,13 +12,19 @@ word.
 Layout.  One combined text holds each word doubled, per reading direction,
 with a unique negative sentinel after each section.  Each word is first
 rotated to start right after a change of letter, which every word but a
-power of one letter allows.  The text is run-length encoded into (letter,
-run length) tokens, and runs never cross a sentinel.  A *live* position is
-one of the first p letters of a section, p the word's literal period: one
-position per appearance class.  Positions p apart read the same letters for
-more than a word length, so they match every other position equally far up
-to the cap, and the scan reports each class once and repeats it along the
-word.  Thanks to the rotation the live letters of a section are whole runs.
+power of one letter allows.  The words' own sections come first; the
+inverse sections follow, last word first, as the same letters read
+backwards and negated, since the inverse of a doubled rotation is the
+doubled rotation of the inverse.  The text is built from int64 arrays: one
+conversion per word, slices, one concatenation into the first half and one
+negation into the second, with zeros where the sentinels go until the least
+letter is known.
+The text is run-length encoded into (letter, run length) tokens, and runs
+never cross a sentinel.  A *live* position is one of the first p letters of
+a section, p the word's literal period: one position per appearance class.
+Positions p apart read the same letters for more than a word length, so
+they match every other position equally far up to the cap, and the scan
+reports each class once and repeats it along the word.  Thanks to the rotation the live letters of a section are whole runs.
 A live position with m letters of its run left, its *level*, reads x^m and
 then the text from the run's next token.  A power of one letter x^n is one
 run x^2n up to the sentinel, with one live position at level 2n.
@@ -69,9 +75,7 @@ not reduce or validate words beyond requiring them nonempty.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from operator import neg
 from typing import Sequence
 
 import numpy as np
@@ -80,14 +84,15 @@ from .words import literal_period
 
 
 def suffix_array(text: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Suffix array of a text of positive int64 symbols below 2**31, by
-    prefix doubling, with the rank history of the rounds.
+    """Suffix array of a text of positive int64 symbols, by prefix
+    doubling, with the rank history of the rounds.
 
     Row k of the history ranks every window ``text[i : i + 2**k]``, padded
     past the end with a symbol below all others: two entries of a row are
     equal exactly where their windows are.  Row 0 is the text itself.  Each
     round sorts one combined int64 key, the rank of a suffix's first h
-    symbols then that of the h after them.
+    symbols then that of the h after them; symbols too wide for that key
+    are first ranked densely.
     """
     n = text.size
     rank = text
@@ -96,7 +101,10 @@ def suffix_array(text: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         return np.zeros(0, dtype=np.int64), history
     width = int(rank.max()) + 1
     if width > 2**31:
-        raise ValueError("suffix array symbols must be below 2**31")
+        # too wide for the combined keys: dense ranks from 1 keep the
+        # symbols' order and equalities
+        rank = np.unique(text, return_inverse=True)[1].astype(np.int64) + 1
+        width = int(rank.max()) + 1
     heads = np.empty(n, dtype=bool)
     heads[0] = True
     h = 1
@@ -149,6 +157,7 @@ class MatchTable:
 
 _UNBOUNDED = 1 << 62
 _UNQUERIED = -(1 << 62)  # output offset of an inverse section
+_GAP = np.zeros(1, dtype=np.int64)  # where a sentinel goes; read, never written
 
 
 def _sweep(length, cap, letter, links):
@@ -315,35 +324,50 @@ def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True
     # and an inverse section is swept but not filled.  A power of one letter
     # has one live position, whose run fills its section; it is set at the
     # end.
-    sides = 2 if include_inverses else 1
-    sep = low = min(min(map(min, words)), -max(map(max, words))) - 1
     longest = max(map(len, words))
-    chunks = array("q")
+    parts = []
     sections: list[int] = []  # per section: end of its live letters, cap, slot - start
+    mirrored = []  # per word: its live letter count less its section's end, cap
     layout = []  # per word: its first slot, period and rotation
     powers = []  # (letter, cap, slot) of one-letter powers, slot -1 if inverse
-    slot = 0
+    slot = start = 0
     for w in words:
         lw = len(w)
         period = literal_period(w)
         shift = 0
         if w[-1] == w[0] and period > 1:
             shift = next(i for i, x in enumerate(w) if x != w[0])
-            w = w[shift:] + w[:shift]
         layout.append((slot, period, shift))
         live = period if period > 1 else 0
-        for ow in (w, tuple(map(neg, reversed(w))))[:sides]:
-            if period == 1:
-                powers.append((ow[0], lw, slot if ow is w else -1))
-            start = len(chunks)
-            sections += (start + live, lw, slot - start if ow is w else _UNQUERIED)
-            chunks.extend(ow)
-            chunks.extend(ow)
-            chunks.append(sep)
-            sep -= 1
+        # the rotation by ``shift``, doubled, is w[shift:] w w[:shift]
+        a = np.array(w, dtype=np.int64)
+        parts += (a[shift:], a, a[:shift], _GAP) if shift else (a, a, _GAP)
+        sections += (start + live, lw, slot - start)
+        start += 2 * lw + 1
+        mirrored.append((live - start, lw))
+        if period == 1:
+            powers.append((w[0], lw, slot))
+            if include_inverses:
+                powers.append((-w[0], lw, -1))
         slot += period
-    text = np.frombuffer(chunks, dtype=np.int64)
+    text = np.empty(2 * start if include_inverses else start, dtype=np.int64)
+    np.concatenate(parts, out=text[:start])
+    del parts
+    if include_inverses:
+        # The inverse of a doubled rotation is the doubled rotation of the
+        # inverse, so the inverse sections, last word first, are the own
+        # half read backwards and negated: a section that ends just before
+        # e mirrors to one that starts at 2 start - e.
+        np.negative(text[start - 2 :: -1], out=text[start:-1])
+        text[-1] = 0
+        for d, lw in reversed(mirrored):
+            sections += (2 * start + d, lw, _UNQUERIED)
     n = text.size
+    # letters are nonzero, so the gaps are the zeros; the sentinels are
+    # negative and below every letter
+    low = int(text.min()) - 1
+    sep = low - len(sections) // 3
+    text[text == 0] = np.arange(low, sep, -1)
 
     # Runs: token t covers text[bounds[t] : bounds[t + 1]].
     change = np.empty(n + 1, dtype=bool)
@@ -354,7 +378,7 @@ def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True
     tletter = text[first]
     tlen = bounds[1:] - first
     tokens = np.array((first, tlen, tletter))
-    del text, change, chunks
+    del text, change
     # token ids ranked by (letter, length); a run is at most two word lengths
     _, history = suffix_array((tletter - sep) * (2 * longest + 1) + tlen)
 

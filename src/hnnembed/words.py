@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from operator import neg
 from typing import Iterable, Iterator
 
 
@@ -63,7 +64,7 @@ class Word:
         return _word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return _word(tuple(-x for x in reversed(self.letters)))
+        return _word(tuple(map(neg, reversed(self.letters))))
 
     def max_letter(self) -> int:
         """Largest generator number used, 0 for the empty word."""

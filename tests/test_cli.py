@@ -134,6 +134,16 @@ def test_near_periodic_cells_are_compared_in_linear_time(tmp_path, capsys):
     }
 
 
+def test_a_long_power_among_many_cells_is_scanned(tmp_path, capsys):
+    """A power of 2**21 letters and 300 short cells: the scan's token ids
+    pass 2**31, and the file still gets its verdict, not a traceback."""
+    path = tmp_path / "w.pres"
+    path.write_text(f"gens: a b\nrel: ( a )^{BUDGET}\n" + "rel: b a\n" * 300)
+    code, data = run_json(capsys, "check-smallcancel", str(path))
+    assert code in (0, 1)
+    assert data["cprime"]["lengths"] == [BUDGET] + [2] * 300
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "parse", "/nonexistent/nope.pres")
     assert code == 2 and "error:" in err

@@ -44,9 +44,11 @@ from hnnembed.subquotient import quotient
 from hnnembed.words import (
     Alphabet,
     Word,
+    cyclic_reduce,
     cyclically_equal,
     exponent,
     is_cyclically_reduced,
+    is_reduced,
     random_reduced_word,
     relabel,
     signed_letters,
@@ -270,6 +272,26 @@ def test_irreducible_shape_failure_does_not_escalate(monkeypatch):
     with pytest.raises(RuntimeError, match="shape check"):
         construct_irreducible_embedding(intro_example())
     assert len(calls) == 1
+
+
+def test_irreducible_shape_check_reads_the_stem_like_cyclic_reduce():
+    """The in-place stem test agrees with stripping the stem through
+    ``cyclic_reduce``, on every word of 1-3 letters and seeded words of
+    4-11 letters, reduced or not, over two generators and c1 = 3."""
+    rng = random.Random(311)
+    letters = (1, -1, 2, -2, 3, -3)
+    words = [Word(w) for n in range(1, 4) for w in itertools.product(letters, repeat=n)]
+    for _ in range(3000):
+        n = rng.choice((4, 5, rng.randrange(6, 12)))
+        inner = [rng.choice(letters) for _ in range(n - 2)]
+        ends = rng.choice(((3, -3), (3, -3), (-3, 3), (3, 3), (1, -1)))
+        words.append(Word((ends[0], *inner, ends[1])))
+    stems = 0
+    for w in words:
+        want = is_reduced(w) and cyclic_reduce(w)[1] == Word.of(3)
+        assert hnn._irreducible_shape_ok([w], 0, 2) == want, w
+        stems += want
+    assert stems > 300
 
 
 def test_every_relator_has_exponent_one():

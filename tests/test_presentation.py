@@ -299,17 +299,48 @@ def test_suffix_array_and_pair_lcp_against_sorting():
     for trial in range(200):
         # repetitive texts over 1-3 symbols, closed by a unique last symbol
         text = [rng.randrange(1, rng.randrange(2, 5)) for _ in range(rng.randrange(0, 40))] + [9]
-        sa, history = suffix_array(np.array(text, dtype=np.int64))
-        assert sa.tolist() == sorted(range(len(text)), key=lambda i: text[i:])
         pairs = [rng.sample(range(len(text)), 2) for _ in range(10)] if len(text) > 1 else []
         u = np.array([a for a, _ in pairs], dtype=np.int64)
         v = np.array([b for _, b in pairs], dtype=np.int64)
-        got = lcp_array(history, u, v)
-        for (a, b), t in zip(pairs, got.tolist()):
-            want = 0
-            while text[a + want] == text[b + want]:
-                want += 1
-            assert t == want, (text, a, b)
+        # the same text over symbols of 2**31 and more, whose combined keys
+        # would wrap around 2**64 out of order
+        for scale in (1, 3**25):
+            sa, history = suffix_array(np.array(text, dtype=np.int64) * scale)
+            assert sa.tolist() == sorted(range(len(text)), key=lambda i: text[i:])
+            got = lcp_array(history, u, v)
+            for (a, b), t in zip(pairs, got.tolist()):
+                want = 0
+                while text[a + want] == text[b + want]:
+                    want += 1
+                assert t == want, (text, a, b, scale)
+
+
+def test_match_table_on_letters_beyond_two_to_the_31():
+    """Letters near 2**40 give token ids far above 2**31, which the suffix
+    array ranks densely; the match lengths depend only on which letters are
+    equal, so they are those of the small letters."""
+    rng = random.Random(209)
+    for trial in range(60):
+        words = _run_heavy_family(rng)
+        wide = [tuple(x * 2**40 + (1 if x > 0 else -1) for x in w) for w in words]
+        for inv in (True, False):
+            got = match_table(wide, inv)
+            assert got == letter_match_table(wide, inv), (words, inv)
+            assert got == match_table(words, inv), (words, inv)
+
+
+def test_match_table_entries_are_python_ints():
+    families = [
+        [(1,) * 7, (1,) * 3, (-1,) * 5],  # powers of one letter
+        [(1, 1, 2, 1), (2, 1, 1, 2, 1, 1), (1, 2, 1, 2)],  # rotated before the scan
+        *CAP_FAMILIES.values(),
+        *(_run_heavy_family(random.Random(seed)) for seed in range(20)),
+    ]
+    for words in families:
+        for inv in (True, False):
+            got = match_table(words, inv)
+            entries = [x for row in got.per_offset for x in row] + list(got.per_word_max)
+            assert {type(x) for x in entries} == {int}, (words, inv)
 
 
 def test_match_table_run_at_the_seam():
