@@ -8,22 +8,21 @@ be nontrivial.  Each run leaves a structured step log that an independent
 replayer can verify exactly in the free group.
 
 Each step takes the longest match, ties broken by (relator, position,
-orientation, offset).  The search walks the positions of the cyclic word in
-order and, per relator and orientation, groups hits by diagonal
-(offset - position) mod relator length.  Once a hit is verified letter for
-letter and extended, every later hit on the same diagonal that starts inside
-the covered stretch ends no later than it (same mismatch, or the same length
-cap), so it is no longer and sits at a later position: it cannot win and is
-skipped unverified.  Two guards keep this exact: a diagonal goes live only
-after the literal comparison succeeds, so a hash collision never suppresses
-a real hit, and coverage is never carried across position 0, where the scan
-starts fresh.  A step then costs O(n) lookups plus one extension per
-diagonal rather than one per hit.
-
-Piece counting walks one suffix automaton per oriented doubled relator
-(Blumer et al., "The smallest automaton recognizing the subwords of a
-text", TCS 1985).  A slice of the doubled text is a cyclic subword exactly
-when it is at most the relator's length, so each walk stops there.
+orientation, offset).  Both the match search and piece counting read one
+index per relator length ell: a generalized suffix automaton (Blumer et al.,
+"The smallest automaton recognizing the subwords of a text", TCS 1985) of
+the reversed doubled texts of every relator of that length, in both
+orientations.  Reading a word right to left through it gives, for every
+start position p, the longest prefix of the word from p that some relator
+of the class spells (its matching statistic), cut to a cap by climbing
+suffix links, and the state that prefix ends in.  A slice of a doubled
+relator is a cyclic subword exactly when it is at most ell letters long, so
+with a cap of at most ell every reading is a cyclic subword, and it also
+occurs at an offset below ell.  All strings of one state occur at the same
+places, so the least (relator, orientation, offset) over a state's
+occurrences, stored when the index is built, is the least occurrence of the
+prefix read.  A step reads the doubled cyclic word once per class, so it
+costs O(n) transitions per class, and no reading needs a letter check.
 """
 
 from __future__ import annotations
@@ -34,29 +33,6 @@ from fractions import Fraction
 
 from .presentation import Presentation, check_cprime
 from .words import EMPTY, Word, _word, cyclic_reduce, free_reduce, random_reduced_word
-
-_MOD = (1 << 61) - 1
-_BASE = 1_000_003
-
-_POW: list[int] = [1]
-
-
-def _pow(n: int) -> int:
-    while len(_POW) <= n:
-        _POW.append(_POW[-1] * _BASE % _MOD)
-    return _POW[n]
-
-
-def _prefix_hashes(letters: tuple[int, ...]) -> list[int]:
-    h = [0] * (len(letters) + 1)
-    for i, x in enumerate(letters):
-        # letters are nonzero ints; offset keeps the digit positive
-        h[i + 1] = (h[i] * _BASE + x + (1 << 20)) % _MOD
-    return h
-
-
-def _hash_range(h: list[int], lo: int, hi: int) -> int:
-    return (h[hi] - h[lo] * _pow(hi - lo)) % _MOD
 
 
 @dataclass(frozen=True)
@@ -83,15 +59,18 @@ class DehnResult:
 
 
 class DehnSolver:
-    """Reusable solver; builds the rotation index once per presentation.
+    """Reusable solver; builds its match index once per presentation.
 
-    The index maps the hash of each relator rotation's first half (plus one
-    letter) to its (relator, orientation, offset) triples.  ``_best_match``
-    verifies a hash hit literally and extends it only when no earlier
-    verified hit covers it on the same diagonal; see the module docstring
-    for why the skipped hits cannot win.  The suffix automata behind
-    ``piece_count`` are built on its first call, so plain solving never pays
-    for them.
+    The index holds one suffix automaton per relator length ell, read right
+    to left by ``_read`` (see the module docstring).  ``_best_match`` reads
+    the doubled cyclic word with the cap min(ell, n).  A relator of the
+    class matches at position p letter for letter for k <= min(ell, n)
+    letters exactly when those k letters are a subword of its doubled text,
+    so the reading at p is the longest such match over every (relator,
+    orientation, offset) of the class, and the state it ends in names the
+    least (relator, orientation, offset) that makes it.  The least reading
+    in tie order over all classes is then the exhaustive search's pick.
+    ``piece_count`` jumps by the longest reading with the cap ell.
     """
 
     def __init__(self, presentation: Presentation):
@@ -102,20 +81,10 @@ class DehnSolver:
         # so any rotation is a contiguous slice
         self._doubled = [(r.letters * 2, r.inverse().letters * 2) for r in presentation.relators]
         self._lengths = [len(r) for r in presentation.relators]
-        # one index per relator length: half-prefix hash -> [(j, srank, offset)]
-        # in tie order (ascending j, forward orientation first, ascending offset)
-        self._classes: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
+        texts: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
         for j, ell in enumerate(self._lengths):
-            index = self._classes.setdefault(ell, {})
-            half = ell // 2 + 1
-            for srank in (0, 1):
-                hashes = _prefix_hashes(self._doubled[j][srank])
-                for off in range(ell):
-                    index.setdefault(_hash_range(hashes, off, off + half), []).append(
-                        (j, srank, off)
-                    )
-        # (transitions, relator length) per oriented relator, built lazily
-        self._automata: list[tuple[list[dict[int, int]], int]] | None = None
+            texts.setdefault(ell, []).extend((j, s, d) for s, d in enumerate(self._doubled[j]))
+        self._classes = {ell: _index(class_texts) for ell, class_texts in texts.items()}
 
     def solve(self, w: Word) -> DehnResult:
         cur = cyclic_reduce(w)[0]
@@ -139,36 +108,20 @@ class DehnSolver:
         (-length, relator, position, srank, offset)."""
         n = len(cur)
         w2 = cur.letters + cur.letters
-        hashes = _prefix_hashes(w2)
         best: tuple[int, int, int, int, int] | None = None
         for ell, index in self._classes.items():
-            half = ell // 2 + 1
-            if half > n:
+            if 2 * n <= ell:
                 continue
-            top = min(ell, n)
-            shift = _pow(half)
-            # (j, srank, diagonal) -> end of the last verified hit on it
-            live: dict[tuple[int, int, int], int] = {}
-            for pos in range(n):
-                # _hash_range(hashes, pos, pos + half) inlined: this runs
-                # once per letter per length class at every step
-                cands = index.get((hashes[pos + half] - hashes[pos] * shift) % _MOD)
-                if not cands:
-                    continue
-                for j, srank, off in cands:
-                    diagonal = (j, srank, (off - pos) % ell)
-                    if pos < live.get(diagonal, 0):
-                        continue
-                    d = self._doubled[j][srank]
-                    if w2[pos : pos + half] != d[off : off + half]:
-                        continue
-                    length = half
-                    while length < top and w2[pos + length] == d[off + length]:
-                        length += 1
-                    live[diagonal] = pos + length
-                    cand = (length, j, pos, srank, off)
-                    if best is None or (-cand[0], *cand[1:]) < (-best[0], *best[1:]):
-                        best = cand
+            lengths, states = _read(index, w2, n, min(ell, n))
+            length = max(lengths)
+            if 2 * length <= ell or (best is not None and length < best[0]):
+                continue
+            keys = index[3]
+            j, pos = min((keys[states[p]][0], p) for p in range(n) if lengths[p] == length)
+            _, srank, off = keys[states[pos]]
+            cand = (length, j, pos, srank, off)
+            if best is None or (-cand[0], *cand[1:]) < (-best[0], *best[1:]):
+                best = cand
         return best
 
     def piece_count(self, w: Word) -> int | None:
@@ -177,20 +130,13 @@ class DehnSolver:
         longest prefix of the rest that is a cyclic subword of some oriented
         relator."""
         letters = free_reduce(w).letters
-        if self._automata is None:
-            self._automata = [
-                (_subword_automaton(d), ell)
-                for pair, ell in zip(self._doubled, self._lengths)
-                for d in pair
-            ]
+        readings = [
+            _read(index, letters, len(letters), ell)[0] for ell, index in self._classes.items()
+        ]
         pos = 0
         segments = 0
         while pos < len(letters):
-            jump = 0
-            for transitions, ell in self._automata:
-                top = min(pos + ell, len(letters))
-                if top - pos > jump:
-                    jump = max(jump, _walk(transitions, letters, pos, top) - pos)
+            jump = max((lengths[pos] for lengths in readings), default=0)
             if jump == 0:
                 return None
             pos += jump
@@ -198,51 +144,103 @@ class DehnSolver:
         return segments
 
 
-def _walk(
-    transitions: list[dict[int, int]], letters: tuple[int, ...], lo: int, hi: int
-) -> int:
-    """Index where the walk of letters[lo:hi] from the automaton's root
-    first finds no transition (``hi`` when it never does)."""
-    state = 0
-    for i in range(lo, hi):
-        state = transitions[state].get(letters[i], -1)
-        if state < 0:
-            return i
-    return hi
+# one length class: transitions, suffix links, depths and each state's
+# least (relator, orientation, offset) over the occurrences of its strings
+_Index = tuple[list[dict[int, int]], list[int], list[int], list[tuple[int, int, int]]]
 
 
-def _subword_automaton(text: tuple[int, ...]) -> list[dict[int, int]]:
-    """Transitions of the suffix automaton of ``text``: a walk from state 0
-    succeeds exactly on the subwords of ``text``."""
+def _index(texts: list[tuple[int, int, tuple[int, ...]]]) -> _Index:
+    """Generalized suffix automaton of the reversed ``texts``, each given
+    as (relator, orientation, doubled letters) and inserted from the root.
+    A string read through it spells, left to right, a subword of some text
+    read right to left.  The prefix of a reversed text that ends at its
+    letter i is the forward suffix from offset m - 1 - i, m letters in all,
+    so a text's prefix states read backwards are its offsets in order."""
     trans: list[dict[int, int]] = [{}]
     link = [-1]
     depth = [0]
-    last = 0
-    for x in text:
-        cur = len(trans)
-        trans.append({})
-        link.append(0)
-        depth.append(depth[last] + 1)
-        p = last
-        while p >= 0 and x not in trans[p]:
-            trans[p][x] = cur
+    none = (1 + max(j for j, _, _ in texts), 0, 0)  # above every real key
+    keys = [none]
+
+    def new_state(edges: dict[int, int], suffix: int, d: int) -> int:
+        trans.append(edges)
+        link.append(suffix)
+        depth.append(d)
+        keys.append(none)
+        return len(trans) - 1
+
+    def split(p: int, x: int, q: int) -> int:
+        # clone q so that the clone holds the strings of q up to depth[p] + 1
+        clone = new_state(dict(trans[q]), link[q], depth[p] + 1)
+        while p >= 0 and trans[p].get(x) == q:
+            trans[p][x] = clone
             p = link[p]
-        if p >= 0:
-            q = trans[p][x]
-            if depth[q] == depth[p] + 1:
-                link[cur] = q
+        link[q] = clone
+        return clone
+
+    ends: list[list[int]] = []  # per text, the state each prefix ends in
+    for _, _, d in texts:
+        last = 0
+        ends.append([])
+        for x in reversed(d):
+            q = trans[last].get(x)
+            if q is not None:
+                last = q if depth[q] == depth[last] + 1 else split(last, x, q)
             else:
-                clone = len(trans)
-                trans.append(dict(trans[q]))
-                link.append(link[q])
-                depth.append(depth[p] + 1)
-                while p >= 0 and trans[p].get(x) == q:
-                    trans[p][x] = clone
+                cur = new_state({}, 0, depth[last] + 1)
+                p = last
+                while p >= 0 and x not in trans[p]:
+                    trans[p][x] = cur
                     p = link[p]
-                link[q] = clone
-                link[cur] = clone
-        last = cur
-    return trans
+                if p >= 0:
+                    q = trans[p][x]
+                    link[cur] = q if depth[q] == depth[p] + 1 else split(p, x, q)
+                last = cur
+            ends[-1].append(last)
+    # every state on the suffix-link path up from a prefix's state occurs
+    # where that prefix does; walked in ascending key order, each path
+    # stops at the first state an earlier, smaller key already set
+    for (j, s, _), text_ends in zip(texts, ends):
+        for off, v in enumerate(reversed(text_ends)):
+            key = (j, s, off)
+            while v and key < keys[v]:
+                keys[v] = key
+                v = link[v]
+    return trans, link, depth, keys
+
+
+def _read(
+    index: _Index, letters: tuple[int, ...], count: int, cap: int
+) -> tuple[list[int], list[int]]:
+    """Matching statistics of ``letters`` against one length class, read
+    right to left: for each p below ``count``, the length of the longest
+    prefix of letters[p:] of at most ``cap`` letters that the class spells,
+    and the state that prefix ends in."""
+    trans, link, depth, _ = index
+    lengths = [0] * count
+    states = [0] * count
+    state = 0
+    length = 0
+    for p in range(min(len(letters), count + cap - 1) - 1, -1, -1):
+        x = letters[p]
+        nxt = trans[state].get(x)
+        while nxt is None and state:
+            state = link[state]
+            nxt = trans[state].get(x)
+            length = depth[state]
+        if nxt is None:
+            length = 0
+        else:
+            state = nxt
+            length += 1
+            if length > cap:
+                length = cap
+                while depth[link[state]] >= cap:
+                    state = link[state]
+        if p < count:
+            lengths[p] = length
+            states[p] = state
+    return lengths, states
 
 
 def verify_steps(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from operator import neg
+from operator import ne, neg
 from typing import Iterable, Iterator
 
 
@@ -161,7 +161,8 @@ def relabel(w: Word, table: dict[int, int]) -> Word:
 
 
 def is_reduced(w: Word) -> bool:
-    return all(w.letters[i] != -w.letters[i + 1] for i in range(len(w) - 1))
+    ls = w.letters
+    return all(map(ne, islice(ls, 1, None), map(neg, ls)))
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:

@@ -5,6 +5,7 @@ length 1 against relator length 8, so the half-overlap machinery is exercised
 on an input small enough to check by hand.
 """
 
+import copy
 import hashlib
 import random
 from fractions import Fraction
@@ -15,6 +16,8 @@ from hnnembed.dehn import (
     AreaRow,
     DehnSolver,
     DehnStep,
+    _index,
+    _read,
     area_bound_check,
     random_trivial_words,
     verify_steps,
@@ -373,30 +376,6 @@ def test_piece_count_matches_the_brute_force_greedy(index):
         assert solver.piece_count(w) == brute_piece_count(presentation, w)
 
 
-def test_every_hash_colliding_still_finds_the_exact_match():
-    """With every window hash hitting every rotation, a diagonal marked live
-    before the literal comparison would hide the real hit behind a false
-    one; the result must still equal the brute-force search."""
-
-    class Colliding(dict):
-        def __init__(self, triples):
-            super().__init__()
-            self.triples = triples
-
-        def get(self, key, default=None):
-            return self.triples
-
-    for index, presentation in enumerate(ORACLE_PRESENTATIONS[:6]):
-        solver = DehnSolver(presentation)
-        solver._classes = {
-            ell: Colliding([t for ts in index_.values() for t in ts])
-            for ell, index_ in solver._classes.items()
-        }
-        for w in oracle_words(presentation, random.Random(200 + index)):
-            res = solver.solve(w)
-            assert (res.trivial, res.steps, res.residue) == brute_solve(presentation, w)
-
-
 def test_match_wrapping_across_position_zero():
     # the relator starts at position 5 and wraps past the end of the word
     w = parse_word(SURF, "c d c' d' a a b a' b'")
@@ -427,3 +406,78 @@ def test_equal_length_orientations_tie_on_position_first():
     res = solver.solve(w)
     assert res.steps[0] == DehnStep(position=0, relator=0, orientation=-1, offset=0, length=8)
     assert (res.trivial, res.steps, res.residue) == brute_solve(P_SURF, w)
+
+
+def test_proper_power_ties_at_congruent_offsets_take_the_least():
+    # ( a b c d )^2 spells each of its rotations twice, at offsets k and
+    # k + 4, and its inverse likewise: the least offset must win the tie
+    power = Presentation(SURF, (parse_word(SURF, "( a b c d )^2"),))
+    r = power.relators[0]
+    solver = DehnSolver(power)
+    cases = (
+        (parse_word(SURF, "b c d a b c d a"), (8, 0, 0, 0, 1)),
+        (parse_word(SURF, "c d a b c d a b b"), (8, 0, 0, 0, 2)),
+        (r.inverse() * parse_word(SURF, "c"), (8, 0, 0, 1, 0)),
+    )
+    for w, want in cases:
+        assert solver._best_match(w) == want == brute_best_match(power, w)
+        res = solver.solve(w)
+        assert (res.trivial, res.steps, res.residue) == brute_solve(power, w)
+        assert solver.piece_count(w) == brute_piece_count(power, w)
+
+
+def test_solver_builds_its_index_once():
+    # solving and piece counting read the index built by the constructor
+    # and never add to it
+    for presentation in (P_SURF, *ORACLE_PRESENTATIONS[:3]):
+        solver = DehnSolver(presentation)
+        built = copy.deepcopy(vars(solver))
+        for w in oracle_words(presentation, random.Random(300)):
+            solver.piece_count(w)
+            solver.solve(w)
+        assert vars(solver) == built
+
+
+def test_words_of_about_half_a_relator_are_matched_as_the_search_does():
+    # every slice of ell // 2 or ell // 2 + 1 letters of an oriented
+    # relator: the shorter never counts as a match, the longer always does
+    for presentation in (P_SURF, *ORACLE_PRESENTATIONS):
+        solver = DehnSolver(presentation)
+        for r in presentation.relators:
+            ell = len(r)
+            for d in (r.letters * 2, r.inverse().letters * 2):
+                for off in range(ell):
+                    for k in (ell // 2, ell // 2 + 1):
+                        w = Word(d[off : off + k])
+                        best = solver._best_match(w)
+                        assert (best is None) == (k == ell // 2)
+                        assert best == brute_best_match(presentation, w)
+
+
+def test_reader_gives_capped_matches_and_their_least_occurrence():
+    # texts that need not be small cancellation, read against every
+    # subword of every doubled text and its least (relator, orientation,
+    # offset)
+    rng = random.Random(41)
+    for _ in range(400):
+        texts = []
+        for j in range(rng.randint(1, 3)):
+            r = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 6)))
+            texts += [(j, 0, r * 2), (j, 1, tuple(-x for x in reversed(r)) * 2)]
+        least = {}
+        for j, s, d in texts:
+            for off in range(len(d)):
+                for end in range(off + 1, len(d) + 1):
+                    least.setdefault(d[off:end], (j, s, off))
+        index = _index(texts)
+        letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 14)))
+        count = rng.randint(0, len(letters))
+        cap = rng.randint(1, 8)
+        lengths, states = _read(index, letters, count, cap)
+        for p in range(count):
+            k = 0
+            while k < min(cap, len(letters) - p) and letters[p : p + k + 1] in least:
+                k += 1
+            assert lengths[p] == k
+            if k:
+                assert index[3][states[p]] == least[letters[p : p + k]]

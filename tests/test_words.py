@@ -331,3 +331,20 @@ def test_random_word_helpers():
         c = random_cyclically_reduced_word(rng, 2, 12)
         assert is_cyclically_reduced(c)
     assert random_reduced_word(rng, 2, 0) == EMPTY
+
+
+def test_reducedness_checks_match_their_definitions():
+    # no letter next to its inverse, and for the cyclic form none across
+    # the wrap either; every length from 0 to 12, short words exhaustively
+    rng = random.Random(163)
+    words = [Word(ls) for n in range(4) for ls in itertools.product((1, -1, 2, -2), repeat=n)]
+    words += [
+        Word(tuple(rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(n)))
+        for n in range(13)
+        for _ in range(200)
+    ]
+    for w in words:
+        ls = w.letters
+        reduced = not any(ls[i] + ls[i + 1] == 0 for i in range(len(ls) - 1))
+        assert is_reduced(w) == reduced
+        assert is_cyclically_reduced(w) == (reduced and not (len(ls) > 1 and ls[0] == -ls[-1]))
