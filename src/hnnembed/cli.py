@@ -5,6 +5,13 @@ writes canonical JSON (sorted keys, two-space indent, no floats; ratios
 appear as ``{"num": .., "den": ..}``), and follows one exit-code
 contract: 0 for success or a true verdict, 1 for a false verdict, 2 for
 unusable input.
+
+Only :func:`main` maps exceptions to exit codes: a ``CliError``,
+``ValueError`` (which covers ``ParseError`` and ``json.JSONDecodeError``),
+``RuntimeError`` or ``OSError`` from a handler prints ``error: ...`` on one
+line and exits 2.  Handlers catch an exception only to add to its message
+or to give it another exit code.  Anything else, such as a failed assertion
+or a ``KeyError`` from a bug, ends in a traceback.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .parsing import (
     parse_word,
     presentation_source,
 )
-from .presentation import Presentation, cp_from_stats, cprime_from_stats, piece_stats
+from .presentation import CprimeReport, Presentation, cp_from_stats, cprime_from_stats, piece_stats
 from .stallings import (
     basepoint_degree,
     canonical_form,
@@ -64,19 +71,13 @@ def _ratio(fr: Fraction | None):
 
 
 def _read(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
-    except OSError as e:
-        raise CliError(str(e)) from None
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def _write(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    except OSError as e:
-        raise CliError(str(e)) from None
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def _load(path: str, parse=parse_source):
@@ -95,6 +96,16 @@ def _parse_cli_word(p: Presentation, text: str) -> Word:
 
 def _emit(obj) -> None:
     sys.stdout.write(_canonical(obj))
+
+
+def _cprime_json(report: CprimeReport) -> dict:
+    return {
+        "num": report.num,
+        "den": report.den,
+        "holds": report.holds,
+        "max_piece": list(report.max_piece),
+        "lengths": list(report.lengths),
+    }
 
 
 # subcommand handlers
@@ -128,8 +139,6 @@ def _as_presentation(obj) -> Presentation:
 
 def _cmd_pieces(args) -> int:
     p = _as_presentation(_load(args.file))
-    if not p.relators:
-        raise CliError("no relators to scan")
     rep = piece_stats(p.relators, include_inverses=not args.no_inverse_symmetrization)
     occurrences = rep.maximal_occurrences()
     rows = []
@@ -171,16 +180,7 @@ def _cmd_check_smallcancel(args) -> int:
         raise CliError(f"--cp wants at least 2, got {args.cp}")
     report = piece_stats(p.relators, include_inverses=include)
     cprime = cprime_from_stats(report, num, den)
-    out = {
-        "cprime": {
-            "num": num,
-            "den": den,
-            "holds": cprime.holds,
-            "max_piece": list(cprime.max_piece),
-            "lengths": list(cprime.lengths),
-        },
-        "cp": None,
-    }
+    out = {"cprime": _cprime_json(cprime), "cp": None}
     ok = cprime.holds
     if args.cp is not None:
         cp = cp_from_stats(report, args.cp)
@@ -256,10 +256,7 @@ def _cmd_check_rel(args) -> int:
 
 def _cmd_fold(args) -> int:
     alphabet, generators, _ = _load(args.file, parse_generating_set)
-    try:
-        core = subgroup_core(alphabet, generators)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    core = subgroup_core(alphabet, generators)
     num_vertices, edges = canonical_form(core)
     out = {
         "vertices": num_vertices,
@@ -287,13 +284,7 @@ def _certificate_json(result: ExtensionResult) -> dict:
     irr = cert.irreducible
     checks = {
         "c7": cert.c7,
-        "cprime": {
-            "num": cert.cprime.num,
-            "den": cert.cprime.den,
-            "holds": cert.cprime.holds,
-            "max_piece": list(cert.cprime.max_piece),
-            "lengths": list(cert.cprime.lengths),
-        },
+        "cprime": _cprime_json(cert.cprime),
         "no_proper_powers": list(cert.no_proper_powers),
         "pairwise_distinct": cert.pairwise_distinct,
         "no_extra_powers": cert.no_extra_powers.verdict,
@@ -334,18 +325,10 @@ def _certificate_json(result: ExtensionResult) -> dict:
     }
 
 
-def _construct(h: PartialAscendingHNN, irreducible: bool) -> ExtensionResult:
-    try:
-        if irreducible:
-            return construct_irreducible_embedding(h)
-        return construct_embedding(h)
-    except (ValueError, RuntimeError) as e:
-        raise CliError(str(e)) from None
-
-
 def _cmd_embed(args) -> int:
     h = _load(args.infile, parse_hnn)
-    result = _construct(h, args.irreducible)
+    construct = construct_irreducible_embedding if args.irreducible else construct_embedding
+    result = construct(h)
     _write(args.out, hnn_source(result.group))
     cert_json = _certificate_json(result)
     _write(args.cert, _canonical(cert_json))
@@ -370,8 +353,6 @@ def _cmd_certify(args) -> int:
     except NotACompletion:
         print("group file does not match the input", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError) as e:
-        raise CliError(str(e)) from None
     problems = []
     fresh = _certificate_json(result)
     if isinstance(stored, dict) and fresh["images"] != stored.get("images"):
@@ -399,11 +380,8 @@ def _cmd_certify(args) -> int:
 def _cmd_word_solve(args) -> int:
     p = _load(args.pres, parse_presentation)
     w = _parse_cli_word(p, args.word)
-    try:
-        res = DehnSolver(p).solve(w)
-        check_replay(p, w, res)
-    except (ValueError, RuntimeError) as e:
-        raise CliError(str(e)) from None
+    res = DehnSolver(p).solve(w)
+    check_replay(p, w, res)
     _emit(
         {
             "trivial": res.trivial,
@@ -426,11 +404,8 @@ def _cmd_word_solve(args) -> int:
 
 def _cmd_isoperimetry(args) -> int:
     p = _load(args.pres, parse_presentation)
-    try:
-        samples = random_trivial_words(p, args.samples, args.max_conj, args.seed)
-        report = area_bound_check(p, samples)
-    except (ValueError, RuntimeError) as e:
-        raise CliError(str(e)) from None
+    samples = random_trivial_words(p, args.samples, args.max_conj, args.seed)
+    report = area_bound_check(p, samples)
     _emit(
         {
             "seed": args.seed,
@@ -519,6 +494,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except CliError as e:
+    except (CliError, ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

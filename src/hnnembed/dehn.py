@@ -70,7 +70,8 @@ class DehnSolver:
     orientation, offset) of the class, and the state it ends in names the
     least (relator, orientation, offset) that makes it.  The least reading
     in tie order over all classes is then the exhaustive search's pick.
-    ``piece_count`` jumps by the longest reading with the cap ell.
+    ``piece_count`` walks each automaton from its root at the positions
+    its greedy segmentation lands on, and reads no other position.
     """
 
     def __init__(self, presentation: Presentation):
@@ -126,20 +127,30 @@ class DehnSolver:
 
     def piece_count(self, w: Word) -> int | None:
         """Greedy count of relator-subword segments spelling free_reduce(w);
-        None when some letter occurs in no relator.  Each segment is the
-        longest prefix of the rest that is a cyclic subword of some oriented
-        relator."""
+        None when some letter occurs in no relator.  Segments are taken from
+        the right end, each the longest suffix of the rest that is a cyclic
+        subword of some oriented relator: at most ell letters read right to
+        left from the root of a class's automaton.  Relator subwords are
+        closed under subwords, so greedy from either end gives the least
+        count."""
         letters = free_reduce(w).letters
-        readings = [
-            _read(index, letters, len(letters), ell)[0] for ell, index in self._classes.items()
-        ]
-        pos = 0
+        pos = len(letters)
         segments = 0
-        while pos < len(letters):
-            jump = max((lengths[pos] for lengths in readings), default=0)
+        while pos:
+            jump = 0
+            for ell, (trans, _, _, _) in self._classes.items():
+                state = 0
+                k = 0
+                stop = min(ell, pos)
+                while k < stop:
+                    state = trans[state].get(letters[pos - 1 - k])
+                    if state is None:
+                        break
+                    k += 1
+                jump = max(jump, k)
             if jump == 0:
                 return None
-            pos += jump
+            pos -= jump
             segments += 1
         return segments
 

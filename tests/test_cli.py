@@ -149,6 +149,14 @@ def test_missing_file_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.pres"
+    path.write_bytes(b"gens: \xe9\n")
+    code, out, err = run(capsys, "parse", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode") and len(err.splitlines()) == 1
+
+
 def test_argument_parser_is_built_once_per_process(files, capsys, monkeypatch):
     builds = []
     init = argparse.ArgumentParser.__init__
@@ -664,6 +672,38 @@ def test_embed_rejects_unusable_input(tmp_path, capsys):
     )
     assert code == 2
     assert err == "error: invalid input: image of a uses the stable letter t\n"
+
+
+@pytest.mark.parametrize("image", ["b b'", "t", "1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pieces", "{h}"),
+        ("check-smallcancel", "{h}"),
+        ("embed", "--in", "{h}", "--out", "{g}", "--cert", "{c}"),
+    ],
+    ids=["pieces", "check-smallcancel", "embed"],
+)
+def test_hnn_files_whose_cells_are_unusable_exit_2(image, argv, tmp_path, capsys):
+    """An image that leaves its conjugation cell not cyclically reduced is
+    a one-line diagnostic for every command that reads the cells."""
+    h = tmp_path / "h.pres"
+    h.write_text(f"hnn: t; ascending: a; free: b\nmap a: {image}\n")
+    paths = {"h": h, "g": tmp_path / "g.pres", "c": tmp_path / "c.json"}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_a_failed_area_budget_is_not_an_exit_code(files, monkeypatch):
+    """Only input errors exit 2; a broken invariant still raises."""
+
+    def broken(presentation, samples):
+        raise AssertionError("sample 0: area 2 exceeds piece budget 1")
+
+    monkeypatch.setattr(cli, "area_bound_check", broken)
+    with pytest.raises(AssertionError, match="exceeds piece budget"):
+        main(["isoperimetry", "--pres", files["surface"], "--samples", "2"])
 
 
 def test_word_solve_exit_codes(files, capsys):
