@@ -71,8 +71,11 @@ def _ratio(fr: Fraction | None):
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: {e}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -166,8 +169,6 @@ def _cmd_pieces(args) -> int:
 
 def _cmd_check_smallcancel(args) -> int:
     p = _as_presentation(_load(args.file))
-    if not p.relators:
-        raise CliError("no relators to check")
     include = not args.no_inverse_symmetrization
     try:
         num_s, _, den_s = args.cprime.partition("/")

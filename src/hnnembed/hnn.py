@@ -90,7 +90,6 @@ from .words import (
     contains_all_reduced_digrams,
     cyclically_equal,
     eulerian_digram_word,
-    exponent,
     is_reduced,
     relabel,
     signed_letters,
@@ -253,6 +252,8 @@ class EmbeddingCertificate:
     c' image, backtrack included).  All piece-based verdicts are
     computed on these words; rotation and inversion do not change piece
     statistics, so checking them is checking the projections.
+    ``no_proper_powers`` and ``pairwise_distinct`` are read off
+    ``no_extra_powers`` and ``no_duplicates`` (see :func:`_certify`).
     """
 
     quotient: QuotientPresentation
@@ -414,19 +415,24 @@ def _certify(
     if image_rank is None:
         # Every image is nonempty, so this is is_monomorphism's own test.
         image_rank = rank(subgroup_core(g.base_alphabet, g.images))
+    # The cell verdicts are read off the relative checks.  Each cell
+    # t x t' img(x)' reads the stable letter once, so its literal exponent
+    # is 1 and it is no rotation of another cell: those checks fail exactly
+    # where a projection is a proper power or equals another up to
+    # rotation.  The anchor above makes the stored words the projections
+    # up to rotation and inversion, which change neither.
+    powers = check_no_extra_powers(pair)
+    duplicates = check_no_duplicates(pair)
+    raised = {v.relator for v in powers.violations}
     cert = EmbeddingCertificate(
         quotient=q,
         quotient_words=stored,
         c7=c7,
         cprime=cprime,
-        no_proper_powers=tuple(exponent(w) == 1 for w in stored),
-        pairwise_distinct=not any(
-            cyclically_equal(stored[i], stored[j])
-            for i in range(len(stored))
-            for j in range(i + 1, len(stored))
-        ),
-        no_extra_powers=check_no_extra_powers(pair),
-        no_duplicates=check_no_duplicates(pair),
+        no_proper_powers=tuple(pr.source not in raised for pr in q.projected),
+        pairwise_distinct=duplicates.verdict,
+        no_extra_powers=powers,
+        no_duplicates=duplicates,
         monomorphism=image_rank == len(g.images),
         irreducible=evidence,
     )

@@ -5,7 +5,8 @@ nonempty relator words.  The checks in this module classify how relators
 overlap: a *piece* is a subword occurring with two different appearances
 across the relator family (see :mod:`hnnembed.suffixes` for what counts
 as different).  Verdicts come back as small report objects carrying the
-numbers that justify them, so callers can serialize or re-check.
+per-relator numbers they were decided from (longest piece and length, or
+fewest pieces), so callers can serialize or re-check them.
 
 The metric check compares, per relator, the longest piece against the
 fraction ``num/den`` of the relator length, with strict integer
@@ -62,7 +63,6 @@ class PieceReport:
     longest piece occurring anywhere in relator j, in either direction.
     """
 
-    include_inverses: bool
     lengths: tuple[int, ...]
     max_piece: tuple[int, ...]
     per_offset: tuple[tuple[int, ...], ...]
@@ -92,17 +92,14 @@ def piece_stats(relators: Sequence[Word], include_inverses: bool = True) -> Piec
         raise ValueError("no relators to scan")
     table = match_table([w.letters for w in words], include_inverses)
     return PieceReport(
-        include_inverses=include_inverses,
         lengths=tuple(len(w) for w in words),
         max_piece=table.per_word_max,
         per_offset=table.per_offset,
     )
 
 
-def best_piece_decomposition(
-    per_offset: Sequence[int],
-) -> tuple[int, int, tuple[int, ...]] | None:
-    """Fewest-piece covering of some rotation: (count, start, lengths).
+def best_piece_decomposition(per_offset: Sequence[int]) -> int | None:
+    """Fewest pieces whose concatenation is some rotation of the relator.
 
     ``per_offset`` is one relator's row of :class:`PieceReport`.  Greedy
     longest-jump from every start is exact because pieces are closed
@@ -113,71 +110,44 @@ def best_piece_decomposition(
     n = len(per_offset)
     if any(v == 0 for v in per_offset):
         return None
-    best: tuple[int, int, tuple[int, ...]] | None = None
+    best: int | None = None
     for start in range(n):
-        covered = 0
+        covered = count = 0
         pos = start
-        segs: list[int] = []
-        while covered < n:
+        while covered < n and (best is None or count < best):
             step = per_offset[pos % n]
-            if covered + step > n:
-                step = n - covered
             covered += step
             pos += step
-            segs.append(step)
-            if best is not None and len(segs) >= best[0]:
-                break
-        if covered == n and (best is None or len(segs) < best[0]):
-            best = (len(segs), start, tuple(segs))
+            count += 1
+        if covered >= n and (best is None or count < best):
+            best = count
     return best
 
 
 @dataclass(frozen=True)
-class CpWitness:
-    """A too-short decomposition: relator covered by the listed pieces."""
-
-    relator: int
-    start: int
-    segments: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class CpReport:
-    """Verdict for the non-metric overlap condition with parameter p."""
+    """Verdict for the non-metric overlap condition with parameter p,
+    with the fewest pieces each relator decomposes into."""
 
     p: int
     holds: bool
-    include_inverses: bool
     min_pieces: tuple[int | None, ...]  # None: relator is no product of pieces
-    max_piece: tuple[int, ...]
-    lengths: tuple[int, ...]
-    witnesses: tuple[CpWitness, ...]
 
 
-def check_cp(relators: Sequence[Word], p: int, include_inverses: bool = True) -> CpReport:
+def check_cp(relators: Sequence[Word], p: int) -> CpReport:
     """Does every relator need at least p pieces, if decomposable at all?
 
     A relator that is not a product of pieces at all passes vacuously.
-    Witnesses carry a decomposition for every relator that fails.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
-    return cp_from_stats(piece_stats(relators, include_inverses), p)
+    return cp_from_stats(piece_stats(relators), p)
 
 
 def cp_from_stats(rep: PieceReport, p: int) -> CpReport:
     """Same verdict as :func:`check_cp`, reusing a computed piece scan."""
-    decomps = [best_piece_decomposition(row) for row in rep.per_offset]
-    mins = tuple(None if d is None else d[0] for d in decomps)
-    witnesses = tuple(
-        CpWitness(j, d[1], d[2])
-        for j, d in enumerate(decomps)
-        if d is not None and d[0] < p
-    )
-    holds = not witnesses
-    return CpReport(
-        p, holds, rep.include_inverses, mins, rep.max_piece, rep.lengths, witnesses
-    )
+    mins = tuple(best_piece_decomposition(row) for row in rep.per_offset)
+    return CpReport(p, all(m is None or m >= p for m in mins), mins)
 
 
 @dataclass(frozen=True)
@@ -187,14 +157,11 @@ class CprimeReport:
     num: int
     den: int
     holds: bool
-    include_inverses: bool
     max_piece: tuple[int, ...]
     lengths: tuple[int, ...]
 
 
-def check_cprime(
-    relators: Sequence[Word], num: int, den: int, include_inverses: bool = True
-) -> CprimeReport:
+def check_cprime(relators: Sequence[Word], num: int, den: int) -> CprimeReport:
     """Is every piece strictly shorter than num/den of its relator?
 
     Strict integer comparison: piece * den < num * length, for every
@@ -202,10 +169,10 @@ def check_cprime(
     """
     if not 0 < num < den:
         raise ValueError("bound must be a fraction strictly between 0 and 1")
-    return cprime_from_stats(piece_stats(relators, include_inverses), num, den)
+    return cprime_from_stats(piece_stats(relators), num, den)
 
 
 def cprime_from_stats(rep: PieceReport, num: int, den: int) -> CprimeReport:
     """Same verdict as :func:`check_cprime`, reusing a computed piece scan."""
     holds = all(m * den < num * l for m, l in zip(rep.max_piece, rep.lengths))
-    return CprimeReport(num, den, holds, rep.include_inverses, rep.max_piece, rep.lengths)
+    return CprimeReport(num, den, holds, rep.max_piece, rep.lengths)

@@ -121,8 +121,7 @@ def random_cyclically_reduced_word(rng, rank: int, length: int) -> Word:
 
 def min_piece_decomposition(per_offset) -> int | None:
     """Fewest pieces whose concatenation is some rotation of the word."""
-    best = best_piece_decomposition(per_offset)
-    return None if best is None else best[0]
+    return best_piece_decomposition(per_offset)
 
 
 def cancellable_alignment(p: Presentation, d: TwoCellDiagram) -> bool:

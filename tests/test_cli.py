@@ -154,7 +154,14 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     path.write_bytes(b"gens: \xe9\n")
     code, out, err = run(capsys, "parse", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("error: 'utf-8' codec can't decode") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["pieces", "check-smallcancel"])
+def test_a_file_without_relators_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "free.pres"
+    path.write_text("gens: a b\n")
+    assert run(capsys, command, str(path)) == (2, "", "error: no relators to scan\n")
 
 
 def test_argument_parser_is_built_once_per_process(files, capsys, monkeypatch):
@@ -562,6 +569,18 @@ def test_certify_rejects_groups_that_do_not_extend_the_input(tmp_path, capsys):
         bad.write_text(hnn_source(wrong))
         code, out, err = run(capsys, "certify", "--in", h, "--g", str(bad), "--cert", cert)
         assert (code, out, err) == (1, "", "group file does not match the input\n")
+
+
+@pytest.mark.parametrize("flag", ["--in", "--g", "--cert"])
+def test_certify_names_the_file_that_is_not_utf8(flag, tmp_path, capsys):
+    h, g, cert = embed_files(tmp_path, capsys, INTRO, False)
+    paths = {"--in": h, "--g": g, "--cert": cert}
+    bad = tmp_path / "latin1"
+    bad.write_bytes(b"gens: \xe9\n")
+    paths[flag] = str(bad)
+    code, out, err = run(capsys, "certify", *itertools.chain(*paths.items()))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode") and len(err.splitlines()) == 1
 
 
 def test_certify_rejects_an_honest_certificate_of_a_non_injective_group(tmp_path, capsys):

@@ -876,15 +876,39 @@ def test_irreducible_certify_builds_no_graph_of_the_loops(monkeypatch):
 
 
 def test_cell_verdicts_agree_with_the_subquotient_checks():
-    """On every pinned sweep certificate and every seed-101 ``complete``
-    certificate, the two cell verdicts read the same as the two relative
-    checks of the subquotient."""
+    """The certificate reads its two cell verdicts off the relative checks
+    of the subquotient.  On every pinned sweep certificate and every
+    seed-101 ``complete`` certificate they equal a literal recomputation
+    from the stored quotient words: each word's exponent, and cyclic
+    equality of every pair."""
     certificates = [sweep_completion(*key).certificate for key in sorted(SWEEP_GOLDEN)]
     for irreducible in (False, True):
         certificates += [res.certificate for res in completions("complete101", irreducible)]
     for cert in certificates:
-        assert cert.pairwise_distinct == cert.no_duplicates.verdict
-        assert all(cert.no_proper_powers) == cert.no_extra_powers.verdict
+        words = cert.quotient_words
+        assert cert.no_proper_powers == tuple(exponent(w) == 1 for w in words)
+        assert cert.pairwise_distinct == (
+            not any(cyclically_equal(u, v) for u, v in itertools.combinations(words, 2))
+        )
+
+
+def test_certify_takes_each_cell_exponent_once(monkeypatch):
+    """Certifying the 4+4 sweep input's irreducible completion computes at
+    most two literal periods per cell: the cell's and its projection's,
+    both in the power check."""
+    res = sweep_completion(4, "irreducible")
+    cells = len(res.certificate.quotient_words)
+    calls = []
+    period = hnnembed.words.literal_period
+
+    def spy(letters):
+        calls.append(len(letters))
+        return period(letters)
+
+    monkeypatch.setattr(hnnembed.words, "literal_period", spy)
+    again = certify_completion(res.source, res.group, True)
+    assert again.certificate == res.certificate
+    assert len(calls) <= 2 * cells
 
 
 def test_irreducible_construction_checks_only_the_words_that_enter(monkeypatch):
