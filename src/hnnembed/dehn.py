@@ -21,8 +21,13 @@ with a cap of at most ell every reading is a cyclic subword, and it also
 occurs at an offset below ell.  All strings of one state occur at the same
 places, so the least (relator, orientation, offset) over a state's
 occurrences, stored when the index is built, is the least occurrence of the
-prefix read.  A step reads the doubled cyclic word once per class, so it
-costs O(n) transitions per class, and no reading needs a letter check.
+prefix read.  A step reads the doubled cyclic word through the classes in
+descending relator length, and stops at the first class whose cap
+min(ell, n) is strictly shorter than the best match so far: no reading of
+that class or of any later one is longer than its cap, so none can win.  A
+class whose cap equals the best length is still read, since a shorter
+relator with a lower index wins that tie.  A step costs O(n) transitions
+per class read, and no reading needs a letter check.
 """
 
 from __future__ import annotations
@@ -61,15 +66,17 @@ class DehnResult:
 class DehnSolver:
     """Reusable solver; builds its match index once per presentation.
 
-    The index holds one suffix automaton per relator length ell, read right
-    to left by ``_read`` (see the module docstring).  ``_best_match`` reads
-    the doubled cyclic word with the cap min(ell, n).  A relator of the
-    class matches at position p letter for letter for k <= min(ell, n)
-    letters exactly when those k letters are a subword of its doubled text,
-    so the reading at p is the longest such match over every (relator,
-    orientation, offset) of the class, and the state it ends in names the
-    least (relator, orientation, offset) that makes it.  The least reading
-    in tie order over all classes is then the exhaustive search's pick.
+    The index holds one suffix automaton per relator length ell, longest
+    first, read right to left by ``_read`` (see the module docstring).
+    ``_best_match`` reads the doubled cyclic word with the cap min(ell, n).
+    A relator of the class matches at position p letter for letter for
+    k <= min(ell, n) letters exactly when those k letters are a subword of
+    its doubled text, so the reading at p is the longest such match over
+    every (relator, orientation, offset) of the class, and the state it
+    ends in names the least (relator, orientation, offset) that makes it.
+    The least reading in tie order over all classes is then the exhaustive
+    search's pick.  The classes it leaves unread have caps strictly below
+    the best length, so none of them holds a rival.
     ``piece_count`` walks each automaton from its root at the positions
     its greedy segmentation lands on, and reads no other position.
     """
@@ -85,7 +92,7 @@ class DehnSolver:
         texts: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
         for j, ell in enumerate(self._lengths):
             texts.setdefault(ell, []).extend((j, s, d) for s, d in enumerate(self._doubled[j]))
-        self._classes = {ell: _index(class_texts) for ell, class_texts in texts.items()}
+        self._classes = {ell: _index(texts[ell]) for ell in sorted(texts, reverse=True)}
 
     def solve(self, w: Word) -> DehnResult:
         cur = cyclic_reduce(w)[0]
@@ -106,11 +113,18 @@ class DehnSolver:
 
     def _best_match(self, cur: Word) -> tuple[int, int, int, int, int] | None:
         """Pick (length, relator, position, srank, offset) minimizing
-        (-length, relator, position, srank, offset)."""
+        (-length, relator, position, srank, offset).
+
+        Classes come longest first, so their caps min(ell, n) never grow;
+        the search stops at the first cap strictly below the best length,
+        since no reading is longer than its cap.  A cap equal to the best
+        length is read: a shorter relator with a lower index wins the tie."""
         n = len(cur)
         w2 = cur.letters + cur.letters
         best: tuple[int, int, int, int, int] | None = None
         for ell, index in self._classes.items():
+            if best is not None and min(ell, n) < best[0]:
+                break
             if 2 * n <= ell:
                 continue
             lengths, states = _read(index, w2, n, min(ell, n))

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from hnnembed import dehn
 from hnnembed.dehn import (
     AreaRow,
     DehnSolver,
@@ -424,6 +425,50 @@ def test_proper_power_ties_at_congruent_offsets_take_the_least():
         res = solver.solve(w)
         assert (res.trivial, res.steps, res.residue) == brute_solve(power, w)
         assert solver.piece_count(w) == brute_piece_count(power, w)
+
+
+def test_a_shorter_class_whose_cap_ties_the_best_match_is_still_read():
+    # lengths 7 < 10 < 2 * 7, the short relator first.  The long class is
+    # read first and finds a 7-letter stretch of relator 1 that does not
+    # extend; the short class's cap min(7, n) ties that length, and its
+    # whole relator 0 wins on relator index, so it must still be read
+    two = Presentation(
+        SURF,
+        (parse_word(SURF, "d' a c b' a' c' c'"), parse_word(SURF, "c b a d' c' a a c' d b")),
+    )
+    assert check_cprime(two.relators, 1, 6).holds
+    short, long = two.relators
+    stretch = Word(long.letters[:7]) * parse_word(SURF, "a")
+    solver = DehnSolver(two)
+    assert solver._best_match(stretch) == (7, 1, 0, 0, 0) == brute_best_match(two, stretch)
+    w = short * stretch
+    assert solver._best_match(w) == (7, 0, 0, 0, 0) == brute_best_match(two, w)
+    res = solver.solve(w)
+    assert (res.trivial, res.steps, res.residue) == brute_solve(two, w)
+
+
+def test_classes_whose_cap_is_below_the_best_match_are_not_read(setup, monkeypatch):
+    # classes are read longest first, and one whose cap min(ell, n) is
+    # shorter than the best match so far cannot beat it
+    presentation, solver = setup
+    assert [len(r) for r in presentation.relators] == [560, 1584, 2608]
+    caps = []
+    read = dehn._read
+
+    def spy(index, letters, count, cap):
+        caps.append(cap)
+        return read(index, letters, count, cap)
+
+    monkeypatch.setattr(dehn, "_read", spy)
+    r0, r1, r2 = presentation.relators
+    assert solver._best_match(r2) == (2608, 2, 0, 0, 0)
+    assert caps == [2608]
+    caps.clear()
+    res = solver.solve(r0 * r1 * r2)
+    assert res.trivial and [s.relator for s in res.steps] == [2, 1, 0]
+    # the last search skips the two longer classes, whose relators are
+    # more than twice the remaining 560 letters, without reading them
+    assert caps == [2608, 2144, 1584, 560]
 
 
 def test_solver_builds_its_index_once():
