@@ -55,7 +55,7 @@ from .subquotient import (
     check_no_extra_powers,
     quotient,
 )
-from .words import Word
+from .words import Alphabet, Word
 
 
 class CliError(Exception):
@@ -145,7 +145,7 @@ def _cmd_pieces(args) -> int:
     rep = piece_stats(p.relators, include_inverses=not args.no_inverse_symmetrization)
     occurrences = rep.maximal_occurrences()
     rows = []
-    for name, r, row, occ in zip(p.relator_names, p.relators, rep.per_offset, occurrences):
+    for j, (name, r, occ) in enumerate(zip(p.relator_names, p.relators, occurrences)):
         doubled = r.letters + r.letters
         maximal = [
             {
@@ -159,7 +159,7 @@ def _cmd_pieces(args) -> int:
             {
                 "name": name,
                 "length": len(r),
-                "max_piece": max(row) if row else 0,
+                "max_piece": rep.max_piece[j],
                 "maximal_pieces": maximal,
             }
         )
@@ -279,9 +279,8 @@ def _cmd_fold(args) -> int:
 def _certificate_json(result: ExtensionResult) -> dict:
     cert = result.certificate
     h = result.source
-    quotient_alphabet = cert.quotient.alphabet
+    quotient_alphabet = Alphabet(result.new_names)
     group = result.group
-    group_alphabet = result.pair.parent.alphabet
     irr = cert.irreducible
     checks = {
         "c7": cert.c7,
@@ -315,7 +314,7 @@ def _certificate_json(result: ExtensionResult) -> dict:
         },
         "new_generators": list(result.new_names),
         "images": {
-            name: group_alphabet.word_str(w) for name, w in zip(group.ascending, group.images)
+            name: group.full_alphabet.word_str(w) for name, w in zip(group.ascending, group.images)
         },
         "quotient": {
             "generators": list(quotient_alphabet.names),
@@ -336,7 +335,7 @@ def _cmd_embed(args) -> int:
     verdict = "all checks pass" if cert_json["all_true"] else "CHECKS FAILING"
     print(
         f"adjoined {', '.join(result.new_names)}; "
-        f"{len(result.pair.parent.relators)} relators; {verdict}"
+        f"{len(result.group.ascending)} relators; {verdict}"
     )
     return 0 if cert_json["all_true"] else 1
 

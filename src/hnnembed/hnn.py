@@ -38,9 +38,10 @@ builds no more of its certificate, except at the last scale.
 Builders build and :func:`_certify` checks.  A builder returns only
 images, which become the completed group G (every generator ascending)
 once their scan passes.  The stored quotient words and every verdict are
-computed from the input and G alone, and the result carries that G, so
-:func:`certify_completion` checks a completed group by passing it
-through, without running construction code.  The monomorphism
+computed from the input and G alone, and the result carries only that G
+and its certificate, so :func:`certify_completion` checks a completed
+group by passing it through, without running construction code.  Only
+G's presentation checks that the images are reduced.  The monomorphism
 verdict reads the rank of the image subgroup.  The plain construction
 reads it off a free-product split: the prescribed images use only old
 letters and have full rank, so when every other image uses only new
@@ -77,7 +78,6 @@ from .stallings import is_monomorphism, rank, subgroup_core, unused_basepoint_la
 from .subquotient import (
     NoDuplicatesReport,
     NoExtraPowersReport,
-    QuotientPresentation,
     SubcomplexSpec,
     check_no_duplicates,
     check_no_extra_powers,
@@ -254,9 +254,9 @@ class EmbeddingCertificate:
     statistics, so checking them is checking the projections.
     ``no_proper_powers`` and ``pairwise_distinct`` are read off
     ``no_extra_powers`` and ``no_duplicates`` (see :func:`_certify`).
+    The quotient's generators are the result's ``new_names``.
     """
 
-    quotient: QuotientPresentation
     quotient_words: tuple[Word, ...]
     c7: bool
     cprime: CprimeReport
@@ -294,11 +294,11 @@ class EmbeddingCertificate:
 @dataclass(frozen=True)
 class ExtensionResult:
     """The completed group (the input's generators then the new ones, all
-    ascending), its complex pair over the input, and its certificate."""
+    ascending) and its certificate; :func:`build_complex_pair` gives its
+    complex pair over the input, which is not kept."""
 
     source: PartialAscendingHNN
     group: PartialAscendingHNN
-    pair: SubcomplexSpec
     certificate: EmbeddingCertificate
 
     @property
@@ -378,7 +378,9 @@ def _certify(
 
     ``stored`` is :func:`_quotient_words` of ``g``'s images and ``report``
     its piece scan, which the caller has already run to decide whether
-    to certify at all.  The result carries ``g`` itself.  The monomorphism
+    to certify at all.  The result carries ``g`` itself; the complex pair
+    and its projection, which ``g``'s presentation checks for unreduced
+    cells, are freed on return.  The monomorphism
     verdict compares the image subgroup's rank with the number of images.
     That rank is read off the free-product split and the prefix test for
     the plain construction, and off the wedge test for the irreducible
@@ -425,7 +427,6 @@ def _certify(
     duplicates = check_no_duplicates(pair)
     raised = {v.relator for v in powers.violations}
     cert = EmbeddingCertificate(
-        quotient=q,
         quotient_words=stored,
         c7=c7,
         cprime=cprime,
@@ -436,7 +437,7 @@ def _certify(
         monomorphism=image_rank == len(g.images),
         irreducible=evidence,
     )
-    return ExtensionResult(h, g, pair, cert)
+    return ExtensionResult(h, g, cert)
 
 
 def _plain_image_rank(h: PartialAscendingHNN, images: Sequence[Word]) -> int | None:
@@ -592,69 +593,39 @@ def construct_irreducible_embedding(h: PartialAscendingHNN) -> ExtensionResult:
     """
     _check_usable(h, irreducible=True)
     nfree = len(h.free)
-    new_names = _fresh_pair_names(h)
-    base = len(h.ascending) + len(h.free)
+    base = len(h.ascending) + nfree
     core = subgroup_core(h.base_alphabet, h.images)
-    unused = unused_basepoint_labels(core)
-    if len(unused) < 2 * nfree:
-        raise RuntimeError("not enough fresh basepoint directions")
-    x = tuple(unused[: 2 * nfree])
-
-    n = base + 2
-    walk = eulerian_digram_word(n)
-    cyc = walk[:-1]
-    period = len(cyc)  # 2n(2n-1)
+    # A rank-r core (r = |ascending|) leaves 2 |free| labels unused: its basepoint
+    # degree is at most 2r, as degrees less 2 sum to 2r - 2 and no other is negative.
+    x = tuple(unused_basepoint_labels(core)[: 2 * nfree])
+    cyc = eulerian_digram_word(base + 2)[:-1]  # 2n(2n - 1) digrams, n = base + 2
+    period = len(cyc)
 
     def rotation_from(start: int, excluded: set[int]) -> Word:
-        for d in range(period):
-            r = (start + d) % period
-            if cyc[r] not in excluded:
-                rot = cyc[r:] * cyc[:r]
-                return rot * Word.of(rot[0])
-        raise RuntimeError("no admissible rotation start")
+        # at most 2 of the 2n letters that cyc starts from are excluded
+        r = next(r for r in (*range(start, period), *range(start)) if cyc[r] not in excluded)
+        rot = cyc[r:] * cyc[:r]
+        return rot * Word.of(rot[0])
 
     c1, c2 = base + 1, base + 2
-    patterns = tuple(
-        rotation_from(j * period // (nfree + 2), {-x[nfree + j], -c1})
-        for j in range(nfree)
-    ) + tuple(
-        rotation_from((nfree + k - 1) * period // (nfree + 2), {-c1, -c2})
-        for k in (1, 2)
-    )
-
+    excluded = [{-x[nfree + j], -c1} for j in range(nfree)] + [{-c1, -c2}] * 2
+    patterns = [rotation_from(j * period // (nfree + 2), ex) for j, ex in enumerate(excluded)]
     # first and last letter of each loop: its x labels, or c_k and c_k'
     ends = [(x[nfree + j], -x[j]) for j in range(nfree)] + [(c1, -c1), (c2, -c2)]
 
+    # Each loop is reduced at every scale.  A pattern is reduced and ends
+    # with its first letter, never -c1, before a tail starting with c1; a
+    # tail ends with c2 (c1 in c2's loop), which -x or -c_k does not cancel.
+    # An x-loop closes on another label's inverse, so it has no stem.  The
+    # pattern after c_k never starts with -c1 or -c2, and the tail before
+    # c_k' ends with the other new letter, so that loop's stem is c_k.  G's
+    # presentation rejects unreduced images; _irreducible_evidence finds stems.
     def build(family: list[Word]) -> list[Word]:
         tails = family[: nfree + 1] + [family[nfree + 1] * Word.of(c1)]
         loops = [
             Word.of(a) * pattern * tail * Word.of(b)
             for (a, b), pattern, tail in zip(ends, patterns, tails)
         ]
-        if not _irreducible_shape_ok(loops, nfree, base):
-            raise RuntimeError("new images fail the irreducible shape check")
         return list(h.images) + loops
 
-    return _escalate(h, new_names, build, irreducible=True)
-
-
-def _irreducible_shape_ok(loops: list[Word], nfree: int, base: int) -> bool:
-    """Reducedness shape of the new images.
-
-    It does not depend on the scale: every family tail starts with c1 and
-    ends with c2 or c1, and no pattern starts with -c1, -c2 or -x, so a
-    failure is raised at once rather than escalated."""
-    for j, w in enumerate(loops):
-        if j < nfree:
-            if not (is_reduced(w) and w[0] != -w[-1]):
-                return False
-        else:
-            ck = base + (j - nfree) + 1
-            if not is_reduced(w):
-                return False
-            # the stem that cyclic reduction strips off is exactly c_k
-            ls = w.letters
-            if not (len(ls) >= 3 and ls[0] == ck and ls[-1] == -ck and ls[1] != -ls[-2]):
-                return False
-    return True
-
+    return _escalate(h, _fresh_pair_names(h), build, irreducible=True)

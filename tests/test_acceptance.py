@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from hnnembed.cli import main as cli_main
 from hnnembed.dehn import area_bound_check, random_trivial_words
 from hnnembed.hnn import (
+    build_complex_pair,
     construct_embedding,
     construct_irreducible_embedding,
     generate_relator_family,
@@ -110,7 +111,8 @@ def test_criterion_2_intro_embedding_shape(capsys, tmp_path):
         result = construct_embedding(INTRO)
         assert result.new_names == ("c1", "c2")
         assert len(result.new_names) == 2
-        new_relators = len(result.pair.parent.relators) - len(INTRO.ascending)
+        pair = build_complex_pair(INTRO, result.group)
+        new_relators = len(pair.parent.relators) - len(INTRO.ascending)
         assert new_relators == 3
         assert result.certificate.all_true()
 

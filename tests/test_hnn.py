@@ -8,12 +8,14 @@ could in principle disagree with a fresh computation.
 
 import collections
 import functools
+import gc
 import hashlib
 import itertools
 import os
 import random
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -153,9 +155,10 @@ def test_family_preconditions():
 
 
 def test_construct_embedding_headline():
-    res = construct_embedding(intro_example())
+    h = intro_example()
+    res = construct_embedding(h)
     assert res.new_names == ("c1", "c2")
-    assert len(res.pair.parent.relators) == 5
+    assert len(build_complex_pair(h, res.group).parent.relators) == 5
     assert len(res.certificate.quotient_words) == 3
     assert res.certificate.all_true()
     assert res.certificate.irreducible is None
@@ -164,7 +167,7 @@ def test_construct_embedding_headline():
 def test_construct_embedding_already_ascending():
     h = PartialAscendingHNN(("a",), (), (Word.of(1, 1),))
     res = construct_embedding(h)
-    assert len(res.pair.parent.relators) == 3
+    assert len(build_complex_pair(h, res.group).parent.relators) == 3
     assert len(res.certificate.quotient_words) == 2
     assert res.certificate.all_true()
 
@@ -179,7 +182,7 @@ def test_construct_embedding_identity_image():
 def test_construct_embedding_no_ascending_part():
     h = PartialAscendingHNN((), ("b",), ())
     res = construct_embedding(h)
-    assert res.pair.sub_relators == ()
+    assert build_complex_pair(h, res.group).sub_relators == ()
     assert res.certificate.all_true()
 
 
@@ -194,15 +197,16 @@ def test_round_trip_relators_verbatim():
     h = intro_example()
     own = h.presentation()
     for res in (construct_embedding(h), construct_irreducible_embedding(h)):
-        g = res.pair.parent
+        g = build_complex_pair(h, res.group).parent
         rendered = [g.alphabet.word_str(r) for r in g.relators]
         for r in own.relators:
             assert own.alphabet.word_str(r) in rendered
 
 
 def test_certificate_soundness_against_fresh_quotient():
-    res = construct_embedding(intro_example())
-    q = quotient(res.pair)
+    h = intro_example()
+    res = construct_embedding(h)
+    q = quotient(build_complex_pair(h, res.group))
     stored = res.certificate.quotient_words
     assert len(q.projected) == len(stored)
     for pr, w in zip(q.projected, stored):
@@ -257,9 +261,44 @@ def test_soundness_anchors_raise_under_optimize():
     ]
 
 
-def test_irreducible_shape_failure_does_not_escalate(monkeypatch):
-    """The shape of the new images does not depend on the scale, so a
-    failing shape check raises at the first scale instead of doubling."""
+def wrap_builds(monkeypatch, after) -> None:
+    """Pass every escalation attempt's images through ``after(h, images)``."""
+    escalate = hnn._escalate
+
+    def wrapping(h, new_names, build, irreducible):
+        return escalate(h, new_names, lambda family: after(h, build(family)), irreducible)
+
+    monkeypatch.setattr(hnn, "_escalate", wrapping)
+
+
+def test_irreducible_loops_are_reduced_with_the_stems_they_are_built_with(monkeypatch):
+    """The construction does not check its loops' shape; the build comment
+    argues it.  Every attempt on the intro example and the 2+2, 4+4 and
+    8+8 sweep inputs bears it out: each loop is reduced, each x-loop is
+    cyclically reduced, and the loop of c_k has the stem c_k alone."""
+    attempts = []
+
+    def record(h, images):
+        attempts.append((h, images[len(h.ascending) :]))
+        return images
+
+    wrap_builds(monkeypatch, record)
+    for h in (intro_example(), sweep_input(2), sweep_input(4), sweep_input(8)):
+        assert construct_irreducible_embedding(h).certificate.all_true()
+    assert len(attempts) == 1 + 1 + 2 + 3
+    for h, loops in attempts:
+        base = len(h.ascending) + len(h.free)
+        assert len(loops) == len(h.free) + 2
+        for j, w in enumerate(loops):
+            assert is_reduced(w)
+            want = Word(()) if j < len(h.free) else Word.of(base + 1 + j - len(h.free))
+            assert cyclic_reduce(w)[1] == want
+
+
+def test_an_unreduced_loop_is_never_certified(monkeypatch):
+    """With no shape check in the construction, an unreduced loop is
+    rejected by the completed presentation at the first scale, as a
+    ValueError naming the cell, and is not escalated."""
     calls = []
     family = hnn.generate_relator_family
 
@@ -267,36 +306,39 @@ def test_irreducible_shape_failure_does_not_escalate(monkeypatch):
         calls.append(args)
         return family(*args)
 
+    def spoil(h, images):
+        w = images[-1]
+        return images[:-1] + [w * Word.of(-w[-1])]
+
     monkeypatch.setattr(hnn, "generate_relator_family", counted)
-    monkeypatch.setattr(hnn, "_irreducible_shape_ok", lambda *args: False)
-    with pytest.raises(RuntimeError, match="shape check"):
+    wrap_builds(monkeypatch, spoil)
+    with pytest.raises(ValueError, match="not cyclically reduced"):
         construct_irreducible_embedding(intro_example())
     assert len(calls) == 1
 
 
-def test_irreducible_shape_check_reads_the_stem_like_cyclic_reduce():
-    """The in-place stem test agrees with stripping the stem through
-    ``cyclic_reduce``, on every word of 1-3 letters and seeded words of
-    4-11 letters, reduced or not, over two generators and c1 = 3."""
-    rng = random.Random(311)
-    letters = (1, -1, 2, -2, 3, -3)
-    words = [Word(w) for n in range(1, 4) for w in itertools.product(letters, repeat=n)]
-    for _ in range(3000):
-        n = rng.choice((4, 5, rng.randrange(6, 12)))
-        inner = [rng.choice(letters) for _ in range(n - 2)]
-        ends = rng.choice(((3, -3), (3, -3), (-3, 3), (3, 3), (1, -1)))
-        words.append(Word((ends[0], *inner, ends[1])))
-    stems = 0
-    for w in words:
-        want = is_reduced(w) and cyclic_reduce(w)[1] == Word.of(3)
-        assert hnn._irreducible_shape_ok([w], 0, 2) == want, w
-        stems += want
-    assert stems > 300
+def test_the_complex_pair_is_freed_with_the_certificate(monkeypatch):
+    """The result keeps the completed group and its certificate only, so
+    every complex pair built on the way is garbage once it is returned."""
+    refs = []
+    build = hnn.build_complex_pair
+
+    def tracked(*args):
+        spec = build(*args)
+        refs.append(weakref.ref(spec))
+        return spec
+
+    monkeypatch.setattr(hnn, "build_complex_pair", tracked)
+    res = construct_irreducible_embedding(sweep_input(4))
+    gc.collect()
+    assert res.certificate.all_true()
+    assert refs and all(ref() is None for ref in refs)
 
 
 def test_every_relator_has_exponent_one():
-    res = construct_embedding(intro_example())
-    for r in res.pair.parent.relators:
+    h = intro_example()
+    res = construct_embedding(h)
+    for r in build_complex_pair(h, res.group).parent.relators:
         assert exponent(r) == 1
     for w in res.certificate.quotient_words:
         assert exponent(w) == 1
@@ -395,8 +437,7 @@ def test_one_projection_per_certificate(irreducible, monkeypatch):
     res = construct(h)
     again = certify_completion(h, res.group, irreducible)
     assert len(certified) == len(projections) == 2
-    assert projections == [res.pair, again.pair]
-    assert res.certificate.quotient is quotient(res.pair)
+    assert projections == [build_complex_pair(h, r.group) for r in (res, again)]
 
 
 def test_built_graphs_are_not_walked_for_connectivity(monkeypatch):

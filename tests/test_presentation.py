@@ -374,12 +374,17 @@ def test_cprime_implies_cp():
 def test_piece_subword_closure():
     # If a piece of length L starts at offset o, pieces of every shorter
     # length start there too, and a piece of length >= L-1 starts at o+1.
+    # Each word's longest piece is its row's maximum, with and without
+    # inverses, so ``pieces`` reads ``max_piece`` instead of the rows.
     rng = random.Random(205)
     for trial in range(150):
         words = [
             random_cyclically_reduced_word(rng, 2, rng.randrange(1, 9))
             for _ in range(rng.randrange(1, 3))
         ]
+        for include in (True, False):
+            rep = piece_stats(words, include_inverses=include)
+            assert rep.max_piece == tuple(map(max, rep.per_offset)), (words, include)
         rep = piece_stats(words)
         for row in rep.per_offset:
             n = len(row)
