@@ -187,7 +187,9 @@ def build_complex_pair(h: PartialAscendingHNN, g: PartialAscendingHNN) -> Subcom
 
 
 def generate_relator_family(count: int, alphabet: Alphabet, scale: int = 1) -> list[Word]:
-    """Deterministic quotient-relator words over a two-letter alphabet.
+    """Deterministic quotient-relator words over the last two generators
+    c1, c2 of ``alphabet``, so a completion's family is written in its
+    own letters; over a two-letter alphabet they are letters 1 and 2.
 
     Word m is the product of 32 blocks c1 c2^e with exponents
     scale*(32m+1) .. scale*(32m+32): strictly increasing within a word
@@ -200,14 +202,15 @@ def generate_relator_family(count: int, alphabet: Alphabet, scale: int = 1) -> l
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if alphabet.size != 2:
-        raise ValueError("family needs a two-letter alphabet")
+    if alphabet.size < 2:
+        raise ValueError("family needs at least a two-letter alphabet")
+    c1, c2 = alphabet.size - 1, alphabet.size
     words = []
     for m in range(count):
         letters: list[int] = []
         for k in range(1, FAMILY_BLOCKS + 1):
-            letters.append(1)
-            letters.extend([2] * (scale * (FAMILY_BLOCKS * m + k)))
+            letters.append(c1)
+            letters.extend([c2] * (scale * (FAMILY_BLOCKS * m + k)))
         words.append(_word(tuple(letters)))
     return words
 
@@ -221,11 +224,12 @@ class IrreducibleEvidence:
     inverted last letter, then each one's first.  ``digram_coverage``
     has one verdict per whole new image (its pattern segment's coverage
     implies it).  ``basepoint_degree`` (against twice |ascending|) reads
-    the prescribed images' core.  ``wedge_check``, written under the JSON
-    names ``wedge_check`` and ``core_matches_wedge``, is one basepoint
-    test: the labels that core reads at its basepoint and those the new
-    loops add there are all distinct, so the image subgroup's core is
-    that core wedged with one circle per loop.
+    the prescribed images' core; it is recorded, not a verdict.
+    ``wedge_check``, written under the JSON names ``wedge_check`` and
+    ``core_matches_wedge``, is one basepoint test: the labels that core
+    reads at its basepoint and those the new loops add there are all
+    distinct, so the image subgroup's core is that core wedged with one
+    circle per loop.
     """
 
     x_labels: tuple[int, ...]
@@ -235,11 +239,9 @@ class IrreducibleEvidence:
     degree_bound: int
 
     def all_true(self) -> bool:
-        return (
-            all(self.digram_coverage)
-            and self.wedge_check
-            and self.basepoint_degree <= self.degree_bound
-        )
+        # No degree verdict: a validated input's prescribed core has rank
+        # |ascending|, so its basepoint degree is at most 2 |ascending|.
+        return all(self.digram_coverage) and self.wedge_check
 
 
 @dataclass(frozen=True)
@@ -332,8 +334,8 @@ def _quotient_words(h: PartialAscendingHNN, images: Sequence[Word]) -> tuple[Wor
     )
 
 
-# A per-scale builder turns a relator family, renumbered onto the two new
-# generators, into the images of every non-stable generator, in alphabet order.
+# A per-scale builder turns a relator family over the two new generators
+# into the images of every non-stable generator, in alphabet order.
 Builder = Callable[[list[Word]], list[Word]]
 
 
@@ -349,17 +351,14 @@ def _escalate(
     building the rest of it, except at the last scale, whose full
     certificate names every failing check.
     """
-    c_alphabet = Alphabet.of(*new_names)
-    base = len(h.ascending) + len(h.free)
-    lift = {x: x + base if x > 0 else x - base for x in signed_letters(2)}
+    alphabet = Alphabet(h.ascending + h.free + new_names)
     for e in range(MAX_ESCALATIONS + 1):
-        family = generate_relator_family(len(h.free) + 2, c_alphabet, 2**e)
-        images = build([relabel(w, lift) for w in family])
+        images = build(generate_relator_family(len(h.free) + 2, alphabet, 2**e))
         stored = _quotient_words(h, images)
         report = piece_stats(list(stored), include_inverses=True)
         if e < MAX_ESCALATIONS and not cprime_from_stats(report, 1, 7).holds:
             continue
-        g = PartialAscendingHNN(h.ascending + h.free + new_names, (), tuple(images), h.stable)
+        g = PartialAscendingHNN(alphabet.names, (), tuple(images), h.stable)
         result = _certify(h, g, irreducible, stored, report)
         failing = result.certificate.failing()
         if not failing:
@@ -496,14 +495,12 @@ def _irreducible_evidence(
     attached = loops[: len(h.free)]
     core = subgroup_core(h.base_alphabet, h.images)
     star = list(core.outgoing_labels(core.basepoint))
-    cycles = 0
     for w in loops:
         ls = w.letters  # reduced, so only its stem strips off: ls[:i]
         i, j = 0, len(ls) - 1
         while i < j and ls[i] == -ls[j]:
             i, j = i + 1, j - 1
         star += (ls[0],) if i else (ls[0], -ls[-1])
-        cycles += i <= j
     wedge = len(star) == len(set(star))
     letters = signed_letters(len(images))
     evidence = IrreducibleEvidence(
@@ -513,7 +510,9 @@ def _irreducible_evidence(
         basepoint_degree=core.degree(core.basepoint),
         degree_bound=2 * len(h.ascending),
     )
-    return (rank(core) + cycles if wedge else None), evidence
+    # Every cycle is nonempty: a reduced nonempty loop stops stripping
+    # its stem with i <= j, so each loop adds one to the rank.
+    return (rank(core) + len(loops) if wedge else None), evidence
 
 
 def _check_usable(h: PartialAscendingHNN, irreducible: bool) -> None:

@@ -67,8 +67,11 @@ def _chunk_tokens(chunk: str, line: int | None) -> list[tuple[str, object]]:
 
 
 def _push_tokens(
-    alphabet: Alphabet, stack: list[list[int]], tokens: list[tuple[str, object]], line: int | None
-) -> None:
+    alphabet: Alphabet, tokens: list[tuple[str, object]], line: int | None
+) -> list[int]:
+    """Letters of a token list, with one explicit stack for the letters of
+    each open group."""
+    stack: list[list[int]] = [[]]
     for kind, value in tokens:
         if kind == "open":
             stack.append([])
@@ -86,43 +89,32 @@ def _push_tokens(
                 stack[-1].append(alphabet.letter(value))
             except KeyError as e:
                 raise ParseError(e.args[0], line) from None
+    if len(stack) != 1:
+        raise ParseError("missing ')'", line)
+    return stack[0]
 
 
 def parse_word(alphabet: Alphabet, text: str, line: int | None = None) -> Word:
     """Parse a word over ``alphabet``; concatenation is literal (no implicit
     free reduction), so malformed inputs stay visible to later validators.
 
-    The text is read one whitespace-separated chunk at a time.  A chunk
-    that is a whole symbol of ``alphabet`` is looked up in its symbol
-    table; every other chunk (parentheses, ``)^k``, ``1``, unknown or
-    malformed text) goes through the tokenizer.  A syntax error anywhere
-    in the text is reported before any other error, as if the whole text
-    were tokenized first.
+    Every whitespace-separated chunk of the text is first looked up in
+    the symbol table of ``alphabet``, in one pass.  Only if some chunk is
+    not a symbol (parentheses, ``)^k``, ``1``, unknown or malformed text)
+    is every chunk tokenized, and the tokens then pushed, so a syntax
+    error anywhere in the text is reported before any other error.
 
-    One explicit stack holds the letters of each open group, so nesting
-    depth is bounded by memory rather than by the interpreter's stack.  A
-    power is refused before it is built if it would take its group past
-    :data:`MAX_WORD_LETTERS`, and so is a longer word."""
-    by_symbol = alphabet.tables[0]
+    Nesting depth is bounded by memory rather than by the interpreter's
+    stack.  A power is refused before it is built if it would take its
+    group past :data:`MAX_WORD_LETTERS`, and so is a longer word."""
     chunks = text.split()
-    stack: list[list[int]] = [[]]
-    for i, chunk in enumerate(chunks):
-        x = by_symbol.get(chunk)
-        if x is not None:
-            stack[-1].append(x)
-            continue
-        tokens = _chunk_tokens(chunk, line)
-        try:
-            _push_tokens(alphabet, stack, tokens, line)
-        except ParseError:
-            for rest in chunks[i + 1 :]:
-                _chunk_tokens(rest, line)
-            raise
-    if len(stack) != 1:
-        raise ParseError("missing ')'", line)
-    if len(stack[0]) > MAX_WORD_LETTERS:
+    letters = list(map(alphabet.tables[0].get, chunks))
+    if not all(letters):  # letters are nonzero, so only a chunk not found is falsy
+        tokens = [tok for chunk in chunks for tok in _chunk_tokens(chunk, line)]
+        letters = _push_tokens(alphabet, tokens, line)
+    if len(letters) > MAX_WORD_LETTERS:
         raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters", line)
-    return _word(tuple(stack[0]))
+    return _word(tuple(letters))
 
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:

@@ -600,6 +600,27 @@ def test_certify_rejects_an_honest_certificate_of_a_non_injective_group(tmp_path
     assert (code, out, err) == (1, "", "reconstructed certificate has failing checks\n")
 
 
+def test_certify_rejects_an_image_that_misses_a_digram(tmp_path, capsys):
+    """G is the intro example's irreducible completion with c2's image
+    taken from the plain completion, which threads no digram pattern.
+    Only that image's digram coverage fails, and certify rejects the
+    honest certificate."""
+    h, g, _ = embed_files(tmp_path, capsys, INTRO, True)
+    group = parse_hnn(open(g).read())
+    plain = hnn.construct_embedding(parse_hnn(INTRO)).group
+    spoilt = dataclasses.replace(group, images=group.images[:-1] + plain.images[-1:])
+    result = hnn.certify_completion(parse_hnn(INTRO), spoilt, True)
+    assert result.certificate.irreducible.digram_coverage == (True, True, False)
+    assert result.certificate.failing() == ["irreducible"]
+    bad_g, bad_cert = tmp_path / "bad.pres", tmp_path / "bad.json"
+    bad_g.write_text(hnn_source(spoilt))
+    bad_cert.write_text(cli._canonical(cli._certificate_json(result)))
+    code, out, err = run(
+        capsys, "certify", "--in", h, "--g", str(bad_g), "--cert", str(bad_cert)
+    )
+    assert (code, out, err) == (1, "", "reconstructed certificate has failing checks\n")
+
+
 @pytest.mark.parametrize(
     "free_images,no_proper_powers,pairwise_distinct",
     [

@@ -145,6 +145,11 @@ def test_family_is_verified_and_deterministic(count, scale):
     assert fam == generate_relator_family(count, C2, scale=scale)
     # 32 blocks c1 c2^e, e = scale*(32m+1) .. scale*(32m+32)
     assert [len(w) for w in fam] == [32 + scale * (1024 * m + 528) for m in range(count)]
+    # over a wider alphabet, the same words on its last two generators
+    for size in range(2, 6):
+        wide = Alphabet(tuple(f"g{i}" for i in range(1, size + 1)))
+        lift = {1: size - 1, 2: size}
+        assert generate_relator_family(count, wide, scale) == [relabel(w, lift) for w in fam]
 
 
 def test_family_preconditions():
@@ -152,6 +157,33 @@ def test_family_preconditions():
         generate_relator_family(0, C2)
     with pytest.raises(ValueError, match="two-letter"):
         generate_relator_family(1, Alphabet.of("x"))
+
+
+@pytest.mark.parametrize(
+    "construct", [construct_embedding, construct_irreducible_embedding], ids=["plain", "irreducible"]
+)
+def test_only_the_quotient_words_are_relabelled(monkeypatch, construct):
+    """The family is written in the completed group's letters, so an
+    attempt relabels no family word, only its stored quotient words: one
+    per generator after the prescribed ones."""
+    counts = collections.Counter()
+
+    def spy(name):
+        fn = getattr(hnn, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(hnn, name, counted)
+
+    spy("relabel")
+    spy("generate_relator_family")
+    for n in (2, 4, 8):
+        counts.clear()
+        h = sweep_input(n)
+        assert construct(h).certificate.all_true()
+        assert counts["relabel"] == (len(h.free) + 2) * counts["generate_relator_family"]
 
 
 def test_construct_embedding_headline():

@@ -1,3 +1,4 @@
+import collections
 import random
 import time
 
@@ -6,6 +7,8 @@ import pytest
 from hnnembed.hnn import PartialAscendingHNN
 from hnnembed.parsing import (
     ParseError,
+    _chunk_tokens,
+    _push_tokens,
     hnn_source,
     parse_generating_set,
     parse_hnn,
@@ -128,6 +131,52 @@ def test_prefix_names_are_whole_symbols():
     assert parse_word(PREFIXES, "(a a1)^2 (ab')^-1") == Word.of(1, 2, 1, 2, 4)
     with pytest.raises(ParseError, match="unknown generator 'a1_b'"):
         parse_word(PREFIXES, "a a1_b")
+
+
+def _tokenize_then_push(ab: Alphabet, text: str, line: int) -> Word:
+    """The reference reading: every chunk through the tokenizer, no symbol
+    table lookup, then every token pushed."""
+    tokens = [tok for chunk in text.split() for tok in _chunk_tokens(chunk, line)]
+    return Word(tuple(_push_tokens(ab, tokens, line)))
+
+
+def _random_word_text(rng: random.Random, depth: int = 0) -> str:
+    pieces = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.random()
+        if kind < 0.5:
+            pieces.append(rng.choice(["a", "b", "c", "a'", "b'", "c'", "1"]))
+        elif kind < 0.7 and depth < 3:
+            k = rng.choice(["", *(f"^{k}" for k in range(-3, 4))])
+            pieces.append(f"( {_random_word_text(rng, depth + 1)} ){k}")
+        else:
+            pieces.append(rng.choice(["d", "a''", "^", ")", "(", "b^2", "c)^-", "1'"]))
+    sep = rng.choice([" ", ""]) if depth else " "
+    return sep.join(pieces)
+
+
+def test_lookup_pass_reads_as_the_tokenizer():
+    """Seeded texts mixing symbols, ``1``, nested powers, unknown names and
+    stray ``^`` or ``)``: parse_word gives the same word, or the same
+    error, as tokenizing every chunk and then pushing the tokens."""
+    rng = random.Random(2027)
+    seen = collections.Counter()
+    start = time.perf_counter()
+    for _ in range(2000):
+        text = _random_word_text(rng)
+        try:
+            want = _tokenize_then_push(AB, text, 3)
+        except ParseError as e:
+            with pytest.raises(ParseError) as err:
+                parse_word(AB, text, 3)
+            assert str(err.value) == str(e), text
+            seen[" ".join(e.message.split()[:2])] += 1
+        else:
+            assert parse_word(AB, text, 3) == want, text
+            seen["word"] += 1
+    assert time.perf_counter() - start < 1
+    kinds = ("word", "bad word", "unknown generator", "unmatched ')'", "missing ')'")
+    assert sorted(seen) == sorted(kinds) and min(seen.values()) >= 20, seen
 
 
 class TestPresentationFiles:
