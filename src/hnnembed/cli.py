@@ -287,8 +287,8 @@ def _certificate_json(result: ExtensionResult) -> dict:
         "cprime": _cprime_json(cert.cprime),
         "no_proper_powers": list(cert.no_proper_powers),
         "pairwise_distinct": cert.pairwise_distinct,
-        "no_extra_powers": cert.no_extra_powers.verdict,
-        "no_duplicates": cert.no_duplicates.verdict,
+        "no_extra_powers": all(cert.no_proper_powers),
+        "no_duplicates": cert.pairwise_distinct,
         "monomorphism": cert.monomorphism,
         "irreducible": None
         if irr is None

@@ -62,8 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from operator import neg
+from itertools import combinations, islice
 from typing import Callable, Sequence
 
 from .presentation import (
@@ -75,14 +74,7 @@ from .presentation import (
     piece_stats,
 )
 from .stallings import is_monomorphism, rank, subgroup_core, unused_basepoint_labels
-from .subquotient import (
-    NoDuplicatesReport,
-    NoExtraPowersReport,
-    SubcomplexSpec,
-    check_no_duplicates,
-    check_no_extra_powers,
-    quotient,
-)
+from .subquotient import SubcomplexSpec, quotient
 from .words import (
     Alphabet,
     Word,
@@ -90,6 +82,7 @@ from .words import (
     contains_all_reduced_digrams,
     cyclically_equal,
     eulerian_digram_word,
+    exponent,
     is_reduced,
     relabel,
     signed_letters,
@@ -132,11 +125,16 @@ class PartialAscendingHNN:
         return Alphabet(self.ascending + self.free + (self.stable,))
 
     def presentation(self) -> Presentation:
-        """One conjugation cell per ascending generator."""
+        """One conjugation cell per ascending generator.
+
+        Inverse letters come from one table, so every cell shares one int
+        object per inverse letter rather than a new one per occurrence.
+        """
         ab = self.full_alphabet
         t = ab.size
+        inv = {x: -x for x in ab.signed()}.__getitem__
         rels = tuple(
-            _word((t, i + 1, -t, *map(neg, reversed(img.letters))))
+            _word((t, i + 1, inv(t), *map(inv, reversed(img.letters))))
             for i, img in enumerate(self.images)
         )
         return Presentation(ab, rels, self.ascending)
@@ -254,8 +252,11 @@ class EmbeddingCertificate:
     c' image, backtrack included).  All piece-based verdicts are
     computed on these words; rotation and inversion do not change piece
     statistics, so checking them is checking the projections.
-    ``no_proper_powers`` and ``pairwise_distinct`` are read off
-    ``no_extra_powers`` and ``no_duplicates`` (see :func:`_certify`).
+    ``no_proper_powers`` holds per word that its literal exponent is 1,
+    and ``pairwise_distinct`` that no two words are equal up to rotation.
+    Collapsing then raises no cell's power and identifies no two cells
+    (see :func:`_certify`), so the JSON also writes them under the names
+    ``no_extra_powers`` (all of ``no_proper_powers``) and ``no_duplicates``.
     The quotient's generators are the result's ``new_names``.
     """
 
@@ -264,30 +265,22 @@ class EmbeddingCertificate:
     cprime: CprimeReport
     no_proper_powers: tuple[bool, ...]
     pairwise_distinct: bool
-    no_extra_powers: NoExtraPowersReport
-    no_duplicates: NoDuplicatesReport
     monomorphism: bool
     irreducible: IrreducibleEvidence | None = None
 
     def failing(self) -> list[str]:
-        bad = []
-        if not self.c7:
-            bad.append("c7")
-        if not self.cprime.holds:
-            bad.append("cprime")
-        if not all(self.no_proper_powers):
-            bad.append("no_proper_powers")
-        if not self.pairwise_distinct:
-            bad.append("pairwise_distinct")
-        if not self.no_extra_powers.verdict:
-            bad.append("no_extra_powers")
-        if not self.no_duplicates.verdict:
-            bad.append("no_duplicates")
-        if not self.monomorphism:
-            bad.append("monomorphism")
-        if self.irreducible is not None and not self.irreducible.all_true():
-            bad.append("irreducible")
-        return bad
+        powers, distinct = all(self.no_proper_powers), self.pairwise_distinct
+        verdicts = {
+            "c7": self.c7,
+            "cprime": self.cprime.holds,
+            "no_proper_powers": powers,
+            "pairwise_distinct": distinct,
+            "no_extra_powers": powers,
+            "no_duplicates": distinct,
+            "monomorphism": self.monomorphism,
+            "irreducible": self.irreducible is None or self.irreducible.all_true(),
+        }
+        return [name for name, holds in verdicts.items() if not holds]
 
     def all_true(self) -> bool:
         return not self.failing()
@@ -377,27 +370,22 @@ def _certify(
 
     ``stored`` is :func:`_quotient_words` of ``g``'s images and ``report``
     its piece scan, which the caller has already run to decide whether
-    to certify at all.  The result carries ``g`` itself; the complex pair
-    and its projection, which ``g``'s presentation checks for unreduced
-    cells, are freed on return.  The monomorphism
+    to certify at all.  Every cell verdict is read off ``stored``.  The
+    result carries ``g`` itself; the complex pair and its projection,
+    which ``g``'s presentation checks for unreduced cells, are freed on
+    return.  The monomorphism
     verdict compares the image subgroup's rank with the number of images.
     That rank is read off the free-product split and the prefix test for
     the plain construction, and off the wedge test for the irreducible
     one, whenever those hold; only otherwise is the full image list folded.
     """
+    # The input's cells survive verbatim in g's: certify_completion raises
+    # NotACompletion unless g keeps h's stable letter, generator names and
+    # prescribed images, and _escalate builds g from exactly those.
     pair = build_complex_pair(h, g)
-    parent = pair.parent
-    # Soundness anchors: the input's cells survive verbatim (same
-    # generator letters, the stable letter renumbered but rendering
-    # identically), and the stored words are the projected cell
-    # boundaries up to rotation and inversion, or every verdict below
-    # would be about the wrong presentation.
-    own = h.presentation()
-    for i in range(len(h.ascending)):
-        if parent.alphabet.word_str(parent.relators[i]) != own.alphabet.word_str(
-            own.relators[i]
-        ):
-            raise RuntimeError(f"input cell {i} did not survive verbatim")
+    # Soundness anchor: the stored words are the projected cell boundaries
+    # up to rotation and inversion, or every verdict below would be about
+    # the wrong presentation.
     q = quotient(pair)
     if len(q.projected) != len(stored) or not all(
         cyclically_equal(pr.word, w.inverse()) for pr, w in zip(q.projected, stored)
@@ -416,23 +404,20 @@ def _certify(
     if image_rank is None:
         # Every image is nonempty, so this is is_monomorphism's own test.
         image_rank = rank(subgroup_core(g.base_alphabet, g.images))
-    # The cell verdicts are read off the relative checks.  Each cell
-    # t x t' img(x)' reads the stable letter once, so its literal exponent
-    # is 1 and it is no rotation of another cell: those checks fail exactly
-    # where a projection is a proper power or equals another up to
-    # rotation.  The anchor above makes the stored words the projections
-    # up to rotation and inversion, which change neither.
-    powers = check_no_extra_powers(pair)
-    duplicates = check_no_duplicates(pair)
-    raised = {v.relator for v in powers.violations}
+    # The cell verdicts equal the relative checks of the pair.  Each cell
+    # t x t' img(x)' reads t once, so its literal exponent is 1, and it is
+    # no rotation of another cell or of another cell's inverse.  So
+    # collapsing raises a cell's power exactly where its projection is a
+    # proper power, and identifies two cells exactly where their
+    # projections are equal up to rotation.  Stored word i is cell i's
+    # projection up to rotation and inversion (the anchor above), and
+    # those change neither a literal exponent nor cyclic equality.
     cert = EmbeddingCertificate(
         quotient_words=stored,
         c7=c7,
         cprime=cprime,
-        no_proper_powers=tuple(pr.source not in raised for pr in q.projected),
-        pairwise_distinct=duplicates.verdict,
-        no_extra_powers=powers,
-        no_duplicates=duplicates,
+        no_proper_powers=tuple(exponent(w) == 1 for w in stored),
+        pairwise_distinct=not any(cyclically_equal(u, v) for u, v in combinations(stored, 2)),
         monomorphism=image_rank == len(g.images),
         irreducible=evidence,
     )

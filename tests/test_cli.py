@@ -1,10 +1,12 @@
 import argparse
+import collections
 import copy
 import dataclasses
 import functools
 import hashlib
 import itertools
 import json
+import random
 import subprocess
 import sys
 import time
@@ -621,28 +623,48 @@ def test_certify_rejects_an_image_that_misses_a_digram(tmp_path, capsys):
     assert (code, out, err) == (1, "", "reconstructed certificate has failing checks\n")
 
 
+# An input with two free generators b and c, and the images of b and c in
+# hand-built completions where b's quotient cell is a proper power, or the
+# cells of b and c are equal.
+POWER_OR_EQUAL_INPUT = "hnn: t; ascending: a; free: b c\nmap a: a b\n"
+POWER_OR_EQUAL_IMAGES = {
+    "proper-power": ("c1 c2 c1 c2", "c1 c1 c2"),
+    "equal-cells": ("c1 c2 c2", "c1 c2 c2"),
+}
+
+
+def power_or_equal_images(free_images) -> dict[str, str]:
+    """Every image of the completion of POWER_OR_EQUAL_INPUT in which b and
+    c map to ``free_images``."""
+    images = {"a": "a b", "b": free_images[0], "c": free_images[1]}
+    return images | {"c1": "c1 c2 c2 c2", "c2": "c2 c1 c2 c2 c2 c2"}
+
+
+def hnn_text(images: dict[str, str]) -> str:
+    return f"hnn: t; ascending: {' '.join(images)}; free:\n" + "".join(
+        f"map {name}: {w}\n" for name, w in images.items()
+    )
+
+
 @pytest.mark.parametrize(
-    "free_images,no_proper_powers,pairwise_distinct",
+    "name,no_proper_powers,pairwise_distinct",
     [
-        (("c1 c2 c1 c2", "c1 c1 c2"), [False, True, True, True], True),
-        (("c1 c2 c2", "c1 c2 c2"), [True, True, True, True], False),
+        ("proper-power", [False, True, True, True], True),
+        ("equal-cells", [True, True, True, True], False),
     ],
     ids=["proper-power", "equal-cells"],
 )
 def test_certify_rejects_cells_that_are_powers_or_equal(
-    free_images, no_proper_powers, pairwise_distinct, tmp_path, capsys
+    name, no_proper_powers, pairwise_distinct, tmp_path, capsys
 ):
     """Hand-built group files in which a free generator's quotient cell is
     a proper power, or two free generators' cells are equal.  The two cell
-    verdicts match a literal recomputation from the images, agree with
-    the subquotient's relative checks, and certify rejects the honest
-    certificate."""
-    h_text = "hnn: t; ascending: a; free: b c\nmap a: a b\n"
-    images = {"a": "a b", "b": free_images[0], "c": free_images[1]}
-    images |= {"c1": "c1 c2 c2 c2", "c2": "c2 c1 c2 c2 c2 c2"}
-    g_text = "hnn: t; ascending: a b c c1 c2; free:\n" + "".join(
-        f"map {name}: {w}\n" for name, w in images.items()
-    )
+    verdicts match a literal recomputation from the images, and so do
+    their restatements under the relative checks' names, and certify
+    rejects the honest certificate."""
+    h_text = POWER_OR_EQUAL_INPUT
+    images = power_or_equal_images(POWER_OR_EQUAL_IMAGES[name])
+    g_text = hnn_text(images)
     # The quotient cells: a free generator's image already reads only new
     # letters; a new generator's is its image after its own inverse.
     cells = [tuple(images[x].split()) for x in "bc"]
@@ -815,6 +837,26 @@ def test_isoperimetry_is_deterministic(files, capsys):
     assert first == second
 
 
+def test_a_sample_no_relator_spells_has_no_area_budget(tmp_path, capsys):
+    """The relator ``b c`` reads no ``a``, so a sample conjugated by ``a``
+    has no relator-subword spelling: it is reported with ``pieces`` null
+    rather than failing the budget check."""
+    pres = tmp_path / "bc.pres"
+    pres.write_text("gens: a b c\nrel: b c\n")
+    code, data = run_json(
+        capsys, "isoperimetry", "--pres", str(pres), "--samples", "2", "--max-conj", "2",
+        "--seed", "7",
+    )
+    assert code == 0
+    assert data["samples"][1] == {
+        "area": 2,
+        "length": 6,
+        "pieces": None,
+        "ratio": {"num": 1, "den": 3},
+        "word": "a b c a' c' b'",
+    }
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
@@ -829,3 +871,181 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert "b c a b c b c" in proc.stdout
+
+
+# Pieces the exit-code property test splices into files and CLI words:
+# names in and out of every alphabet, syntax, bad digits, whitespace and
+# characters that are not symbols.  No piece raises an exponent past two
+# digits, so no case needs a long word.
+FUZZ_TOKENS = (
+    "a", "b", "c", "d", "t", "c1", "c2", "x", "a'", "b'", "'", "''", "1", "0", "7",
+    "(", ")", "( a )^2", "^", "^2", "^-1", "^0", "^ 3", ":", ";", ",", "/", "#",
+    "map ", "map a:", "rel: ", "rel r1: ", "gens: ", "hnn: t; ", "ascending: ", "free: ",
+    " ", "  ", "\t", "\n", "\r", "\x0c", "\x00", "é", "∞", "{", "}", "[", "]", '"', "-", "+",
+)
+
+
+def mutate_text(rng, text: str) -> str:
+    """One to three random edits of ``text``: insert, delete, duplicate or
+    replace a short span, swap or drop a line, or truncate."""
+    for _ in range(rng.randint(1, 3)):
+        n = len(text)
+        i = rng.randint(0, n)
+        j = min(n, i + rng.randint(1, 12))
+        op = rng.randrange(7)
+        if op == 0:
+            text = text[:i] + rng.choice(FUZZ_TOKENS) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[j:]
+        elif op == 2:
+            text = text[:j] + text[i:j] + text[j:]
+        elif op == 3:
+            text = text[:i] + rng.choice(FUZZ_TOKENS) + text[j:]
+        elif op == 4:
+            lines = text.split("\n")
+            a, b = rng.randrange(len(lines)), rng.randrange(len(lines))
+            lines[a], lines[b] = lines[b], lines[a]
+            text = "\n".join(lines)
+        elif op == 5:
+            lines = text.split("\n")
+            del lines[rng.randrange(len(lines))]
+            text = "\n".join(lines)
+        else:
+            text = text[:i]
+    return text
+
+
+def mutate_json(rng, obj):
+    """A copy of ``obj`` with one random node replaced, dropped or mangled."""
+    paths = []
+
+    def walk(node, path):
+        paths.append(path)
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, path + (key,))
+        elif isinstance(node, list):
+            for k, value in enumerate(node):
+                walk(value, path + (k,))
+
+    walk(obj, ())
+    path = rng.choice(paths)
+    if not path:
+        return rng.choice([None, [], "", 0, [obj]])
+    obj = copy.deepcopy(obj)
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], obj)
+    value = parent[path[-1]]
+    op = rng.randrange(4)
+    if op == 0 and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif op == 1 and isinstance(value, str):
+        parent[path[-1]] = mutate_text(rng, value)
+    elif op == 2 and isinstance(parent, dict):
+        parent[mutate_text(rng, path[-1])] = value
+    else:
+        parent[path[-1]] = rng.choice([None, True, False, 0, -1, 2**70, "", "a", [], {}, [value]])
+    return obj
+
+
+def test_every_malformed_input_keeps_the_exit_code_contract(tmp_path, capsys):
+    """About 1,000 seeded cases over all ten subcommands, each with a
+    mutated ``.pres`` file, ``G.pres``, ``cert.json`` or CLI word: every
+    case exits 0, 1 or 2, exit 2 prints exactly one ``error:`` line and
+    nothing on stdout, no other exit prints an ``error:`` line, and no
+    exception leaves ``cli.main``."""
+    rng = random.Random(29)
+    completions = {}
+    for irreducible in (False, True):
+        (tmp_path / str(irreducible)).mkdir()
+        paths = embed_files(tmp_path / str(irreducible), capsys, INTRO, irreducible)
+        completions[irreducible] = [open(path, encoding="utf-8").read() for path in paths]
+    presentations = (X1, X2, SURFACE, GENERATING_SET)
+    hnn_inputs = (INTRO, "hnn: t; ascending: a; free: b\nmap a: a b a\n")
+    work = tmp_path / "case"
+    work.mkdir()
+
+    def file(name, text, mutate=True):
+        path = work / name
+        path.write_text(mutate_text(rng, text) if mutate else text, encoding="utf-8")
+        return str(path)
+
+    def word(base):
+        return mutate_text(rng, base) if rng.random() < 0.7 else base
+
+    def case(command):
+        if command in ("parse", "pieces", "check-smallcancel"):
+            text = rng.choice(presentations + hnn_inputs + (completions[False][1],))
+            argv = [command, file("in.pres", text)]
+            if command == "parse" and rng.random() < 0.5:
+                argv.append("--emit")
+            if command != "parse" and rng.random() < 0.3:
+                argv.append("--no-inverse-symmetrization")
+            if command == "check-smallcancel":
+                if rng.random() < 0.5:
+                    argv.append("--cprime=" + word(rng.choice(["1/6", "1/7", "2/3"])))
+                if rng.random() < 0.5:
+                    argv.append(f"--cp={rng.randint(-1, 8)}")
+            return argv
+        if command in ("quotient", "check-rel"):
+            text = rng.choice(presentations)
+            kill = word(rng.choice(["a", "c", "a,b", "a b", "c d"]))
+            return [command, file("in.pres", text, rng.random() < 0.5), "--kill=" + kill]
+        if command == "fold":
+            argv = [command, file("in.pres", GENERATING_SET, rng.random() < 0.6)]
+            if rng.random() < 0.6:
+                argv.append("--word=" + word(rng.choice(["a c c a'", "b", "a b a' b'"])))
+            return argv
+        if command == "embed":
+            argv = [
+                command,
+                "--in", file("h.pres", rng.choice(hnn_inputs)),
+                "--out", str(work / "g.pres"),
+                "--cert", str(work / "cert.json"),
+            ]
+            return argv + (["--irreducible"] if rng.random() < 0.5 else [])
+        if command == "certify":
+            h, g, cert = completions[rng.random() < 0.5]
+            mangled = rng.choice(["in", "g", "cert", "cert-json", "all"])
+            if mangled == "cert-json":
+                cert = json.dumps(mutate_json(rng, json.loads(cert)), sort_keys=True, indent=2)
+            return [
+                command,
+                "--in", file("h.pres", h, mangled in ("in", "all")),
+                "--g", file("g.pres", g, mangled in ("g", "all")),
+                "--cert", file("cert.json", cert, mangled in ("cert", "all")),
+            ]
+        pres = file("p.pres", rng.choice((SURFACE, X1)), rng.random() < 0.5)
+        if command == "word-solve":
+            base = rng.choice(["c ( a b a' b' c d c' d' ) c'", "a b", "1"])
+            return [command, "--pres", pres, "--word=" + word(base)]
+        return [
+            command, "--pres", pres,
+            f"--samples={rng.randint(-1, 4)}",
+            f"--max-conj={rng.randint(0, 3)}",
+            f"--seed={rng.randint(0, 9)}",
+        ]
+
+    commands = (
+        "parse", "pieces", "check-smallcancel", "quotient", "check-rel", "fold",
+        "embed", "certify", "word-solve", "isoperimetry",
+    )
+    codes = collections.Counter()
+    for k in range(1000):
+        command = commands[k % len(commands)]
+        argv = case(command)
+        try:
+            code = main(argv)
+        except BaseException as e:  # SystemExit included: argparse accepted argv
+            texts = {p.name: p.read_text(encoding="utf-8") for p in work.iterdir()}
+            pytest.fail(f"case {k} {argv!r} on {texts!r} raised {e!r}")
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (k, argv, code)
+        errors = [line for line in err.split("\n") if line.startswith("error:")]
+        if code == 2:
+            assert (out, len(errors), err.count("\n")) == ("", 1, 1), (k, argv, err)
+        else:
+            assert not errors, (k, argv, err)
+        codes[command, code] += 1
+    for command in commands:
+        assert codes[command, 2] > 0, command
+    assert sum(codes[command, code] for command in commands for code in (0, 1)) > 100

@@ -42,7 +42,7 @@ from hnnembed.stallings import (
     subgroup_core,
     trim_to_core,
 )
-from hnnembed.subquotient import quotient
+from hnnembed.subquotient import check_no_duplicates, check_no_extra_powers, quotient
 from hnnembed.words import (
     Alphabet,
     Word,
@@ -66,7 +66,13 @@ from helpers import (
     letter_match_table,
     sweep_input,
 )
-from test_cli import ESCALATING
+from test_cli import (
+    ESCALATING,
+    POWER_OR_EQUAL_IMAGES,
+    POWER_OR_EQUAL_INPUT,
+    hnn_text,
+    power_or_equal_images,
+)
 
 C2 = Alphabet.of("c1", "c2")
 
@@ -247,9 +253,7 @@ def test_certificate_soundness_against_fresh_quotient():
 
 
 _TAMPER_SCRIPT = """
-import dataclasses
 from hnnembed import hnn
-from hnnembed.presentation import Presentation
 from hnnembed.words import Word
 
 h = hnn.PartialAscendingHNN(("a",), ("b",), (Word.of(1, 2, 1),))
@@ -261,22 +265,12 @@ try:
     hnn._certify(h, res.group, False, tampered, report)
 except RuntimeError as e:
     print("stored:", e)
-
-build = hnn.build_complex_pair
-def flipped(*args):
-    pair = build(*args)
-    rels = (pair.parent.relators[0].inverse(),) + pair.parent.relators[1:]
-    return dataclasses.replace(pair, parent=Presentation(pair.parent.alphabet, rels))
-hnn.build_complex_pair = flipped
-try:
-    hnn.construct_embedding(h)
-except RuntimeError as e:
-    print("cells:", e)
 """
 
 
 def test_soundness_anchors_raise_under_optimize():
-    """The anchors are explicit raises, so ``python -O`` keeps them."""
+    """The stored-words anchor is an explicit raise, so ``python -O``
+    keeps it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hnnembed.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -289,7 +283,6 @@ def test_soundness_anchors_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "stored: stored quotient words differ from the projected cell boundaries",
-        "cells: input cell 0 did not survive verbatim",
     ]
 
 
@@ -948,27 +941,57 @@ def test_irreducible_certify_builds_no_graph_of_the_loops(monkeypatch):
     assert sizes and max(sizes) <= sum(len(w) for w in h.images)
 
 
-def test_cell_verdicts_agree_with_the_subquotient_checks():
-    """The certificate reads its two cell verdicts off the relative checks
-    of the subquotient.  On every pinned sweep certificate and every
-    seed-101 ``complete`` certificate they equal a literal recomputation
-    from the stored quotient words: each word's exponent, and cyclic
-    equality of every pair."""
-    certificates = [sweep_completion(*key).certificate for key in sorted(SWEEP_GOLDEN)]
-    for irreducible in (False, True):
-        certificates += [res.certificate for res in completions("complete101", irreducible)]
-    for cert in certificates:
-        words = cert.quotient_words
-        assert cert.no_proper_powers == tuple(exponent(w) == 1 for w in words)
-        assert cert.pairwise_distinct == (
-            not any(cyclically_equal(u, v) for u, v in itertools.combinations(words, 2))
+def test_cell_verdicts_agree_with_the_subquotient_checks(monkeypatch):
+    """The certificate reads its two cell verdicts off the stored quotient
+    words.  The relative checks on the complex pair are the oracle: on
+    every certificate built while completing the 2+2, 4+4 and 8+8 sweep
+    inputs and the seed-101 and seed-102 ``complete`` inputs with both
+    constructions, the equal-words family at its last scale, and the two
+    hand-built group files, each cell's power verdict is the power check's
+    verdict on that cell and the distinctness verdict is the duplicate
+    check's."""
+    certify = hnn._certify
+    seen = []
+
+    def oracle(h, g, irreducible, stored, report):
+        res = certify(h, g, irreducible, stored, report)
+        cert, pair = res.certificate, build_complex_pair(h, g)
+        raised = {v.relator for v in check_no_extra_powers(pair).violations}
+        assert cert.no_proper_powers == tuple(
+            pr.source not in raised for pr in quotient(pair).projected
         )
+        assert cert.pairwise_distinct == check_no_duplicates(pair).verdict
+        seen.append((all(cert.no_proper_powers), cert.pairwise_distinct))
+        return res
+
+    monkeypatch.setattr(hnn, "_certify", oracle)
+    inputs = [sweep_input(n) for n in (2, 4, 8)]
+    inputs += complete_workload_inputs(101) + complete_workload_inputs(102)
+    for construct in (construct_embedding, construct_irreducible_embedding):
+        for h in inputs:
+            construct(h)
+    family = hnn.generate_relator_family
+
+    def equal_words(count, alphabet, scale=1):
+        return [family(1, alphabet, scale)[0]] * count
+
+    with monkeypatch.context() as m:
+        m.setattr(hnn, "generate_relator_family", equal_words)
+        m.setattr(hnn, "MAX_ESCALATIONS", 1)
+        for construct in (construct_embedding, construct_irreducible_embedding):
+            with pytest.raises(RuntimeError, match="certificate gate failed"):
+                construct(intro_example())
+    h = parse_hnn(POWER_OR_EQUAL_INPUT)
+    for free_images in POWER_OR_EQUAL_IMAGES.values():
+        g = parse_hnn(hnn_text(power_or_equal_images(free_images)))
+        certify_completion(h, g, False)
+    assert len(seen) > 2 * len(inputs)
+    assert (False, True) in seen and (True, False) in seen and (True, True) in seen
 
 
 def test_certify_takes_each_cell_exponent_once(monkeypatch):
     """Certifying the 4+4 sweep input's irreducible completion computes at
-    most two literal periods per cell: the cell's and its projection's,
-    both in the power check."""
+    most one literal period per cell, its stored word's."""
     res = sweep_completion(4, "irreducible")
     cells = len(res.certificate.quotient_words)
     calls = []
@@ -981,7 +1004,21 @@ def test_certify_takes_each_cell_exponent_once(monkeypatch):
     monkeypatch.setattr(hnnembed.words, "literal_period", spy)
     again = certify_completion(res.source, res.group, True)
     assert again.certificate == res.certificate
-    assert len(calls) <= 2 * cells
+    assert len(calls) <= cells
+
+
+def test_cells_share_one_int_per_inverse_letter():
+    """Every cell of G's presentation reads its inverse letters from one
+    table, so a letter below -5, outside CPython's small-int cache, is one
+    int object however often it occurs: on the intro example's
+    completions, no more objects than letter values, and so at most one
+    per generator."""
+    h = intro_example()
+    for res in (construct_embedding(h), construct_irreducible_embedding(h)):
+        p = res.group.presentation()
+        low = [x for r in p.relators for x in r.letters if x < -5]
+        assert low
+        assert len({id(x) for x in low}) <= len(set(low)) <= p.alphabet.size
 
 
 def test_irreducible_construction_checks_only_the_words_that_enter(monkeypatch):
