@@ -9,9 +9,11 @@ unusable input.
 Only :func:`main` maps exceptions to exit codes: a ``CliError``,
 ``ValueError`` (which covers ``ParseError`` and ``json.JSONDecodeError``),
 ``RuntimeError`` or ``OSError`` from a handler prints ``error: ...`` on one
-line and exits 2.  Handlers catch an exception only to add to its message
-or to give it another exit code.  Anything else, such as a failed assertion
-or a ``KeyError`` from a bug, ends in a traceback.
+line and exits 2, and so does a usage error, which the argument parser
+raises as a ``CliError``; ``-h`` prints help and exits 0.  Handlers catch
+an exception only to add to its message or to give it another exit code.
+Anything else, such as a failed assertion or a ``KeyError`` from a bug,
+ends in a traceback.
 """
 
 from __future__ import annotations
@@ -60,6 +62,14 @@ from .words import Alphabet, Word
 
 class CliError(Exception):
     """Carries a diagnostic for exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a CliError, which :func:`main` prints on one
+    line; the subcommand parsers are built from this class too."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _canonical(obj) -> str:
@@ -428,7 +438,7 @@ def _cmd_isoperimetry(args) -> int:
 
 @functools.cache  # one argparse tree per process, not per main() call
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hnnembed",
         description="small-cancellation toolkit for completing partial "
         "ascending extensions of free groups",
@@ -491,8 +501,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except (CliError, ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -73,7 +73,7 @@ from .presentation import (
     cprime_from_stats,
     piece_stats,
 )
-from .stallings import is_monomorphism, rank, subgroup_core, unused_basepoint_labels
+from .stallings import CoreGraph, is_monomorphism, rank, subgroup_core, unused_basepoint_labels
 from .subquotient import SubcomplexSpec, quotient
 from .words import (
     Alphabet,
@@ -332,19 +332,18 @@ def _quotient_words(h: PartialAscendingHNN, images: Sequence[Word]) -> tuple[Wor
 Builder = Callable[[list[Word]], list[Word]]
 
 
-def _escalate(
-    h: PartialAscendingHNN, new_names: tuple[str, str], build: Builder, irreducible: bool
-) -> ExtensionResult:
+def _escalate(h: PartialAscendingHNN, build: Builder, core: CoreGraph | None) -> ExtensionResult:
     """The one escalation loop: certify the completion built from the
     family at scale 1, 2, 4, ... and return the first whose certificate
-    holds, up to a hard cap.
+    holds, up to a hard cap.  ``core`` is the prescribed images' core for
+    the irreducible construction and None for the plain one.
 
     Each attempt scans its stored words once.  A failing C'(1/7) alone
     fails the certificate, so such an attempt doubles the scale without
     building the rest of it, except at the last scale, whose full
     certificate names every failing check.
     """
-    alphabet = Alphabet(h.ascending + h.free + new_names)
+    alphabet = Alphabet(h.ascending + h.free + _fresh_pair_names(h))
     for e in range(MAX_ESCALATIONS + 1):
         images = build(generate_relator_family(len(h.free) + 2, alphabet, 2**e))
         stored = _quotient_words(h, images)
@@ -352,7 +351,7 @@ def _escalate(
         if e < MAX_ESCALATIONS and not cprime_from_stats(report, 1, 7).holds:
             continue
         g = PartialAscendingHNN(alphabet.names, (), tuple(images), h.stable)
-        result = _certify(h, g, irreducible, stored, report)
+        result = _certify(h, g, core, stored, report)
         failing = result.certificate.failing()
         if not failing:
             return result
@@ -362,22 +361,25 @@ def _escalate(
 def _certify(
     h: PartialAscendingHNN,
     g: PartialAscendingHNN,
-    irreducible: bool,
+    core: CoreGraph | None,
     stored: tuple[Word, ...],
     report: PieceReport,
 ) -> ExtensionResult:
     """Certify the completed group ``g`` of the input ``h``.
 
-    ``stored`` is :func:`_quotient_words` of ``g``'s images and ``report``
-    its piece scan, which the caller has already run to decide whether
-    to certify at all.  Every cell verdict is read off ``stored``.  The
-    result carries ``g`` itself; the complex pair and its projection,
-    which ``g``'s presentation checks for unreduced cells, are freed on
-    return.  The monomorphism
-    verdict compares the image subgroup's rank with the number of images.
-    That rank is read off the free-product split and the prefix test for
-    the plain construction, and off the wedge test for the irreducible
-    one, whenever those hold; only otherwise is the full image list folded.
+    ``core`` is the core graph of ``h``'s prescribed images, which the
+    irreducible construction has already built for its attachment labels,
+    or None to certify ``g`` as the plain construction.  ``stored`` is
+    :func:`_quotient_words` of ``g``'s images and ``report`` its piece
+    scan, which the caller has already run to decide whether to certify
+    at all.  Every cell verdict is read off ``stored``.  The result
+    carries ``g`` itself; the complex pair and its projection, which
+    ``g``'s presentation checks for unreduced cells, are freed on return.
+    The monomorphism verdict compares the image subgroup's rank with the
+    number of images.  That rank is read off the free-product split and
+    the prefix test for the plain construction, and off the wedge test on
+    ``core`` for the irreducible one, whenever those hold; only otherwise
+    is the full image list folded.
     """
     # The input's cells survive verbatim in g's: certify_completion raises
     # NotACompletion unless g keeps h's stable letter, generator names and
@@ -397,8 +399,10 @@ def _certify(
     # the exact (slower) decomposition only runs when the metric fails.
     c7 = cprime.holds or cp_from_stats(report, 7).holds
     evidence = None
-    if irreducible:
-        image_rank, evidence = _irreducible_evidence(h, g.images)
+    if core is not None:
+        # The core is a function of h alone, so every verdict is still
+        # computed from the input and g alone.
+        image_rank, evidence = _irreducible_evidence(h, core, g.images)
     else:
         image_rank = _plain_image_rank(h, g.images)
     if image_rank is None:
@@ -454,12 +458,12 @@ def _plain_image_rank(h: PartialAscendingHNN, images: Sequence[Word]) -> int | N
 
 
 def _irreducible_evidence(
-    h: PartialAscendingHNN, images: Sequence[Word]
+    h: PartialAscendingHNN, core: CoreGraph, images: Sequence[Word]
 ) -> tuple[int | None, IrreducibleEvidence]:
     """Side conditions of the irreducible construction, and the image
     subgroup's rank when its core is a genuine wedge.
 
-    Hang the new loops on the core of the prescribed images: a loop
+    Hang the new loops on ``core``, that of the prescribed images: a loop
     ``s c s'`` with ``c`` cyclically reduced adds a stem path reading
     ``s`` out of the basepoint and a cycle reading ``c`` at its end.  A
     fresh vertex inside a stem or cycle reads ``-x, y`` for consecutive
@@ -478,7 +482,6 @@ def _irreducible_evidence(
     """
     loops = images[len(h.ascending) :]
     attached = loops[: len(h.free)]
-    core = subgroup_core(h.base_alphabet, h.images)
     star = list(core.outgoing_labels(core.basepoint))
     for w in loops:
         ls = w.letters  # reduced, so only its stem strips off: ls[:i]
@@ -542,7 +545,8 @@ def certify_completion(
                 f"image of {name} uses no new generator, so its quotient cell is empty"
             )
     report = piece_stats(list(stored), include_inverses=True)
-    return _certify(h, g, irreducible, stored, report)
+    core = subgroup_core(h.base_alphabet, h.images) if irreducible else None
+    return _certify(h, g, core, stored, report)
 
 
 def construct_embedding(h: PartialAscendingHNN) -> ExtensionResult:
@@ -561,7 +565,7 @@ def construct_embedding(h: PartialAscendingHNN) -> ExtensionResult:
         tails = [Word.of(base + k) * family[nfree + k - 1] for k in (1, 2)]
         return list(h.images) + family[:nfree] + tails
 
-    return _escalate(h, _fresh_pair_names(h), build, irreducible=False)
+    return _escalate(h, build, None)
 
 
 def construct_irreducible_embedding(h: PartialAscendingHNN) -> ExtensionResult:
@@ -612,4 +616,4 @@ def construct_irreducible_embedding(h: PartialAscendingHNN) -> ExtensionResult:
         ]
         return list(h.images) + loops
 
-    return _escalate(h, _fresh_pair_names(h), build, irreducible=True)
+    return _escalate(h, build, core)

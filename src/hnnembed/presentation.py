@@ -4,16 +4,20 @@ A :class:`Presentation` is a named alphabet plus cyclically reduced
 nonempty relator words.  The checks in this module classify how relators
 overlap: a *piece* is a subword occurring with two different appearances
 across the relator family (see :mod:`hnnembed.suffixes` for what counts
-as different).  Verdicts come back as small report objects carrying the
-per-relator numbers they were decided from (longest piece and length, or
-fewest pieces), so callers can serialize or re-check them.
+as different).  :func:`piece_stats` runs that module's scan, whose
+:class:`PieceReport` (re-exported here) holds the lengths, longest piece
+and per-offset piece lengths of every relator.  Verdicts come back as
+small report objects carrying the per-relator numbers they were decided
+from (longest piece and length, or fewest pieces), so callers can
+serialize or re-check them.
 
 The metric check compares, per relator, the longest piece against the
 fraction ``num/den`` of the relator length, with strict integer
 arithmetic throughout.  The non-metric check asks for the minimum number
 of pieces in a decomposition of any rotation of a relator; greedy
 longest-jump decomposition is exact here because every subword of a
-piece is again a piece.
+piece is again a piece, and it needs trying only from the few starts
+after a shortest piece, so the count is linear in the relator's length.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .suffixes import match_table
+from .suffixes import PieceReport, match_table
 from .words import Alphabet, Word, is_cyclically_reduced
 
 
@@ -54,64 +58,32 @@ class Presentation:
         return f"< {gens} | {rels} >"
 
 
-@dataclass(frozen=True)
-class PieceReport:
-    """Raw overlap statistics for a relator family.
-
-    ``per_offset[j][o]`` is the longest piece of relator j starting at
-    rotation offset o (0 when none starts there); ``max_piece[j]`` is the
-    longest piece occurring anywhere in relator j, in either direction.
-    """
-
-    lengths: tuple[int, ...]
-    max_piece: tuple[int, ...]
-    per_offset: tuple[tuple[int, ...], ...]
-
-    def maximal_occurrences(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per relator: (offset, length) of each piece no longer piece contains.
-
-        The piece starting at offset o is maximal exactly when the one
-        starting at o-1 does not reach past it; reaches are monotone, so
-        the local comparison is the whole containment check.
-        """
-        out = []
-        for row in self.per_offset:
-            n = len(row)
-            occ = tuple(
-                (o, row[o])
-                for o in range(n)
-                if row[o] > 0 and row[(o - 1) % n] <= row[o]
-            )
-            out.append(occ)
-        return tuple(out)
-
-
 def piece_stats(relators: Sequence[Word], include_inverses: bool = True) -> PieceReport:
-    words = list(relators)
-    if not words:
-        raise ValueError("no relators to scan")
-    table = match_table([w.letters for w in words], include_inverses)
-    return PieceReport(
-        lengths=tuple(len(w) for w in words),
-        max_piece=table.per_word_max,
-        per_offset=table.per_offset,
-    )
+    return match_table([w.letters for w in relators], include_inverses)
 
 
 def best_piece_decomposition(per_offset: Sequence[int]) -> int | None:
     """Fewest pieces whose concatenation is some rotation of the relator.
 
-    ``per_offset`` is one relator's row of :class:`PieceReport`.  Greedy
-    longest-jump from every start is exact because pieces are closed
-    under subwords, so the farthest reachable point per step dominates.
-    Returns None when no decomposition exists, which happens exactly
-    when some offset starts no piece at all.
+    ``per_offset`` is one relator's row of :class:`PieceReport`.  Pieces
+    are closed under subwords, so from a given start the greedy
+    longest jump reaches farthest at every step and is exact.  Only p
+    starts need trying, in time linear in the relator's length: let o be
+    an offset whose piece is shortest, of length p.  The piece of an
+    optimal decomposition that covers letter o ends within o+1 .. o+p,
+    since its part from o on is again a piece, so some optimal
+    decomposition starts a piece there; and each jump is at least p
+    letters long, so each of the p greedy runs takes at most n/p + 1
+    jumps.  Returns None when no decomposition exists, which happens
+    exactly when some offset starts no piece at all.
     """
     n = len(per_offset)
-    if any(v == 0 for v in per_offset):
+    p = min(per_offset)
+    if p == 0:
         return None
+    o = per_offset.index(p)
     best: int | None = None
-    for start in range(n):
+    for start in range(o + 1, o + p + 1):
         covered = count = 0
         pos = start
         while covered < n and (best is None or count < best):

@@ -18,12 +18,14 @@ violations of exactly that.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
 from .presentation import Presentation
-from .words import Alphabet, Word, cyclically_equal, exponent, relabel
+from .words import Alphabet, Word, exponent, least_rotation, relabel
 
 
 @dataclass(frozen=True)
@@ -143,23 +145,55 @@ class NoDuplicatesReport:
 
 
 def check_no_duplicates(spec: SubcomplexSpec) -> NoDuplicatesReport:
-    """Cells distinct up to rotation must stay distinct after collapsing."""
+    """Cells distinct up to rotation must stay distinct after collapsing.
+
+    Two words are equal up to rotation exactly when their least rotations
+    are.  Rotation and inversion keep a word's length and the sum of its
+    letters' absolute values, so only the nonempty projections that share
+    both with some other cell are grouped by least rotation, which costs
+    a Python step per letter.  Each cell then walks the later cells of
+    its own group and of its inverse's, skipping in one step each run of
+    cells whose parent has the least rotation of its own parent (or of
+    that parent's inverse), so the work is linear in the letters plus
+    the pairs reported.  Pairs come out in cell order.
+    """
     q = quotient(spec)
-    cells = [(pr.source, spec.parent.relators[pr.source], pr.word) for pr in q.projected]
+    cells = [(pr.source, spec.parent.relators[pr.source], pr.word) for pr in q.projected if pr.word]
+    shapes = [(len(p), sum(map(abs, p.letters))) for _, _, p in cells]
+    shared = Counter(shapes)
+    cells = [c for c, n in zip(cells, shapes) if shared[n] > 1]
+    keys = [least_rotation(p) for _, _, p in cells]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for b, key in enumerate(keys):
+        groups.setdefault(key, []).append(b)
+    parent_ids: dict[tuple[int, ...], int] = {}  # least rotation of a parent -> small int
+    parents = [parent_ids.setdefault(least_rotation(r), len(parent_ids)) for _, r, _ in cells]
+    walks = {key: (members, _skips([parents[b] for b in members])) for key, members in groups.items()}
     collisions = []
     inverted = []
-    for a in range(len(cells)):
-        for b in range(a + 1, len(cells)):
-            s1, r1, p1 = cells[a]
-            s2, r2, p2 = cells[b]
-            # projections that are empty or differ in length never collide
-            if not p1 or len(p1) != len(p2):
-                continue
-            if cyclically_equal(p1, p2) and not cyclically_equal(r1, r2):
-                collisions.append((s1, s2))
-            if cyclically_equal(p1, p2.inverse()) and not cyclically_equal(r1, r2.inverse()):
-                inverted.append((s1, s2))
+    for a, (s1, r1, p1) in enumerate(cells):
+        for key, excluded, out in (
+            (keys[a], parents[a], collisions),
+            (least_rotation(p1.inverse()), parent_ids.get(least_rotation(r1.inverse())), inverted),
+        ):
+            if key in walks:
+                members, skip = walks[key]
+                j = bisect_right(members, a)
+                while j < len(members):
+                    if parents[members[j]] == excluded:
+                        j = skip[j]
+                    else:
+                        out.append((s1, cells[members[j]][0]))
+                        j += 1
     return NoDuplicatesReport(not collisions, tuple(collisions), tuple(inverted))
+
+
+def _skips(ids: list[int]) -> list[int]:
+    """For each position, the first later position whose id differs."""
+    skip = [len(ids)] * len(ids)
+    for j in range(len(ids) - 2, -1, -1):
+        skip[j] = j + 1 if ids[j + 1] != ids[j] else skip[j + 1]
+    return skip
 
 
 @dataclass(frozen=True)

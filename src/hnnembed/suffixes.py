@@ -68,9 +68,17 @@ match keeps.  A run's values come out as a few ramps m + f and constants,
 written into the output by slices; the per-word rows repeat the classes
 along the word.  With inverses, the best piece in a word's inverse is the
 inverse of one in the word, so only the words' own sections are filled.
+A one-letter power has no live run; its value is the shorter of its cap
+and the best other position of its letter, read off the tallest live run
+and, per letter, the largest power cap with its slot and the second
+largest cap, in one pass over the powers.
+
+The result is the :class:`PieceReport` every reader of the scan gets:
+the words' lengths, each word's longest piece and the per-offset rows.
 
 Letters are the nonzero ints of :mod:`hnnembed.words`; this module does
-not reduce or validate words beyond requiring them nonempty.
+not reduce or validate words beyond requiring the family and each word
+nonempty.
 """
 
 from __future__ import annotations
@@ -141,18 +149,37 @@ def lcp_array(history: list[np.ndarray], u: np.ndarray, v: np.ndarray) -> np.nda
 
 
 @dataclass(frozen=True)
-class MatchTable:
-    """Longest different-appearance match lengths for a word family.
+class PieceReport:
+    """Raw overlap statistics for a relator family.
 
-    ``per_offset[j][o]`` is the longest length L such that the subword of
-    word j starting at rotation offset o of length L also occurs with a
-    different appearance (other word, other direction, or same word at an
-    offset not congruent mod its period).  ``per_word_max[j]`` is the
-    maximum over all offsets and both reading directions of word j.
+    A piece is a subword that also occurs with a different appearance.
+    ``lengths[j]`` is the length of relator j, ``per_offset[j][o]`` the
+    longest piece of relator j starting at rotation offset o (0 when none
+    starts there), and ``max_piece[j]`` the longest piece occurring
+    anywhere in relator j, in either direction.
     """
 
+    lengths: tuple[int, ...]
+    max_piece: tuple[int, ...]
     per_offset: tuple[tuple[int, ...], ...]
-    per_word_max: tuple[int, ...]
+
+    def maximal_occurrences(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per relator: (offset, length) of each piece no longer piece contains.
+
+        The piece starting at offset o is maximal exactly when the one
+        starting at o-1 does not reach past it; reaches are monotone, so
+        the local comparison is the whole containment check.
+        """
+        out = []
+        for row in self.per_offset:
+            n = len(row)
+            occ = tuple(
+                (o, row[o])
+                for o in range(n)
+                if row[o] > 0 and row[(o - 1) % n] <= row[o]
+            )
+            out.append(occ)
+        return tuple(out)
 
 
 _UNBOUNDED = 1 << 62
@@ -308,12 +335,15 @@ def _fill(out, end, lk, ck, head, left, right, numbers):
         out[end - lk] = head
 
 
-def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True) -> MatchTable:
+def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True) -> PieceReport:
     """The longest different-appearance match at every rotation of every
     word, and each word's longest, by the run sweeps of the module
     docstring: Python steps visit runs, and each run's values are written
-    as a few ramps and constants.  Raises ValueError on an empty word."""
+    as a few ramps and constants.  Raises ValueError on an empty family
+    or an empty word."""
     words = [tuple(r) for r in relators]
+    if not words:
+        raise ValueError("no relators to scan")
     if any(len(w) == 0 for w in words):
         raise ValueError("empty word in scan input")
 
@@ -411,11 +441,15 @@ def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True
     numbers = list(range(longest + 1))
     # a run above every other run of its letter keeps m at its lower levels
     # and at its first letter the best of another position: its second
-    # letter, or a one-letter power of cap at least its length
-    power_cap: dict[int, int] = {}
-    for x, c, _ in powers:
-        if c > power_cap.get(x, 0):
-            power_cap[x] = c
+    # letter, or a one-letter power of cap at least its length.  Per letter,
+    # the largest power cap, its slot and the second largest cap.
+    power_cap: dict[int, list[int]] = {}
+    for x, c, s in powers:
+        best = power_cap.setdefault(x, [0, -1, 0])
+        if c > best[0]:
+            best[:] = c, s, best[0]
+        elif c > best[2]:
+            best[2] = c
     length.reverse()
     capl.reverse()
     letter.reverse()
@@ -433,7 +467,7 @@ def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True
                 lp = 1 if power_cap and x in power_cap else 0
             out[end - 1] = lp if lp < ck else ck
         else:
-            head = lk if power_cap and power_cap.get(x, 0) >= lk else lk - 1
+            head = lk if x in power_cap and power_cap[x][0] >= lk else lk - 1
             _fill(out, end, lk, ck, head, lp, rp, numbers)
     if powers:
         # a one-letter power x^c reads x^2c, so it matches min(c, m') of
@@ -443,10 +477,9 @@ def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True
             if lk > tallest.get(x, 0):
                 tallest[x] = lk
         for x, c, s in powers:
-            if s < 0:
-                continue
-            best = max([tallest.get(x, 0)] + [c2 for x2, c2, s2 in powers if x2 == x and s2 != s])
-            out[s] = min(c, best)
+            if s >= 0:
+                c1, s1, c2 = power_cap[x]
+                out[s] = min(c, max(tallest.get(x, 0), c2 if s == s1 else c1))
 
     per_offset: list[tuple[int, ...]] = []
     per_max = []
@@ -457,4 +490,4 @@ def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True
         if shift:
             row = row[-shift:] + row[:-shift]
         per_offset.append(tuple(row))
-    return MatchTable(tuple(per_offset), tuple(per_max))
+    return PieceReport(tuple(map(len, words)), tuple(per_max), tuple(per_offset))

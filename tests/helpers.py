@@ -16,9 +16,16 @@ from hnnembed.hnn import PartialAscendingHNN, validate
 from hnnembed.parsing import parse_word
 from hnnembed.presentation import Presentation, best_piece_decomposition
 from hnnembed.stallings import CoreGraph, canonical_form
-from hnnembed.subquotient import SubcomplexSpec, TwoCellDiagram
-from hnnembed.suffixes import MatchTable
-from hnnembed.words import Alphabet, Word, cyclic_reduce, exponent, random_reduced_word
+from hnnembed.subquotient import NoDuplicatesReport, SubcomplexSpec, TwoCellDiagram, quotient
+from hnnembed.suffixes import PieceReport
+from hnnembed.words import (
+    Alphabet,
+    Word,
+    cyclic_reduce,
+    cyclically_equal,
+    exponent,
+    random_reduced_word,
+)
 
 _PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -124,6 +131,49 @@ def min_piece_decomposition(per_offset) -> int | None:
     return best_piece_decomposition(per_offset)
 
 
+def all_starts_piece_decomposition(per_offset) -> int | None:
+    """Fewest pieces by greedy longest jumps from every start: an oracle
+    for :func:`hnnembed.presentation.best_piece_decomposition`, which
+    tries only the starts after a shortest piece."""
+    n = len(per_offset)
+    if any(v == 0 for v in per_offset):
+        return None
+    best: int | None = None
+    for start in range(n):
+        covered = count = 0
+        pos = start
+        while covered < n and (best is None or count < best):
+            step = per_offset[pos % n]
+            covered += step
+            pos += step
+            count += 1
+        if covered >= n and (best is None or count < best):
+            best = count
+    return best
+
+
+def pairwise_no_duplicates(spec: SubcomplexSpec) -> NoDuplicatesReport:
+    """Every pair of cells compared: an oracle for
+    :func:`hnnembed.subquotient.check_no_duplicates`, which compares only
+    cells whose projections share a least rotation."""
+    q = quotient(spec)
+    cells = [(pr.source, spec.parent.relators[pr.source], pr.word) for pr in q.projected]
+    collisions = []
+    inverted = []
+    for a in range(len(cells)):
+        for b in range(a + 1, len(cells)):
+            s1, r1, p1 = cells[a]
+            s2, r2, p2 = cells[b]
+            # projections that are empty or differ in length never collide
+            if not p1 or len(p1) != len(p2):
+                continue
+            if cyclically_equal(p1, p2) and not cyclically_equal(r1, r2):
+                collisions.append((s1, s2))
+            if cyclically_equal(p1, p2.inverse()) and not cyclically_equal(r1, r2.inverse()):
+                inverted.append((s1, s2))
+    return NoDuplicatesReport(not collisions, tuple(collisions), tuple(inverted))
+
+
 def cancellable_alignment(p: Presentation, d: TwoCellDiagram) -> bool:
     """Do the two rotated boundaries read the same closed path?"""
     for r, rot in ((d.r1, d.rot1), (d.r2, d.rot2)):
@@ -183,7 +233,7 @@ def _letter_lcp_array(text: np.ndarray, sa: np.ndarray) -> np.ndarray:
     return lcp
 
 
-def letter_match_table(relators, include_inverses=True) -> MatchTable:
+def letter_match_table(relators, include_inverses=True) -> PieceReport:
     """The letter-level piece scan: suffix array and LCP over the letters of
     the combined text, swept twice keeping the two best appearance classes.
     An independent oracle for :func:`hnnembed.suffixes.match_table`."""
@@ -279,7 +329,7 @@ def letter_match_table(relators, include_inverses=True) -> MatchTable:
             per_max[j] = m
         if o == 1:
             per_offset[j] = vals
-    return MatchTable(tuple(per_offset), tuple(per_max))
+    return PieceReport(tuple(map(len, words)), tuple(per_max), tuple(per_offset))
 
 
 def _random_input(rng: random.Random, ni: int, nj: int) -> PartialAscendingHNN:

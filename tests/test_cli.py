@@ -181,10 +181,9 @@ def test_argument_parser_is_built_once_per_process(files, capsys, monkeypatch):
     assert run(capsys, "parse", files["intro"], "--emit")[0] == 0
     assert run(capsys, "parse", "/nonexistent/nope.pres")[0] == 2
     assert len(builds) == 1
-    with pytest.raises(SystemExit) as exited:
-        main(["no-such-command"])
-    assert exited.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    code, out, err = run(capsys, "no-such-command")
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: ") and "invalid choice" in err
 
 
 def test_pieces_reports_shared_subword(files, capsys):
@@ -858,9 +857,41 @@ def test_a_sample_no_relator_spells_has_no_area_budget(tmp_path, capsys):
 
 
 def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["no-such-command"])
-    assert err.value.code == 2
+    code, out, err = run(capsys, "no-such-command")
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["check-smallcancel", "{x1}", "--cprime", "-1/2"],
+            "hnnembed check-smallcancel: argument --cprime: expected one argument",
+        ),
+        (
+            ["isoperimetry", "--pres", "{surface}", "--samples", "x"],
+            "hnnembed isoperimetry: argument --samples: invalid int value: 'x'",
+        ),
+        ([], "hnnembed: the following arguments are required: command"),
+        (["frobnicate"], "hnnembed: argument command: invalid choice: 'frobnicate'"),
+    ],
+    ids=["option-as-value", "bad-int", "no-command", "unknown-command"],
+)
+def test_argument_errors_are_one_error_line(argv, message, files, capsys):
+    """A value argparse rejects, a missing command and an unknown one each
+    exit 2 with one ``error:`` line and no usage block."""
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["check-smallcancel", "-h"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hnnembed")
 
 
 def test_module_entry_point(files):
@@ -949,7 +980,8 @@ def mutate_json(rng, obj):
 
 def test_every_malformed_input_keeps_the_exit_code_contract(tmp_path, capsys):
     """About 1,000 seeded cases over all ten subcommands, each with a
-    mutated ``.pres`` file, ``G.pres``, ``cert.json`` or CLI word: every
+    mutated ``.pres`` file, ``G.pres``, ``cert.json``, CLI word or option
+    value, the options given as ``--opt=value`` or as two items: every
     case exits 0, 1 or 2, exit 2 prints exactly one ``error:`` line and
     nothing on stdout, no other exit prints an ``error:`` line, and no
     exception leaves ``cli.main``."""
@@ -972,6 +1004,15 @@ def test_every_malformed_input_keeps_the_exit_code_contract(tmp_path, capsys):
     def word(base):
         return mutate_text(rng, base) if rng.random() < 0.7 else base
 
+    def option(name, value):
+        # one item or two: as a separate item, a value such as -1/2 reads
+        # to argparse as an option
+        return [f"{name}={value}"] if rng.random() < 0.5 else [name, value]
+
+    def number(low, high):
+        # now and then no int at all; a mutated int could ask for millions of samples
+        return rng.choice(["x", "", "2.5", "-"]) if rng.random() < 0.1 else str(rng.randint(low, high))
+
     def case(command):
         if command in ("parse", "pieces", "check-smallcancel"):
             text = rng.choice(presentations + hnn_inputs + (completions[False][1],))
@@ -982,9 +1023,9 @@ def test_every_malformed_input_keeps_the_exit_code_contract(tmp_path, capsys):
                 argv.append("--no-inverse-symmetrization")
             if command == "check-smallcancel":
                 if rng.random() < 0.5:
-                    argv.append("--cprime=" + word(rng.choice(["1/6", "1/7", "2/3"])))
+                    argv += option("--cprime", word(rng.choice(["1/6", "1/7", "2/3", "-1/2"])))
                 if rng.random() < 0.5:
-                    argv.append(f"--cp={rng.randint(-1, 8)}")
+                    argv += option("--cp", number(-1, 8))
             return argv
         if command in ("quotient", "check-rel"):
             text = rng.choice(presentations)
@@ -1020,9 +1061,9 @@ def test_every_malformed_input_keeps_the_exit_code_contract(tmp_path, capsys):
             return [command, "--pres", pres, "--word=" + word(base)]
         return [
             command, "--pres", pres,
-            f"--samples={rng.randint(-1, 4)}",
-            f"--max-conj={rng.randint(0, 3)}",
-            f"--seed={rng.randint(0, 9)}",
+            *option("--samples", number(-1, 4)),
+            *option("--max-conj", number(0, 3)),
+            *option("--seed", number(0, 9)),
         ]
 
     commands = (
@@ -1035,7 +1076,7 @@ def test_every_malformed_input_keeps_the_exit_code_contract(tmp_path, capsys):
         argv = case(command)
         try:
             code = main(argv)
-        except BaseException as e:  # SystemExit included: argparse accepted argv
+        except BaseException as e:  # SystemExit included: a usage error must not exit
             texts = {p.name: p.read_text(encoding="utf-8") for p in work.iterdir()}
             pytest.fail(f"case {k} {argv!r} on {texts!r} raised {e!r}")
         out, err = capsys.readouterr()

@@ -262,7 +262,7 @@ stored = res.certificate.quotient_words
 tampered = (stored[0] * Word.of(1),) + stored[1:]
 report = hnn.piece_stats(list(tampered), include_inverses=True)
 try:
-    hnn._certify(h, res.group, False, tampered, report)
+    hnn._certify(h, res.group, None, tampered, report)
 except RuntimeError as e:
     print("stored:", e)
 """
@@ -290,8 +290,8 @@ def wrap_builds(monkeypatch, after) -> None:
     """Pass every escalation attempt's images through ``after(h, images)``."""
     escalate = hnn._escalate
 
-    def wrapping(h, new_names, build, irreducible):
-        return escalate(h, new_names, lambda family: after(h, build(family)), irreducible)
+    def wrapping(h, build, core):
+        return escalate(h, lambda family: after(h, build(family)), core)
 
     monkeypatch.setattr(hnn, "_escalate", wrapping)
 
@@ -499,7 +499,7 @@ def test_loops_merging_at_the_basepoint_fold_the_full_image_list(loops, injectiv
     pair = build_complex_pair(h, g)
     stored = tuple(pr.word.inverse() for pr in quotient(pair).projected)
     report = piece_stats(list(stored), include_inverses=True)
-    cert = hnn._certify(h, g, True, stored, report).certificate
+    cert = hnn._certify(h, g, subgroup_core(h.base_alphabet, h.images), stored, report).certificate
     assert not cert.irreducible.wedge_check
     assert cert.monomorphism == is_monomorphism(wide, images) == injective
 
@@ -626,8 +626,9 @@ def _wedge_against_hang(h: PartialAscendingHNN, wide: Alphabet, images: list) ->
     the hung graph: the verdict holds exactly when folding it merges
     nothing, and the rank is then that of its folded core.  Returns the
     verdict and the oracle rank."""
-    image_rank, evidence = hnn._irreducible_evidence(h, images)
-    prescribed = replace(subgroup_core(h.base_alphabet, h.images), alphabet=wide)
+    core = subgroup_core(h.base_alphabet, h.images)
+    image_rank, evidence = hnn._irreducible_evidence(h, core, images)
+    prescribed = replace(core, alphabet=wide)
     hung = hang(prescribed, images[len(h.ascending) :])
     merged = fold(hung)
     merges_nothing = (merged.num_vertices, len(merged.edges)) == (hung.num_vertices, len(hung.edges))
@@ -674,7 +675,7 @@ def test_wedge_verdict_and_rank_match_the_hung_graph_on_hand_built_loops(loops, 
     g = PartialAscendingHNN(wide.names, (), tuple(images))
     stored = tuple(pr.word.inverse() for pr in quotient(build_complex_pair(h, g)).projected)
     report = piece_stats(list(stored), include_inverses=True)
-    cert = hnn._certify(h, g, True, stored, report).certificate
+    cert = hnn._certify(h, g, subgroup_core(h.base_alphabet, h.images), stored, report).certificate
     assert cert.irreducible.wedge_check == wedge
     oracle = rank(trim_to_core(fold(hang(subgroup_core(wide, [Word.of(1)]), images[1:]))))
     assert cert.monomorphism == (oracle == len(images))
@@ -730,7 +731,8 @@ def test_certify_completion_checks_the_input_first():
 def test_failing_scan_skips_the_rest_of_the_attempt(monkeypatch):
     """The escalating 4+4 input fails only C'(1/7) at scale 1.  Its scan
     alone decides that, so quotient, certificate and folds run at scale 2
-    only, and the full image list is never folded."""
+    only, the prescribed images are folded once, before the first scale,
+    and the full image list is never folded."""
     h = parse_hnn(ESCALATING)
     events = []
 
@@ -760,7 +762,6 @@ def test_failing_scan_skips_the_rest_of_the_attempt(monkeypatch):
         "piece_stats",
         "_certify",
         "quotient",
-        "prescribed core",
     ]
 
 
@@ -953,8 +954,8 @@ def test_cell_verdicts_agree_with_the_subquotient_checks(monkeypatch):
     certify = hnn._certify
     seen = []
 
-    def oracle(h, g, irreducible, stored, report):
-        res = certify(h, g, irreducible, stored, report)
+    def oracle(h, g, core, stored, report):
+        res = certify(h, g, core, stored, report)
         cert, pair = res.certificate, build_complex_pair(h, g)
         raised = {v.relator for v in check_no_extra_powers(pair).violations}
         assert cert.no_proper_powers == tuple(

@@ -4,11 +4,18 @@ import time
 import numpy as np
 import pytest
 
-from hnnembed.presentation import check_cp, check_cprime, piece_stats
+from hnnembed.presentation import (
+    best_piece_decomposition,
+    check_cp,
+    check_cprime,
+    cp_from_stats,
+    piece_stats,
+)
 from hnnembed.suffixes import lcp_array, match_table, suffix_array
 from hnnembed.words import Word, exponent
 
 from helpers import (
+    all_starts_piece_decomposition,
     letter_match_table,
     min_piece_decomposition,
     presentation_from_strings,
@@ -159,7 +166,7 @@ def test_match_table_vs_oracle_random():
         got = match_table(words, include_inverses=inv)
         want_off, want_max = brute_table(words, include_inverses=inv)
         assert list(got.per_offset) == want_off, (words, inv)
-        assert list(got.per_word_max) == want_max, (words, inv)
+        assert list(got.max_piece) == want_max, (words, inv)
 
 
 def test_match_table_handles_unreduced_words():
@@ -168,7 +175,7 @@ def test_match_table_handles_unreduced_words():
     got = match_table(words)
     want_off, want_max = brute_table(words)
     assert list(got.per_offset) == want_off
-    assert list(got.per_word_max) == want_max
+    assert list(got.max_piece) == want_max
 
 
 def _run_heavy_family(rng):
@@ -212,7 +219,7 @@ def test_match_table_vs_brute_on_run_heavy_families():
         got = match_table(words, include_inverses=inv)
         want_off, want_max = brute_table(words, include_inverses=inv)
         assert list(got.per_offset) == want_off, (words, inv)
-        assert list(got.per_word_max) == want_max, (words, inv)
+        assert list(got.max_piece) == want_max, (words, inv)
 
 
 @pytest.mark.parametrize(
@@ -237,7 +244,7 @@ def test_match_table_pinned_run_families(words):
         got = match_table(words, include_inverses=inv)
         assert got == letter_match_table(words, include_inverses=inv)
     got = match_table(words)
-    assert (list(got.per_offset), list(got.per_word_max)) == (want_off, want_max)
+    assert (list(got.per_offset), list(got.max_piece)) == (want_off, want_max)
 
 
 def _inverse(w):
@@ -267,7 +274,43 @@ def test_match_table_on_binding_caps_and_periodic_families(family):
         got = match_table(words, include_inverses=inv)
         assert got == letter_match_table(words, include_inverses=inv)
         want_off, want_max = brute_table(words, include_inverses=inv)
-        assert (list(got.per_offset), list(got.per_word_max)) == (want_off, want_max)
+        assert (list(got.per_offset), list(got.max_piece)) == (want_off, want_max)
+
+
+def _power_rich_family(rng):
+    """1-12 words, most of them powers of a, a' or b, the rest runs of
+    a, a', b and b'; words are not reduced."""
+    words = []
+    for _ in range(rng.randint(1, 12)):
+        if rng.random() < 0.7:
+            words.append((rng.choice([1, -1, 2]),) * rng.randint(1, 9))
+        else:
+            w = []
+            for _ in range(rng.randint(1, 4)):
+                w += [rng.choice([1, -1, 2, -2])] * rng.randint(1, 9)
+            words.append(tuple(w))
+    return words
+
+
+def test_match_table_equals_letter_scan_on_power_rich_families():
+    """A power's best partner is read off the largest and second largest
+    power caps of its letter, inverse powers included."""
+    rng = random.Random(212)
+    for trial in range(500):
+        words = _power_rich_family(rng)
+        for inv in (True, False):
+            assert match_table(words, inv) == letter_match_table(words, inv), (words, inv)
+
+
+def test_match_table_on_many_one_letter_powers_is_fast():
+    """16,000 powers of a, a' and b: a pass over every power of a letter
+    for each power took about 20 s."""
+    rng = random.Random(213)
+    words = [(rng.choice([1, -1, 2]),) * rng.randint(1, 40) for _ in range(16000)]
+    start = time.perf_counter()
+    got = match_table(words)
+    assert time.perf_counter() - start < 2
+    assert got.per_offset == tuple((len(w),) * len(w) for w in words)
 
 
 def test_match_table_on_a_long_cap_binding_family_is_fast():
@@ -283,7 +326,7 @@ def test_match_table_on_a_long_cap_binding_family_is_fast():
     start = time.perf_counter()
     got = match_table(words)
     assert time.perf_counter() - start < 10
-    assert got.per_word_max == (
+    assert got.max_piece == (
         6000, 6006, 6012, 6018, 6024, 6030, 6036, 6036, 127, 129, 131, 39999
     )
 
@@ -333,14 +376,14 @@ def test_match_table_entries_are_python_ints():
     for words in families:
         for inv in (True, False):
             got = match_table(words, inv)
-            entries = [x for row in got.per_offset for x in row] + list(got.per_word_max)
+            entries = [x for row in got.per_offset for x in row] + list(got.max_piece)
             assert {type(x) for x in entries} == {int}, (words, inv)
 
 
 def test_match_table_run_at_the_seam():
     got = match_table([(2, 2, 2, 1, -2, -2, -2, -2, -2)])
     assert got.per_offset == ((3, 2, 1, 0, 4, 4, 6, 5, 4),)
-    assert got.per_word_max == (6,)
+    assert got.max_piece == (6,)
 
 
 def test_greedy_matches_dp_random():
@@ -355,6 +398,42 @@ def test_greedy_matches_dp_random():
         for row in rep.per_offset:
             greedy = min_piece_decomposition(row)
             assert greedy == dp_min_decomposition(row), (words, row)
+
+
+def _closed_row(rng, n):
+    """A row of n entries from 0 to n, closed under subwords like a scan's:
+    row[o + 1] >= row[o] - 1 around the word."""
+    row = [0 if rng.random() < 0.05 else rng.randint(1, n) for _ in range(n)]
+    for _ in range(2):  # once around settles all but the wrap, twice settles it
+        for o in range(n):
+            row[(o + 1) % n] = max(row[(o + 1) % n], row[o] - 1)
+    return tuple(row)
+
+
+def test_decomposition_from_a_shortest_piece_vs_every_start():
+    """Trying only the starts after a shortest piece gives the fewest
+    pieces that greedy from every start and the DP give, on the rows of
+    seeded run-heavy scans and on synthetic rows closed under subwords."""
+    rng = random.Random(210)
+    rows = [row for _ in range(400) for row in match_table(_run_heavy_family(rng)).per_offset]
+    rows += [_closed_row(rng, rng.randint(1, 14)) for _ in range(3000)]
+    assert {best_piece_decomposition(row) is None for row in rows} == {True, False}
+    for row in rows:
+        assert best_piece_decomposition(row) == all_starts_piece_decomposition(row), row
+        if len(row) <= 14:
+            assert best_piece_decomposition(row) == dp_min_decomposition(row), row
+
+
+def test_decomposition_of_long_relators_is_fast():
+    """Two seeded 20,000-letter relators over 3 generators: greedy from
+    every start took about 13 s, from the starts after a shortest piece
+    a few ms."""
+    rng = random.Random(211)
+    rep = piece_stats([random_cyclically_reduced_word(rng, 3, 20000) for _ in range(2)])
+    start = time.perf_counter()
+    cp = cp_from_stats(rep, 7)
+    assert time.perf_counter() - start < 2
+    assert cp.min_pieces == (2976, 2950)
 
 
 def test_cprime_implies_cp():

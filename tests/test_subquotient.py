@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,11 +12,12 @@ from hnnembed.subquotient import (
     liftability_counterexample_search,
     quotient,
 )
-from hnnembed.words import Word, cyclically_equal, exponent
+from hnnembed.words import Alphabet, Word, cyclically_equal, exponent, is_cyclically_reduced
 
 from helpers import (
     cancellable_alignment,
     count_projections,
+    pairwise_no_duplicates,
     presentation_from_strings,
     random_cyclically_reduced_word,
 )
@@ -226,3 +228,87 @@ def test_duplicate_originals_are_fine():
     rep = check_no_duplicates(spec)
     assert rep.verdict
     assert liftability_counterexample_search(spec) is None
+
+
+def _duplicate_rich_spec(rng):
+    """Up to 24 cells over a, b and y, many equal or inverse up to rotation
+    once y is killed: rotations and inverses of earlier cells, earlier
+    cells with y letters added or changed, and cells of y alone.  Some of
+    the cells inside the subcomplex stay outside it, so they project to
+    the empty word."""
+    relators = []
+    while len(relators) < rng.randint(1, 24):
+        pick = rng.random()
+        if relators and pick < 0.5:
+            ls = list(rng.choice(relators).letters)
+            if pick < 0.15:
+                k = rng.randrange(len(ls))
+                ls = ls[k:] + ls[:k]
+            elif pick < 0.3:
+                ls = [-x for x in reversed(ls)]
+            else:
+                for _ in range(rng.randint(1, 2)):
+                    ls.insert(rng.randint(0, len(ls)), rng.choice([3, -3]))
+        elif pick < 0.6:
+            ls = [rng.choice([3, -3])] * rng.randint(1, 3)
+        else:
+            ls = list(random_cyclically_reduced_word(rng, 3, rng.randint(1, 8)).letters)
+        w = Word(tuple(ls))
+        if is_cyclically_reduced(w):
+            relators.append(w)
+    parent = Presentation(Alphabet.of("a", "b", "y"), tuple(relators))
+    inside = [i for i, r in enumerate(relators) if all(abs(x) == 3 for x in r)]
+    return SubcomplexSpec(parent, frozenset({3}), tuple(i for i in inside if rng.random() < 0.5))
+
+
+def test_no_duplicates_against_every_pair():
+    """Grouping by least rotation finds the pairs, in the order, that
+    comparing every pair of cells finds."""
+    rng = random.Random(300)
+    seen = {"collisions": 0, "inverted": 0, "empty": 0}
+    for _ in range(1500):
+        spec = _duplicate_rich_spec(rng)
+        got = check_no_duplicates(spec)
+        assert got == pairwise_no_duplicates(spec), spec.parent
+        seen["collisions"] += len(got.collisions)
+        seen["inverted"] += len(got.inverted_collisions)
+        seen["empty"] += sum(not pr.word for pr in quotient(spec).projected)
+    assert min(seen.values()) > 100, seen
+
+
+def test_no_duplicates_on_thousands_of_cells_is_fast():
+    """4,000 seeded 13-letter relators over x, y and z with y killed:
+    comparing every pair takes about 11 s, grouping a fraction of one."""
+    rng = random.Random(301)
+    words = [random_cyclically_reduced_word(rng, 3, 13) for _ in range(4000)]
+    spec = SubcomplexSpec.spanned_by(Presentation(Alphabet.of("x", "y", "z"), tuple(words)), ["y"])
+    quotient(spec)
+    start = time.perf_counter()
+    got = check_no_duplicates(spec)
+    assert time.perf_counter() - start < 2
+    assert not got.verdict and (len(got.collisions), len(got.inverted_collisions)) == (308, 304)
+
+
+def test_no_duplicates_skips_cells_with_equal_parents_in_one_step():
+    """12,000 rotations of x x y and of its inverse, then x x y y, with y
+    killed: all project to x x or its inverse, but only the last cell has
+    another parent, so only the pairs with it count.  Walking every later
+    cell of a group, equal parents too, takes about 4 s; skipping each run
+    of equal parents, a tenth of one."""
+    rng = random.Random(302)
+    words = []
+    for _ in range(12000):
+        ls = [1, 1, 2]
+        k = rng.randrange(3)
+        ls = ls[k:] + ls[:k]
+        words.append(Word(tuple(ls)) if rng.random() < 0.5 else Word(tuple(ls)).inverse())
+    words.append(Word((1, 1, 2, 2)))
+    spec = SubcomplexSpec.spanned_by(Presentation(Alphabet.of("x", "y"), tuple(words)), ["y"])
+    quotient(spec)
+    start = time.perf_counter()
+    got = check_no_duplicates(spec)
+    assert time.perf_counter() - start < 2
+    upright = [i for i, w in enumerate(words[:-1]) if sum(w.letters) > 0]
+    inverse = [i for i, w in enumerate(words[:-1]) if sum(w.letters) < 0]
+    assert got.collisions == tuple((i, 12000) for i in upright)
+    assert got.inverted_collisions == tuple((i, 12000) for i in inverse)

@@ -17,6 +17,7 @@ from hnnembed.words import (
     free_reduce,
     is_cyclically_reduced,
     is_reduced,
+    least_rotation,
     literal_period,
     random_reduced_word,
     relabel,
@@ -262,10 +263,20 @@ def cyclic_cases(letters: tuple[int, ...], max_len: int, seed: int):
 @pytest.mark.parametrize("letters,max_len,seed", LETTER_SETS)
 def test_cyclic_equality_vs_oracle(letters, max_len, seed):
     """Exact against the definition, both where slicing finds the rotation
-    and where the text search runs: words of five letters or more whose
-    rotations mostly share the first letter reach the search."""
+    and where the least rotations are compared: words of five letters or
+    more whose rotations mostly share the first letter reach that."""
     for u, v in cyclic_cases(letters, max_len, seed):
         assert cyclically_equal(u, v) == cyclic_oracle(u, v), (u, v)
+
+
+@pytest.mark.parametrize("letters,max_len,seed", LETTER_SETS)
+def test_least_rotation_vs_every_rotation(letters, max_len, seed):
+    """The least rotation is the least of all rotations, on every word over
+    ``letters`` up to ``max_len`` and on seeded powers with one letter
+    changed."""
+    for w in {w for pair in cyclic_cases(letters, max_len, seed) for w in pair}:
+        ls = w.letters
+        assert least_rotation(w) == min((ls[r:] + ls[:r] for r in range(len(ls))), default=()), w
 
 
 def test_digrams():
