@@ -12,22 +12,39 @@ orientation, offset).  Both the match search and piece counting read one
 index per relator length ell: a generalized suffix automaton (Blumer et al.,
 "The smallest automaton recognizing the subwords of a text", TCS 1985) of
 the reversed doubled texts of every relator of that length, in both
-orientations.  Reading a word right to left through it gives, for every
-start position p, the longest prefix of the word from p that some relator
-of the class spells (its matching statistic), cut to a cap by climbing
-suffix links, and the state that prefix ends in.  A slice of a doubled
-relator is a cyclic subword exactly when it is at most ell letters long, so
-with a cap of at most ell every reading is a cyclic subword, and it also
-occurs at an offset below ell.  All strings of one state occur at the same
-places, so the least (relator, orientation, offset) over a state's
-occurrences, stored when the index is built, is the least occurrence of the
-prefix read.  A step reads the doubled cyclic word through the classes in
-descending relator length, and stops at the first class whose cap
-min(ell, n) is strictly shorter than the best match so far: no reading of
-that class or of any later one is longer than its cap, so none can win.  A
-class whose cap equals the best length is still read, since a shorter
-relator with a lower index wins that tie.  A step costs O(n) transitions
-per class read, and no reading needs a letter check.
+orientations.  A string read right to left from its root stays in the
+automaton exactly when some text spells it, and all strings of one state
+occur at the same places, so the least (relator, orientation, offset) over
+a state's occurrences, stored when the index is built, is the least
+occurrence of the string read.  A slice of a doubled relator is a cyclic
+subword exactly when it is at most ell letters long.
+
+The search reads sampled windows, not every letter.  Under C'(1/6) every
+piece is shorter than a sixth of its relator, so in class ell a string of
+at least b letters, b one more than the longest piece of the class's
+relators, has at most one appearance: one relator, one orientation, and
+one offset up to multiples of the relator's literal period.  A match that
+can still win has need = max(ell // 2 + 1, best length so far) letters or
+more, and need >= b.  So the search walks the b-letter windows of the
+doubled cyclic word that start h = need - b + 1 letters apart, each from
+the root: every stretch of need letters holds a whole window, and that
+window's one occurrence names the only alignment of a relator against the
+word, a diagonal, that the stretch can lie on.  From the window, slice
+comparisons that double while they agree extend the stretch left and
+right along its diagonal.  Its first position holds its longest match
+there, and the offset at that position modulo the literal period is the
+least one.  After a stretch ending at e, sampling resumes at e - b + 1:
+a match on another diagonal shares fewer than b letters with the
+stretch, since a longer overlap would be a piece.  So every position
+whose match reaches need lies on a stretch found, and the pick is the
+exhaustive search's.  A class costs about b transitions per h letters,
+plus slice comparisons as long as the stretches found.
+
+Classes are searched in descending relator length, and the search stops at
+the first class whose cap min(ell, n) is strictly shorter than the best
+match so far: no match of that class or of any later one is longer than
+its cap, so none can win.  A class whose cap equals the best length is
+still read, since a shorter relator with a lower index wins that tie.
 """
 
 from __future__ import annotations
@@ -35,9 +52,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .presentation import Presentation, check_cprime
-from .words import EMPTY, Word, _word, cyclic_reduce, free_reduce, random_reduced_word
+from .words import (
+    EMPTY,
+    Word,
+    _word,
+    cyclic_join,
+    cyclic_reduce,
+    free_reduce,
+    literal_period,
+    random_reduced_word,
+)
 
 
 @dataclass(frozen=True)
@@ -67,32 +94,40 @@ class DehnSolver:
     """Reusable solver; builds its match index once per presentation.
 
     The index holds one suffix automaton per relator length ell, longest
-    first, read right to left by ``_read`` (see the module docstring).
-    ``_best_match`` reads the doubled cyclic word with the cap min(ell, n).
-    A relator of the class matches at position p letter for letter for
-    k <= min(ell, n) letters exactly when those k letters are a subword of
-    its doubled text, so the reading at p is the longest such match over
-    every (relator, orientation, offset) of the class, and the state it
-    ends in names the least (relator, orientation, offset) that makes it.
-    The least reading in tie order over all classes is then the exhaustive
-    search's pick.  The classes it leaves unread have caps strictly below
-    the best length, so none of them holds a rival.
+    first, with the window width b of that class (see the module
+    docstring).  ``_best_match`` searches the doubled cyclic word class by
+    class with the cap min(ell, n): a relator of the class matches at
+    position p letter for letter for k <= min(ell, n) letters exactly when
+    those k letters are a subword of its doubled text.  ``_class_match``
+    walks the sampled windows of one class and extends each window that
+    occurs into its stretch; every match of at least ``need`` letters lies
+    on one of those stretches, and each stretch's first position and least
+    offset give its best candidate, so the least candidate in tie order
+    over all classes is the exhaustive search's pick.  The classes left
+    unsearched have caps strictly below the best length, so none of them
+    holds a rival.
     ``piece_count`` walks each automaton from its root at the positions
     its greedy segmentation lands on, and reads no other position.
     """
 
     def __init__(self, presentation: Presentation):
-        if presentation.relators and not check_cprime(presentation.relators, 1, 6).holds:
+        report = check_cprime(presentation.relators, 1, 6) if presentation.relators else None
+        if report is not None and not report.holds:
             raise ValueError("presentation not metric small cancellation")
         self.presentation = presentation
         # doubled[j][s] spells relator j (s=0) or its inverse (s=1) twice,
         # so any rotation is a contiguous slice
         self._doubled = [(r.letters * 2, r.inverse().letters * 2) for r in presentation.relators]
         self._lengths = [len(r) for r in presentation.relators]
+        self._periods = [literal_period(r.letters) for r in presentation.relators]
         texts: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
         for j, ell in enumerate(self._lengths):
             texts.setdefault(ell, []).extend((j, s, d) for s, d in enumerate(self._doubled[j]))
-        self._classes = {ell: _index(texts[ell]) for ell in sorted(texts, reverse=True)}
+        # a class's window is one letter longer than its longest piece
+        self._classes = {
+            ell: (_index(texts[ell]), 1 + max(report.max_piece[j] for j, _, _ in texts[ell]))
+            for ell in sorted(texts, reverse=True)
+        }
 
     def solve(self, w: Word) -> DehnResult:
         cur = cyclic_reduce(w)[0]
@@ -106,8 +141,9 @@ class DehnSolver:
             d = self._doubled[j][srank]
             w2 = cur.letters + cur.letters
             complement = tuple(-x for x in reversed(d[off + length : off + ell]))
-            replaced = _word(complement + w2[pos + length : pos + len(cur)])
-            cur = cyclic_reduce(replaced)[0]
+            # both parts are cyclic subwords shorter than their cyclic words,
+            # so freely reduced, and only the seams can cancel
+            cur = cyclic_join(complement, w2[pos + length : pos + len(cur)])
             steps.append(DehnStep(pos, j, 1 if srank == 0 else -1, off, length))
         return DehnResult(True, tuple(steps), EMPTY)
 
@@ -117,26 +153,76 @@ class DehnSolver:
 
         Classes come longest first, so their caps min(ell, n) never grow;
         the search stops at the first cap strictly below the best length,
-        since no reading is longer than its cap.  A cap equal to the best
-        length is read: a shorter relator with a lower index wins the tie."""
+        since no match is longer than its cap.  A cap equal to the best
+        length is searched: a shorter relator with a lower index wins the
+        tie."""
         n = len(cur)
         w2 = cur.letters + cur.letters
         best: tuple[int, int, int, int, int] | None = None
-        for ell, index in self._classes.items():
-            if best is not None and min(ell, n) < best[0]:
+        for ell in self._classes:
+            cap = min(ell, n)
+            if best is not None and cap < best[0]:
                 break
-            if 2 * n <= ell:
+            need = ell // 2 + 1 if best is None else max(ell // 2 + 1, best[0])
+            if need > cap:
                 continue
-            lengths, states = _read(index, w2, n, min(ell, n))
-            length = max(lengths)
-            if 2 * length <= ell or (best is not None and length < best[0]):
-                continue
-            keys = index[3]
-            j, pos = min((keys[states[p]][0], p) for p in range(n) if lengths[p] == length)
-            _, srank, off = keys[states[pos]]
-            cand = (length, j, pos, srank, off)
-            if best is None or (-cand[0], *cand[1:]) < (-best[0], *best[1:]):
+            cand = self._class_match(ell, w2, n, cap, need)
+            if cand is not None and (
+                best is None or (-cand[0], *cand[1:]) < (-best[0], *best[1:])
+            ):
                 best = cand
+        return best
+
+    def _class_match(
+        self, ell: int, w2: tuple[int, ...], n: int, cap: int, need: int
+    ) -> tuple[int, int, int, int, int] | None:
+        """The least (length, relator, position, srank, offset) in tie order
+        over the matches of class ``ell`` with at least ``need`` letters, in
+        the doubled cyclic word ``w2`` of n letters, or None.
+
+        Only the letters below n + cap - 1 matter: a match starts below n
+        and is at most ``cap`` letters long.  Windows start below
+        n + need - b, so each lies inside the first ``need`` letters of a
+        match that could start below n; ``need`` grows to the best length
+        found, which only widens the sampling step.
+
+        A stretch is followed at most ell letters past its window on either
+        side, as far as the doubled relator reaches.  One cut there already
+        holds more than ``cap`` letters, so the match at its first position
+        is still exact, and the samples that resume inside it find the rest.
+        The first sample in a stretch lies less than a sampling step, so
+        less than ell letters, past the stretch's start: the sample before
+        it lies before the start, and the later one is either at most a
+        step on, or resumes after a stretch that overlaps this one by fewer
+        than b letters, which puts it at the start.  So the start of every
+        stretch, where its best match lies, is found."""
+        (trans, _, _, keys), b = self._classes[ell]
+        end = n + cap - 1
+        best: tuple[int, int, int, int, int] | None = None
+        q = 0
+        while q < n + need - b:
+            state: int | None = 0
+            for x in reversed(w2[q : q + b]):
+                state = trans[state].get(x)
+                if state is None:
+                    break
+            if state is None:
+                q += need - b + 1
+                continue
+            # the window's only appearance: w2[q + i] = d[o + i] for i < b,
+            # with o below the period, so d holds ell letters on either side
+            j, s, o = keys[state]
+            d = self._doubled[j][s]
+            left = _agree_back(w2, q, d, o + ell, min(q, ell))
+            right = _agree(w2, q + b, d, (o + b) % ell, min(end - q - b, ell))
+            start, stop = q - left, q + b + right
+            length = min(cap, stop - start)
+            if start < n and length >= need:
+                cand = (length, j, start, s, (o - left) % self._periods[j])
+                if best is None or (-length, *cand[1:]) < (-best[0], *best[1:]):
+                    best = cand
+                need = length
+            q = max(q + need - b + 1, stop - b + 1)
         return best
 
     def piece_count(self, w: Word) -> int | None:
@@ -144,15 +230,18 @@ class DehnSolver:
         None when some letter occurs in no relator.  Segments are taken from
         the right end, each the longest suffix of the rest that is a cyclic
         subword of some oriented relator: at most ell letters read right to
-        left from the root of a class's automaton.  Relator subwords are
-        closed under subwords, so greedy from either end gives the least
-        count."""
+        left from the root of a class's automaton.  Classes come longest
+        first, and none after one with ell <= the longest walk so far can
+        walk farther.  Relator subwords are closed under subwords, so greedy
+        from either end gives the least count."""
         letters = free_reduce(w).letters
         pos = len(letters)
         segments = 0
         while pos:
             jump = 0
-            for ell, (trans, _, _, _) in self._classes.items():
+            for ell, ((trans, _, _, _), _) in self._classes.items():
+                if ell <= jump:
+                    break
                 state = 0
                 k = 0
                 stop = min(ell, pos)
@@ -167,6 +256,34 @@ class DehnSolver:
             pos -= jump
             segments += 1
         return segments
+
+
+def _gallop(agree: Callable[[int, int], bool], limit: int) -> int:
+    """The largest k <= ``limit`` such that letters 0 .. k - 1 agree, where
+    ``agree(k, m)`` compares letters k .. k + m - 1 as one slice: chunks
+    double while they agree, then halve down to the first disagreement."""
+    k = 0
+    m = 1
+    grow = True
+    while m:
+        if k + m <= limit and agree(k, m):
+            k += m
+            m = m * 2 if grow else m // 2
+        else:
+            grow = False
+            m //= 2
+    return k
+
+
+def _agree(a: tuple[int, ...], i: int, b: tuple[int, ...], j: int, limit: int) -> int:
+    """Letters on which a[i:] and b[j:] agree, up to ``limit``."""
+    return _gallop(lambda k, m: a[i + k : i + k + m] == b[j + k : j + k + m], limit)
+
+
+def _agree_back(a: tuple[int, ...], i: int, b: tuple[int, ...], j: int, limit: int) -> int:
+    """Letters on which a[:i] and b[:j] agree from their ends, up to
+    ``limit``, which is at most i and j."""
+    return _gallop(lambda k, m: a[i - k - m : i - k] == b[j - k - m : j - k], limit)
 
 
 # one length class: transitions, suffix links, depths and each state's
@@ -232,40 +349,6 @@ def _index(texts: list[tuple[int, int, tuple[int, ...]]]) -> _Index:
                 keys[v] = key
                 v = link[v]
     return trans, link, depth, keys
-
-
-def _read(
-    index: _Index, letters: tuple[int, ...], count: int, cap: int
-) -> tuple[list[int], list[int]]:
-    """Matching statistics of ``letters`` against one length class, read
-    right to left: for each p below ``count``, the length of the longest
-    prefix of letters[p:] of at most ``cap`` letters that the class spells,
-    and the state that prefix ends in."""
-    trans, link, depth, _ = index
-    lengths = [0] * count
-    states = [0] * count
-    state = 0
-    length = 0
-    for p in range(min(len(letters), count + cap - 1) - 1, -1, -1):
-        x = letters[p]
-        nxt = trans[state].get(x)
-        while nxt is None and state:
-            state = link[state]
-            nxt = trans[state].get(x)
-            length = depth[state]
-        if nxt is None:
-            length = 0
-        else:
-            state = nxt
-            length += 1
-            if length > cap:
-                length = cap
-                while depth[link[state]] >= cap:
-                    state = link[state]
-        if p < count:
-            lengths[p] = length
-            states[p] = state
-    return lengths, states
 
 
 def verify_steps(

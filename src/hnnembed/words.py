@@ -169,11 +169,31 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     ``core`` is cyclically reduced.  The input is freely reduced first.
     """
     ls = free_reduce(w).letters
-    i, j = 0, len(ls) - 1
-    while i < j and ls[i] == -ls[j]:
+    i = _conjugator_length(ls)
+    return _word(ls[i : len(ls) - i]), _word(ls[:i])
+
+
+def cyclic_join(u: tuple[int, ...], v: tuple[int, ...]) -> Word:
+    """``cyclic_reduce(u v)[0]`` for freely reduced letter tuples ``u`` and
+    ``v``, working at the seams only: letters cancel in pairs across the
+    seam between u and v, and then across the two ends of the result."""
+    k = 0
+    while k < min(len(u), len(v)) and u[-1 - k] == -v[k]:
+        k += 1
+    ls = u[: len(u) - k] + v[k:]
+    i = _conjugator_length(ls)
+    return _word(ls[i : len(ls) - i])
+
+
+def _conjugator_length(letters: tuple[int, ...]) -> int:
+    """How many letters cancel in pairs between the two ends of the freely
+    reduced ``letters``: strip that many from each end to cyclically reduce
+    them.  A reduced word never cancels away whole."""
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
         i += 1
         j -= 1
-    return _word(ls[i : j + 1]), _word(ls[:i])
+    return i
 
 
 def is_cyclically_reduced(w: Word) -> bool:

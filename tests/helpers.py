@@ -332,6 +332,66 @@ def letter_match_table(relators, include_inverses=True) -> PieceReport:
     return PieceReport(tuple(map(len, words)), tuple(per_max), tuple(per_offset))
 
 
+def _read(index, letters: tuple[int, ...], count: int, cap: int) -> tuple[list[int], list[int]]:
+    """Matching statistics of ``letters`` against one length class of a
+    solver's index, read right to left: for each p below ``count``, the
+    length of the longest prefix of letters[p:] of at most ``cap`` letters
+    that the class spells, and the state that prefix ends in.  Reaching the
+    cap climbs suffix links to the state that holds the capped prefix."""
+    trans, link, depth, _ = index
+    lengths = [0] * count
+    states = [0] * count
+    state = 0
+    length = 0
+    for p in range(min(len(letters), count + cap - 1) - 1, -1, -1):
+        x = letters[p]
+        nxt = trans[state].get(x)
+        while nxt is None and state:
+            state = link[state]
+            nxt = trans[state].get(x)
+            length = depth[state]
+        if nxt is None:
+            length = 0
+        else:
+            state = nxt
+            length += 1
+            if length > cap:
+                length = cap
+                while depth[link[state]] >= cap:
+                    state = link[state]
+        if p < count:
+            lengths[p] = length
+            states[p] = state
+    return lengths, states
+
+
+def reading_best_match(solver, cur: Word):
+    """``DehnSolver._best_match`` by reading every letter: the matching
+    statistics of the doubled cyclic word against each class searched, with
+    the cap min(ell, n), and the least (relator, position) among the
+    positions whose reading is longest, with the least occurrence that
+    their state stores.  Classes are cut as the solver cuts them."""
+    n = len(cur)
+    w2 = cur.letters + cur.letters
+    best = None
+    for ell, (index, _) in solver._classes.items():
+        if best is not None and min(ell, n) < best[0]:
+            break
+        if 2 * n <= ell:
+            continue
+        lengths, states = _read(index, w2, n, min(ell, n))
+        length = max(lengths)
+        if 2 * length <= ell or (best is not None and length < best[0]):
+            continue
+        keys = index[3]
+        j, pos = min((keys[states[p]][0], p) for p in range(n) if lengths[p] == length)
+        _, srank, off = keys[states[pos]]
+        cand = (length, j, pos, srank, off)
+        if best is None or (-cand[0], *cand[1:]) < (-best[0], *best[1:]):
+            best = cand
+    return best
+
+
 def _random_input(rng: random.Random, ni: int, nj: int) -> PartialAscendingHNN:
     """ni ascending generators with random reduced images of 1-12 letters
     over all ni + nj generators, nj free ones; not yet validated."""

@@ -12,13 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from hnnembed import dehn
 from hnnembed.dehn import (
     AreaRow,
     DehnSolver,
     DehnStep,
     _index,
-    _read,
     area_bound_check,
     random_trivial_words,
     verify_steps,
@@ -27,6 +25,8 @@ from hnnembed.hnn import generate_relator_family
 from hnnembed.parsing import parse_word
 from hnnembed.presentation import Presentation, check_cprime
 from hnnembed.words import EMPTY, Alphabet, Word, cyclic_reduce, free_reduce
+
+from helpers import _read, reading_best_match
 
 
 SURF = Alphabet.of("a", "b", "c", "d")
@@ -448,18 +448,18 @@ def test_a_shorter_class_whose_cap_ties_the_best_match_is_still_read():
 
 
 def test_classes_whose_cap_is_below_the_best_match_are_not_read(setup, monkeypatch):
-    # classes are read longest first, and one whose cap min(ell, n) is
+    # classes are searched longest first, and one whose cap min(ell, n) is
     # shorter than the best match so far cannot beat it
     presentation, solver = setup
     assert [len(r) for r in presentation.relators] == [560, 1584, 2608]
     caps = []
-    read = dehn._read
+    search = DehnSolver._class_match
 
-    def spy(index, letters, count, cap):
+    def spy(self, ell, w2, n, cap, need):
         caps.append(cap)
-        return read(index, letters, count, cap)
+        return search(self, ell, w2, n, cap, need)
 
-    monkeypatch.setattr(dehn, "_read", spy)
+    monkeypatch.setattr(DehnSolver, "_class_match", spy)
     r0, r1, r2 = presentation.relators
     assert solver._best_match(r2) == (2608, 2, 0, 0, 0)
     assert caps == [2608]
@@ -467,8 +467,97 @@ def test_classes_whose_cap_is_below_the_best_match_are_not_read(setup, monkeypat
     res = solver.solve(r0 * r1 * r2)
     assert res.trivial and [s.relator for s in res.steps] == [2, 1, 0]
     # the last search skips the two longer classes, whose relators are
-    # more than twice the remaining 560 letters, without reading them
+    # more than twice the remaining 560 letters, without searching them
     assert caps == [2608, 2144, 1584, 560]
+
+
+def assert_searches_read_every_letter(solver, w):
+    """Run the solver's loop on ``w`` with the search that reads every
+    letter, replaying each pick through ``verify_steps``, and check the
+    sampled search against it on every word the loop meets, then the
+    solver's own step log against the loop's."""
+    cur = cyclic_reduce(w)[0]
+    steps = []
+    while cur:
+        best = reading_best_match(solver, cur)
+        assert solver._best_match(cur) == best
+        if best is None:
+            break
+        length, j, pos, srank, off = best
+        step = DehnStep(pos, j, 1 if srank == 0 else -1, off, length)
+        ok, cur = verify_steps(solver.presentation, cur, (step,))
+        assert ok
+        steps.append(step)
+    assert solver.solve(w).steps == tuple(steps)
+
+
+def turns_and_wraps(presentation, rng):
+    """Per oriented relator, one to three turns of it and less than one
+    turn more, with one letter changed half the time and a few letters
+    after, cut at a random point and rotated, so that some stretches run
+    past position 0."""
+    rank = presentation.alphabet.size
+    signed = [x for x in range(-rank, rank + 1) if x]
+    words = []
+    for r in presentation.relators:
+        ell = len(r)
+        for oriented in (r, r.inverse()):
+            for turns in (1, 2, 3):
+                off = rng.randrange(ell)
+                d = oriented.letters * (turns + 2)
+                letters = list(d[off : off + turns * ell + rng.randrange(ell)])
+                if rng.random() < 0.5:
+                    letters[rng.randrange(len(letters))] = rng.choice(signed)
+                letters += [rng.choice(signed) for _ in range(rng.randint(1, 4))]
+                cut = rng.randrange(len(letters))
+                words.append(Word(tuple(letters[cut:] + letters[:cut])))
+    return words
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_search_matches_reading_every_letter_on_the_family(setup, seed):
+    presentation, solver = setup
+    rng = random.Random(seed)
+    words = random_trivial_words(presentation, 12, 4, seed=seed)
+    for w in words + turns_and_wraps(presentation, rng):
+        assert_searches_read_every_letter(solver, w)
+
+
+POWERS = [Presentation(SURF, (Word((1, 2, 3, 4) * k),)) for k in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_PRESENTATIONS) + len(POWERS)))
+def test_sampled_search_matches_reading_every_letter(index):
+    presentation = (ORACLE_PRESENTATIONS + POWERS)[index]
+    solver = DehnSolver(presentation)
+    rng = random.Random(200 + index)
+    for w in oracle_words(presentation, rng) + turns_and_wraps(presentation, rng):
+        assert_searches_read_every_letter(solver, w)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_step_word_is_the_full_cyclic_reduction(setup, seed, monkeypatch):
+    # solve cancels only at the seams of each replaced word; verify_steps
+    # reduces the whole word, and the two must meet the same words
+    presentation, solver = setup
+    seen = []
+    search = DehnSolver._best_match
+
+    def spy(self, cur):
+        seen.append(cur)
+        return search(self, cur)
+
+    monkeypatch.setattr(DehnSolver, "_best_match", spy)
+    for w in random_trivial_words(presentation, 25, 4, seed=seed):
+        seen.clear()
+        res = solver.solve(w)
+        assert res.trivial and len(seen) == len(res.steps)
+        cur = cyclic_reduce(w)[0]
+        for step, word in zip(res.steps, seen):
+            assert word == cur
+            ok, cur = verify_steps(presentation, cur, (step,))
+            assert ok
+        assert cur == EMPTY
 
 
 def test_solver_builds_its_index_once():

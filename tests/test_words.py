@@ -10,6 +10,7 @@ from hnnembed.words import (
     Alphabet,
     Word,
     contains_all_reduced_digrams,
+    cyclic_join,
     cyclic_reduce,
     cyclically_equal,
     eulerian_digram_word,
@@ -152,6 +153,21 @@ def test_cyclic_reduce_conjugator_identity():
         core, conj = cyclic_reduce(w)
         assert is_cyclically_reduced(core)
         assert free_reduce(conj * core * conj.inverse()) == free_reduce(w)
+
+
+def test_cyclic_join_of_reduced_parts_is_the_cyclic_reduction():
+    # the parts share their ends' letters often, so cancellation across
+    # the middle seam, across the outer ends, and of a whole part occur
+    rng = random.Random(103)
+    seams = ends = 0
+    for _ in range(2000):
+        u = random_reduced_word(rng, 2, rng.randrange(0, 8)).letters
+        v = random_reduced_word(rng, 2, rng.randrange(0, 8)).letters
+        joined = cyclic_join(u, v)
+        assert joined == cyclic_reduce(Word(u + v))[0]
+        seams += bool(u and v and u[-1] == -v[0])
+        ends += len(joined) < len(free_reduce(Word(u + v)))
+    assert seams > 100 and ends > 100
 
 
 def test_cyclic_reduce_long_stem_is_linear():
