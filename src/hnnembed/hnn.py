@@ -60,9 +60,10 @@ reading.  Where one fails, the full image list is folded instead.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from operator import neg
 from typing import Callable, Sequence
 
 from .presentation import (
@@ -79,11 +80,13 @@ from .words import (
     Alphabet,
     Word,
     _word,
+    conjugator_length,
     contains_all_reduced_digrams,
     cyclically_equal,
     eulerian_digram_word,
     exponent,
     is_reduced,
+    least_rotation,
     relabel,
     signed_letters,
 )
@@ -415,13 +418,18 @@ def _certify(
     # proper power, and identifies two cells exactly where their
     # projections are equal up to rotation.  Stored word i is cell i's
     # projection up to rotation and inversion (the anchor above), and
-    # those change neither a literal exponent nor cyclic equality.
+    # those change neither a literal exponent nor cyclic equality.  Two
+    # words are equal up to rotation exactly when their least rotations
+    # are, and those keep the words' lengths, so only words that share
+    # their length with another are keyed, and the keys must all differ.
+    lengths = Counter(map(len, stored))
+    keys = [least_rotation(w) for w in stored if lengths[len(w)] > 1]
     cert = EmbeddingCertificate(
         quotient_words=stored,
         c7=c7,
         cprime=cprime,
         no_proper_powers=tuple(exponent(w) == 1 for w in stored),
-        pairwise_distinct=not any(cyclically_equal(u, v) for u, v in combinations(stored, 2)),
+        pairwise_distinct=len(set(keys)) == len(keys),
         monomorphism=image_rank == len(g.images),
         irreducible=evidence,
     )
@@ -432,28 +440,35 @@ def _plain_image_rank(h: PartialAscendingHNN, images: Sequence[Word]) -> int | N
     """The image subgroup's rank when the new images split off a free basis.
 
     The prescribed images use only old letters and have full rank (the
-    input is validated).  When every other image uses only new letters,
-    the image subgroup is the free product of the two parts.  The new
-    images X are then a free basis when, for every two distinct u, v in
-    X and X', their common prefix p has 2p < |u| and 2p < |v|: a reduced
-    product of them cancels less than half of each factor, so keeps a
-    middle letter of every factor and is never trivial.  Inverses are read
-    from the end, negated, and each comparison stops at the first
-    differing letter.  Otherwise no rank is returned and the caller folds.
-    The completed presentation has rejected unreduced images.
+    input is validated).  When no other image meets an old letter, the
+    image subgroup is the free product of the two parts.  The new images X
+    are then a free basis when, for every two distinct u, v in X and X',
+    their common prefix p has 2p < |u| and 2p < |v|: a reduced product of
+    them cancels less than half of each factor, so keeps a middle letter
+    of every factor and is never trivial.  Otherwise no rank is returned
+    and the caller folds.  The completed presentation has rejected
+    unreduced images.
+
+    Call the first ceil(|u|/2) letters of u its half.  Two words break the
+    bound exactly when one's half is a prefix of the other's: the shorter
+    word's half, which is also the shorter half, lies within the common
+    prefix.  The halves of X and X' are sorted.  If one half is a prefix of
+    another, every half sorted between them has that prefix too, so the
+    first of them and its successor break the bound as well.  So comparing
+    each half with its successor decides the test.  The half of u' is u
+    from offset floor(|u|/2) on, reversed and negated.
     """
     base = len(h.ascending) + len(h.free)
     new = [w.letters for w in images[len(h.ascending) :]]
-    if any(min(map(abs, ls)) <= base for ls in new):
+    old = frozenset(signed_letters(base))
+    if not all(map(old.isdisjoint, new)):
         return None
-    ends = [(ls, False) for ls in new] + [(ls, True) for ls in new]
-    for k, (u, u_inv) in enumerate(ends):
-        for v, v_inv in ends[k + 1 :]:
-            half = (min(len(u), len(v)) + 1) // 2  # 2p < |u|, |v| iff p < half
-            a = (-x for x in reversed(u)) if u_inv else iter(u)
-            b = (-x for x in reversed(v)) if v_inv else iter(v)
-            if all(x == y for x, y in zip(islice(a, half), b)):
-                return None
+    halves = sorted(
+        [ls[: (len(ls) + 1) // 2] for ls in new]
+        + [tuple(map(neg, reversed(ls[len(ls) // 2 :]))) for ls in new]
+    )
+    if any(v[: len(u)] == u for u, v in zip(halves, halves[1:])):
+        return None
     return len(images)
 
 
@@ -483,23 +498,20 @@ def _irreducible_evidence(
     loops = images[len(h.ascending) :]
     attached = loops[: len(h.free)]
     star = list(core.outgoing_labels(core.basepoint))
-    for w in loops:
-        ls = w.letters  # reduced, so only its stem strips off: ls[:i]
-        i, j = 0, len(ls) - 1
-        while i < j and ls[i] == -ls[j]:
-            i, j = i + 1, j - 1
-        star += (ls[0],) if i else (ls[0], -ls[-1])
+    degree = len(star)  # the core is folded, so each edge end reads its own label
+    for w in loops:  # reduced, so only its stem strips off
+        star += (w[0],) if conjugator_length(w.letters) else (w[0], -w[-1])
     wedge = len(star) == len(set(star))
     letters = signed_letters(len(images))
     evidence = IrreducibleEvidence(
         x_labels=tuple(-w[-1] for w in attached) + tuple(w[0] for w in attached),
         digram_coverage=tuple(contains_all_reduced_digrams(w, letters) for w in loops),
         wedge_check=wedge,
-        basepoint_degree=core.degree(core.basepoint),
+        basepoint_degree=degree,
         degree_bound=2 * len(h.ascending),
     )
-    # Every cycle is nonempty: a reduced nonempty loop stops stripping
-    # its stem with i <= j, so each loop adds one to the rank.
+    # Every cycle is nonempty: a reduced nonempty loop strips fewer than
+    # half its letters from each end, so each loop adds one to the rank.
     return (rank(core) + len(loops) if wedge else None), evidence
 
 

@@ -55,12 +55,6 @@ class CoreGraph:
                 out.add(-g)
         return out
 
-    def degree(self, vertex: int) -> int:
-        d = 0
-        for u, v, _ in self.edges:
-            d += (u == vertex) + (v == vertex)
-        return d
-
 
 def bouquet(alphabet: Alphabet, generators: Sequence[Word]) -> CoreGraph:
     """Wedge of one loop path per generator word, unfolded."""
@@ -226,30 +220,37 @@ def membership(g: CoreGraph, w: Word) -> bool:
     return cur == g.basepoint
 
 
-def _reachable(g: CoreGraph) -> set[int]:
+def _walk(g: CoreGraph) -> dict[int, int]:
+    """Breadth-first numbering of the folded graph's vertices from the
+    basepoint, each vertex's own labels read in canonical order, so the
+    walk costs O(E log E) whatever the alphabet's size; ValueError when
+    some vertex is not reached."""
     adj = _adjacency(g)
-    seen = {g.basepoint}
-    todo = [g.basepoint]
-    while todo:
-        v = todo.pop()
-        for nb in adj[v].values():
-            if nb not in seen:
-                seen.add(nb)
-                todo.append(nb)
-    return seen
+    ids = {g.basepoint: 0}
+    queue = deque([g.basepoint])
+    while queue:
+        out = adj[queue.popleft()]
+        for lab in sorted(sorted(out, reverse=True), key=abs):  # 1, -1, 2, -2, ...
+            if out[lab] not in ids:
+                ids[out[lab]] = len(ids)
+                queue.append(out[lab])
+    if len(ids) != g.num_vertices:
+        raise ValueError("graph is disconnected")
+    return ids
 
 
 def rank(g: CoreGraph) -> int:
     """First Betti number |E| - |V| + 1 of the folded core."""
     _require(g, folded=True, cored=True)
-    if not g.connected and len(_reachable(g)) != g.num_vertices:
-        raise ValueError("graph is disconnected")
+    if not g.connected:
+        _walk(g)
     return len(g.edges) - g.num_vertices + 1
 
 
 def basepoint_degree(g: CoreGraph) -> int:
+    """Edge ends at the basepoint: on a folded graph, the labels it reads."""
     _require(g, folded=True, cored=True)
-    return g.degree(g.basepoint)
+    return len(g.outgoing_labels(g.basepoint))
 
 
 def unused_basepoint_labels(g: CoreGraph) -> list[int]:
@@ -282,18 +283,6 @@ def is_monomorphism(alphabet: Alphabet, images: Sequence[Word]) -> bool:
 def canonical_form(g: CoreGraph) -> tuple:
     """Basepoint-BFS normal form; equal iff based labeled graphs agree."""
     _require(g, folded=True)
-    adj = _adjacency(g)
-    order = g.alphabet.signed()
-    ids = {g.basepoint: 0}
-    queue = deque([g.basepoint])
-    while queue:
-        v = queue.popleft()
-        for lab in order:
-            nb = adj[v].get(lab)
-            if nb is not None and nb not in ids:
-                ids[nb] = len(ids)
-                queue.append(nb)
-    if len(ids) != g.num_vertices:
-        raise ValueError("graph is disconnected")
+    ids = _walk(g)
     edges = tuple(sorted((ids[u], ids[v], lab) for u, v, lab in g.edges))
     return (g.num_vertices, edges)

@@ -25,7 +25,15 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .presentation import Presentation
-from .words import Alphabet, Word, exponent, least_rotation, relabel
+from .words import (
+    Alphabet,
+    Word,
+    exponent,
+    least_rotation,
+    least_rotation_start,
+    literal_period,
+    relabel,
+)
 
 
 @dataclass(frozen=True)
@@ -207,11 +215,6 @@ class TwoCellDiagram:
     rot2: int
 
 
-def _rotation(w: Word, off: int) -> tuple[int, ...]:
-    ls = w.letters
-    return ls[off:] + ls[:off]
-
-
 @dataclass(frozen=True)
 class LiftFailure:
     """A cancelling alignment downstairs with no cancelling lift."""
@@ -224,38 +227,62 @@ class LiftFailure:
 def liftability_counterexample_search(spec: SubcomplexSpec) -> Optional[LiftFailure]:
     """Find a cancelling projected alignment whose lift does not cancel.
 
-    Enumerates all ordered-by-index cell pairs, all rotation offsets of
-    both projected boundaries, and checks rotation equality; the lift of
-    an alignment rotates each parent boundary to the source position of
-    the shared projected edge.  Returns the first failure, or None.
+    An alignment pairs offset o1 of cell a's projection with offset o2 of
+    cell b's, for cells a <= b in order and (a, o1) != (b, o2), where the
+    two rotations agree; its lift rotates each parent boundary to the
+    source position of the shared projected edge.  Returns the first
+    failure in (a, b, o1, o2) order, or None.
+
+    Alignments are keyed, not compared.  Let a word of literal period d
+    reach its least rotation at offset z (:func:`least_rotation_start`).
+    Its rotations at o1 and o2 agree exactly when o1 = o2 (mod d), so
+    two words' rotations at o1 and o2 agree exactly when they share a
+    least rotation and o1 - z1 = o2 - z2 (mod d).  Parents follow the
+    same rule with their own start y and period e, so a lift cancels
+    exactly when the parents share a least rotation and each shared
+    edge's source position u has the same residue (u - y) mod e.  Cells
+    are grouped by least rotation; a lone cell whose period is its length
+    aligns with nothing.  For each class of offsets mod d, a cell stores
+    the first offset whose residue differs from the class's first, so the
+    least failing o2 for a given o1 is read off in one step, and a pair
+    of cells costs time linear in their length.
+
+    Only each group's first cell a is paired, with every cell of its
+    group, itself included.  If all those lifts cancel, so do those of
+    any two cells b and c of the group: an alignment of b at o2 and c at
+    o3 also aligns a at some o1, and the three lifts are one rotation.
+    So a group with a failure has one at its first cell, and groups are
+    visited in the order of their first cells.  The search is therefore
+    linear in the letters.
     """
     parent = spec.parent
-    q = quotient(spec)
-    cells = []
-    for pr in q.projected:
-        if not pr.word:
-            continue
-        rel = parent.relators[pr.source]
-        sub = spec.sub_generators
-        kept_positions = [k for k, x in enumerate(rel.letters) if abs(x) not in sub]
-        cells.append((pr.source, pr.word, rel, kept_positions))
-    for a in range(len(cells)):
-        for b in range(a, len(cells)):
-            s1, p1, r1, kp1 = cells[a]
-            s2, p2, r2, kp2 = cells[b]
-            if len(p1) != len(p2):
-                continue
+    groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], int]]] = {}
+    for pr in quotient(spec).projected:
+        p = pr.word.letters
+        if p:
+            z = least_rotation_start(p)
+            groups.setdefault(p[z:] + p[:z], []).append((pr.source, p, z))
+    for key, cells in groups.items():
+        d = literal_period(key)
+        if len(cells) == 1 and d == len(key):
+            continue  # a lone cell aligns with itself only at equal offsets
+        lifts = []
+        for s, p, z in cells:
+            r = parent.relators[s].letters
+            y, e = least_rotation_start(r), literal_period(r)
+            kept = [u for u, x in enumerate(r) if abs(x) not in spec.sub_generators]
+            res = [(u - y) % e for u in kept]
+            split = [next((j for j in range(c + d, len(p), d) if res[j] != res[c]), None)
+                     for c in range(d)]
+            lifts.append((s, p, z, r[y:] + r[:y], kept, res, split))
+        s1, p1, z1, top1, kept1, res1, _ = lifts[0]
+        for s2, _, z2, top2, kept2, res2, split2 in lifts:
+            same = top1 == top2  # once per pair of cells, not per offset
             for o1 in range(len(p1)):
-                q1 = _rotation(p1, o1)
-                for o2 in range(len(p2)):
-                    if a == b and o1 == o2:
-                        continue
-                    if q1 != _rotation(p2, o2):
-                        continue
-                    u1 = kp1[o1]
-                    u2 = kp2[o2]
-                    if _rotation(r1, u1) != _rotation(r2, u2):
-                        return LiftFailure(
-                            TwoCellDiagram(s1, s2, q1[0], o1, o2), u1, u2
-                        )
+                c = (o1 - z1 + z2) % d
+                o2 = c if res2[c] != (res1[o1] if same else None) else split2[c]
+                if o2 is not None:
+                    return LiftFailure(
+                        TwoCellDiagram(s1, s2, p1[o1], o1, o2), kept1[o1], kept2[o2]
+                    )
     return None

@@ -169,7 +169,7 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     ``core`` is cyclically reduced.  The input is freely reduced first.
     """
     ls = free_reduce(w).letters
-    i = _conjugator_length(ls)
+    i = conjugator_length(ls)
     return _word(ls[i : len(ls) - i]), _word(ls[:i])
 
 
@@ -181,11 +181,11 @@ def cyclic_join(u: tuple[int, ...], v: tuple[int, ...]) -> Word:
     while k < min(len(u), len(v)) and u[-1 - k] == -v[k]:
         k += 1
     ls = u[: len(u) - k] + v[k:]
-    i = _conjugator_length(ls)
+    i = conjugator_length(ls)
     return _word(ls[i : len(ls) - i])
 
 
-def _conjugator_length(letters: tuple[int, ...]) -> int:
+def conjugator_length(letters: tuple[int, ...]) -> int:
     """How many letters cancel in pairs between the two ends of the freely
     reduced ``letters``: strip that many from each end to cyclically reduce
     them.  A reduced word never cancels away whole."""
@@ -234,18 +234,19 @@ def exponent(w: Word) -> int:
     return len(w) // literal_period(w.letters)
 
 
-def least_rotation(w: Word) -> tuple[int, ...]:
-    """The least rotation of ``w``'s letters in tuple order, in time linear
-    in its length.
+def least_rotation_start(letters: tuple[int, ...]) -> int:
+    """An offset at which the least rotation of the nonempty ``letters`` in
+    tuple order starts, in time linear in their length; 0 for no letters.
 
     Duval's Lyndon factorization (J. Algorithms 4, 1983) run over the word
     written twice: each round reads a longest prefix of the rest that is a
     power of a Lyndon word, plus a proper prefix of it, and the least
-    rotation starts at the last round to start within the first copy.
+    rotation starts at the last round to start within the first copy.  A
+    word of literal period d has that rotation at every offset congruent
+    to this one modulo d, and at no other.
     """
-    ls = w.letters
-    n = len(ls)
-    s = ls + ls
+    n = len(letters)
+    s = letters + letters
     i = start = 0
     while i < n:
         start = i
@@ -255,7 +256,14 @@ def least_rotation(w: Word) -> tuple[int, ...]:
             j += 1
         while i <= k:
             i += j - k
-    return s[start : start + n]
+    return start
+
+
+def least_rotation(w: Word) -> tuple[int, ...]:
+    """The least rotation of ``w``'s letters in tuple order: the rotation at
+    :func:`least_rotation_start`."""
+    i = least_rotation_start(w.letters)
+    return w.letters[i:] + w.letters[:i]
 
 
 def cyclically_equal(u: Word, v: Word) -> bool:

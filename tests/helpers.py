@@ -5,6 +5,7 @@ Importable from every test module because pytest puts this directory on
 """
 
 import functools
+import itertools
 import os
 import random
 import sys
@@ -16,7 +17,13 @@ from hnnembed.hnn import PartialAscendingHNN, validate
 from hnnembed.parsing import parse_word
 from hnnembed.presentation import Presentation, best_piece_decomposition
 from hnnembed.stallings import CoreGraph, canonical_form
-from hnnembed.subquotient import NoDuplicatesReport, SubcomplexSpec, TwoCellDiagram, quotient
+from hnnembed.subquotient import (
+    LiftFailure,
+    NoDuplicatesReport,
+    SubcomplexSpec,
+    TwoCellDiagram,
+    quotient,
+)
 from hnnembed.suffixes import PieceReport
 from hnnembed.words import (
     Alphabet,
@@ -25,6 +32,7 @@ from hnnembed.words import (
     cyclically_equal,
     exponent,
     random_reduced_word,
+    relabel,
 )
 
 _PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -172,6 +180,68 @@ def pairwise_no_duplicates(spec: SubcomplexSpec) -> NoDuplicatesReport:
             if cyclically_equal(p1, p2.inverse()) and not cyclically_equal(r1, r2.inverse()):
                 inverted.append((s1, s2))
     return NoDuplicatesReport(not collisions, tuple(collisions), tuple(inverted))
+
+
+def pairwise_liftability_search(spec: SubcomplexSpec) -> LiftFailure | None:
+    """Every pair of cells and every pair of their rotations compared: an
+    oracle for :func:`hnnembed.subquotient.liftability_counterexample_search`,
+    which keys rotations by least rotation and residue."""
+    parent = spec.parent
+    cells = []
+    for pr in quotient(spec).projected:
+        if not pr.word:
+            continue
+        rel = parent.relators[pr.source]
+        kept_positions = [k for k, x in enumerate(rel.letters) if abs(x) not in spec.sub_generators]
+        cells.append((pr.source, pr.word.letters, rel.letters, kept_positions))
+
+    def rotation(ls, off):
+        return ls[off:] + ls[:off]
+
+    for a in range(len(cells)):
+        for b in range(a, len(cells)):
+            s1, p1, r1, kp1 = cells[a]
+            s2, p2, r2, kp2 = cells[b]
+            if len(p1) != len(p2):
+                continue
+            for o1 in range(len(p1)):
+                q1 = rotation(p1, o1)
+                for o2 in range(len(p2)):
+                    if a == b and o1 == o2:
+                        continue
+                    if q1 != rotation(p2, o2):
+                        continue
+                    u1 = kp1[o1]
+                    u2 = kp2[o2]
+                    if rotation(r1, u1) != rotation(r2, u2):
+                        return LiftFailure(TwoCellDiagram(s1, s2, q1[0], o1, o2), u1, u2)
+    return None
+
+
+def pairwise_distinct(stored) -> bool:
+    """Every two stored words compared up to rotation: an oracle for the
+    certificate's ``pairwise_distinct``, which keys by least rotation only
+    the words that share their length with another."""
+    return not any(cyclically_equal(u, v) for u, v in itertools.combinations(stored, 2))
+
+
+def pairwise_plain_image_rank(h: PartialAscendingHNN, images) -> int | None:
+    """Every two ends compared: an oracle for ``hnn._plain_image_rank``,
+    which compares each sorted half with its successor only.  The new
+    images must all be nonempty."""
+    base = len(h.ascending) + len(h.free)
+    new = [w.letters for w in images[len(h.ascending) :]]
+    if any(min(map(abs, ls)) <= base for ls in new):
+        return None
+    ends = [(ls, False) for ls in new] + [(ls, True) for ls in new]
+    for k, (u, u_inv) in enumerate(ends):
+        for v, v_inv in ends[k + 1 :]:
+            half = (min(len(u), len(v)) + 1) // 2  # 2p < |u|, |v| iff p < half
+            a = (-x for x in reversed(u)) if u_inv else iter(u)
+            b = (-x for x in reversed(v)) if v_inv else iter(v)
+            if all(x == y for x, y in zip(itertools.islice(a, half), b)):
+                return None
+    return len(images)
 
 
 def cancellable_alignment(p: Presentation, d: TwoCellDiagram) -> bool:
@@ -411,6 +481,21 @@ def _random_input(rng: random.Random, ni: int, nj: int) -> PartialAscendingHNN:
         tuple(f"b{k + 1}" for k in range(nj)),
         tuple(images),
     )
+
+
+def hostile_group(n: int) -> tuple[PartialAscendingHNN, PartialAscendingHNN]:
+    """An input of n free generators and a completed group of it whose n + 2
+    images are distinct reduced 40-letter words over the two new letters:
+    every stored word has one length, so every check that pairs the stored
+    words or the new images meets all of them."""
+    rng = random.Random(f"hostile:{n}")
+    new = {x: x + n if x > 0 else x - n for x in (1, -1, 2, -2)}
+    images: dict[Word, None] = {}  # distinct, in the order drawn
+    while len(images) < n + 2:
+        images[relabel(random_reduced_word(rng, 2, 40), new)] = None
+    free = tuple(f"x{k + 1}" for k in range(n))
+    g = PartialAscendingHNN(free + ("c1", "c2"), (), tuple(images))
+    return PartialAscendingHNN((), free, ()), g
 
 
 def criterion_6_inputs() -> list[PartialAscendingHNN]:

@@ -15,6 +15,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import weakref
 from dataclasses import replace
 
@@ -49,6 +50,7 @@ from hnnembed.words import (
     cyclic_reduce,
     cyclically_equal,
     exponent,
+    free_reduce,
     is_cyclically_reduced,
     is_reduced,
     random_reduced_word,
@@ -63,7 +65,11 @@ from helpers import (
     graphs_equal,
     hang,
     hnn_from_strings,
+    hostile_group,
     letter_match_table,
+    pairwise_distinct,
+    pairwise_plain_image_rank,
+    random_cyclically_reduced_word,
     sweep_input,
 )
 from test_cli import (
@@ -472,7 +478,7 @@ def test_built_graphs_are_not_walked_for_connectivity(monkeypatch):
     def walk(g):
         raise AssertionError("connectivity walk on a built graph")
 
-    monkeypatch.setattr(stallings, "_reachable", walk)
+    monkeypatch.setattr(stallings, "_walk", walk)
     h = intro_example()
     for construct, irreducible in (
         (construct_embedding, False),
@@ -579,6 +585,121 @@ def test_prefix_condition_never_claims_a_basis_the_fold_refutes():
             passed += 1
             assert rank(subgroup_core(ab, xs)) == len(xs), xs
     assert passed >= 50
+
+
+def _prefix_rich_images(rng, count: int, base: int) -> list[Word]:
+    """``count`` reduced words over the two letters after ``base``: seeded
+    words, repeats, inverses, prefixes of earlier words or of their
+    inverses, and earlier words extended; now and then one ends with an
+    old letter, so the split fails."""
+    new = {1: base + 1, -1: -base - 1, 2: base + 2, -2: -base - 2}
+    xs: list[Word] = []
+    while len(xs) < count:
+        pick = rng.randrange(12) if xs else 5
+        w = rng.choice(xs) if xs else None  # pick 0 repeats it
+        if pick == 1:
+            w = w.inverse()
+        elif pick == 2:
+            w = w[: rng.randint(1, len(w))]
+        elif pick == 3:
+            w = w.inverse()[: rng.randint(1, len(w))]
+        elif pick == 4:
+            w = free_reduce(w * relabel(random_reduced_word(rng, 2, rng.randint(1, 4)), new))
+        elif pick >= 5:
+            w = relabel(random_reduced_word(rng, 2, rng.randint(1, 16)), new)
+        if rng.random() < 0.05:
+            w = free_reduce(w * Word.of(rng.choice([1, -1])))
+        if w:
+            xs.append(w)
+    return xs
+
+
+@pytest.mark.parametrize("seed", [17019, 17020])
+def test_sorted_halves_decide_the_prefix_test_as_every_pair_does(seed):
+    """The plain rank shortcut, which compares each sorted half with its
+    successor, returns what comparing every two ends returns, on seeded
+    sets of three to five new images rich in equal words, inverses and
+    prefixes, and in images that meet an old letter."""
+    rng = random.Random(seed)
+    seen = collections.Counter()
+    for _ in range(2500):
+        free = ("b1", "b2", "b3")[: rng.randint(1, 3)]
+        h = PartialAscendingHNN(("a",), free, (Word.of(1),))
+        images = [Word.of(1)] + _prefix_rich_images(rng, len(free) + 2, len(free) + 1)
+        read = hnn._plain_image_rank(h, images)
+        assert read == pairwise_plain_image_rank(h, images), images
+        old = any(abs(x) <= len(free) + 1 for w in images[1:] for x in w)
+        seen["split fails" if old else "rank" if read else "prefix"] += 1
+    assert min(seen[k] for k in ("split fails", "rank", "prefix")) >= 100, seen
+
+
+def test_distinctness_verdict_equals_every_pair_compared():
+    """The certificate's distinctness verdict, which keys by least rotation
+    only the stored words that share a length, equals comparing every two
+    stored words up to rotation.  The groups have one to four free
+    generators whose images, like those of c1 and c2, are seeded short
+    words over c1 and c2: repeats, rotations, inverses and powers."""
+    rng = random.Random(17021)
+    seen = collections.Counter()
+    for _ in range(400):
+        free = tuple(f"x{k}" for k in range(rng.randint(1, 4)))
+        new = {1: len(free) + 1, -1: -len(free) - 1, 2: len(free) + 2, -2: -len(free) - 2}
+        xs: list[Word] = []
+        while len(xs) < len(free) + 2:
+            pick = rng.randrange(5) if xs else 0
+            if pick == 0:
+                xs.append(relabel(random_cyclically_reduced_word(rng, 2, rng.randint(1, 6)), new))
+            elif pick == 1:
+                xs.append(rng.choice(xs))
+            elif pick == 2:
+                k = rng.randrange(len(w := rng.choice(xs)))
+                xs.append(w[k:] * w[:k])
+            elif pick == 3:
+                xs.append(rng.choice(xs).inverse())
+            else:
+                xs.append(Word(rng.choice(xs).letters * rng.randint(2, 3)))
+        h = PartialAscendingHNN((), free, ())
+        g = PartialAscendingHNN(free + ("c1", "c2"), (), tuple(xs))
+        cert = certify_completion(h, g, False).certificate
+        assert cert.pairwise_distinct == pairwise_distinct(cert.quotient_words), xs
+        seen[cert.pairwise_distinct] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_distinctness_keys_only_words_that_share_a_length(monkeypatch):
+    """On the 2+2, 4+4 and 8+8 sweep inputs and the seed-101 ``complete``
+    inputs every stored word has its own length, so neither construction
+    computes a least rotation for the distinctness verdict.  The hostile
+    group's stored words share one length, so each is keyed once."""
+    calls = []
+    least = hnn.least_rotation
+
+    def counted(w):
+        calls.append(w)
+        return least(w)
+
+    monkeypatch.setattr(hnn, "least_rotation", counted)
+    for h in [sweep_input(n) for n in (2, 4, 8)] + complete_workload_inputs(101):
+        assert construct_embedding(h).certificate.all_true()
+        assert construct_irreducible_embedding(h).certificate.all_true()
+    assert calls == []
+    h, g = hostile_group(50)
+    assert certify_completion(h, g, False).certificate.pairwise_distinct
+    assert len(calls) == 52
+
+
+def test_certify_completion_on_a_hostile_group_is_fast():
+    """2,000 free generators whose images, like those of c1 and c2, are
+    distinct 40-letter words over c1 and c2.  Comparing every two stored
+    words and every two image ends took 3 s at 500 generators, and four
+    times as long per doubling; keyed and sorted, 2,000 take under 2 s.
+    The images pass the prefix test, so nothing is folded."""
+    h, g = hostile_group(2000)
+    start = time.perf_counter()
+    cert = certify_completion(h, g, False).certificate
+    assert time.perf_counter() - start < 2
+    assert cert.pairwise_distinct and cert.monomorphism
+    assert hnn._plain_image_rank(h, g.images) == len(g.images)
 
 
 # Generated inputs, each completed once by both constructions and shared

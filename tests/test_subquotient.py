@@ -5,6 +5,7 @@ import pytest
 
 from hnnembed.presentation import Presentation
 from hnnembed.subquotient import (
+    LiftFailure,
     SubcomplexSpec,
     TwoCellDiagram,
     check_no_duplicates,
@@ -12,11 +13,19 @@ from hnnembed.subquotient import (
     liftability_counterexample_search,
     quotient,
 )
-from hnnembed.words import Alphabet, Word, cyclically_equal, exponent, is_cyclically_reduced
+from hnnembed.words import (
+    Alphabet,
+    Word,
+    cyclically_equal,
+    exponent,
+    is_cyclically_reduced,
+    random_reduced_word,
+)
 
 from helpers import (
     cancellable_alignment,
     count_projections,
+    pairwise_liftability_search,
     pairwise_no_duplicates,
     presentation_from_strings,
     random_cyclically_reduced_word,
@@ -312,3 +321,95 @@ def test_no_duplicates_skips_cells_with_equal_parents_in_one_step():
     inverse = [i for i, w in enumerate(words[:-1]) if sum(w.letters) < 0]
     assert got.collisions == tuple((i, 12000) for i in upright)
     assert got.inverted_collisions == tuple((i, 12000) for i in inverse)
+
+
+def _alignment_rich_spec(rng):
+    """Up to 7 cells over a, b, y and z, with y or both y and z killed:
+    random cells, rotations, inverses and repeats of earlier cells, earlier
+    cells with a killed letter added, powers, and powers of a word over a
+    and b with killed letters placed unevenly in each turn, whose
+    projections are periodic while their parents are not."""
+    killed = ["y"] if rng.random() < 0.6 else ["y", "z"]
+    relators = []
+    for _ in range(rng.randint(1, 7)):
+        pick = rng.randrange(7) if relators else 0
+        if pick == 0:
+            ls = random_reduced_word(rng, 4, rng.randint(1, 12)).letters
+        elif pick == 1:
+            ls = rng.choice(relators).letters
+            k = rng.randrange(len(ls))
+            ls = ls[k:] + ls[:k]
+        elif pick == 2:
+            ls = rng.choice(relators).inverse().letters
+        elif pick == 3:
+            ls = random_reduced_word(rng, 4, rng.randint(1, 4)).letters * rng.randint(2, 5)
+        elif pick == 4:
+            turn = random_reduced_word(rng, 2, rng.randint(1, 3)).letters
+            ls = ()
+            for _ in range(rng.randint(2, 5)):
+                for x in turn:
+                    ls += (x, rng.choice([3, -3, 4, -4])) if rng.random() < 0.4 else (x,)
+        elif pick == 5:
+            ls = list(rng.choice(relators).letters)
+            ls.insert(rng.randint(0, len(ls)), rng.choice([3, -3, 4, -4]))
+            ls = tuple(ls)
+        else:
+            ls = rng.choice(relators).letters
+        w = Word(ls)
+        if w and is_cyclically_reduced(w):
+            relators.append(w)
+    parent = Presentation(Alphabet.of("a", "b", "y", "z"), tuple(relators))
+    return SubcomplexSpec.spanned_by(parent, killed)
+
+
+@pytest.mark.parametrize("seed", [310, 311, 312])
+def test_keyed_liftability_search_finds_the_first_failure_of_every_pair(seed):
+    """Keying alignments by least rotation and residue finds the failure,
+    or none, that comparing every rotation of every pair of cells finds
+    first: the same cells, offsets and lift, in (a, b, o1, o2) order."""
+    rng = random.Random(seed)
+    seen = {"none": 0, "self": 0, "other": 0, "later offset": 0}
+    for _ in range(1500):
+        spec = _alignment_rich_spec(rng)
+        got = liftability_counterexample_search(spec)
+        assert got == pairwise_liftability_search(spec), spec.parent.relators
+        if got is None:
+            seen["none"] += 1
+        else:
+            d = got.diagram
+            seen["self" if d.r1 == d.r2 else "other"] += 1
+            seen["later offset"] += d.rot1 > 0 or d.rot2 > d.rot1 + 1
+    assert min(seen.values()) > 50, seen
+
+
+def test_liftability_search_on_long_random_relators_is_fast():
+    """Three seeded random relators of 1,600 letters over a, b and y, with y
+    killed: comparing every rotation with every other took over 2 s at 400
+    letters; keyed, 1,600 letters take a small fraction of a second."""
+    rng = random.Random(313)
+    words = tuple(random_cyclically_reduced_word(rng, 3, 1600) for _ in range(3))
+    spec = SubcomplexSpec.spanned_by(Presentation(Alphabet.of("a", "b", "y"), words), ["y"])
+    quotient(spec)
+    start = time.perf_counter()
+    assert liftability_counterexample_search(spec) is None
+    assert time.perf_counter() - start < 2
+
+
+def test_liftability_search_on_periodic_projections_is_fast():
+    """(a y)^k, (a a y y)^(k/2) and (y a)^k with y killed and k = 1,600 all
+    project to a^k, which aligns with itself at every pair of offsets.  The
+    first cell's alignments with itself all lift, and its first with the
+    second cell does not.  With the second cell dropped, every alignment
+    lifts."""
+    k = 1600
+    ab = Alphabet.of("a", "y")
+    family = [Word((1, 2) * k), Word((1, 1, 2, 2) * (k // 2)), Word((2, 1) * k)]
+    for words, expected in (
+        (family, LiftFailure(TwoCellDiagram(0, 1, 1, 0, 0), 0, 0)),
+        ([family[0], family[2], family[0]], None),
+    ):
+        spec = SubcomplexSpec.spanned_by(Presentation(ab, tuple(words)), ["y"])
+        quotient(spec)
+        start = time.perf_counter()
+        assert liftability_counterexample_search(spec) == expected
+        assert time.perf_counter() - start < 2

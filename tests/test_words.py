@@ -19,6 +19,7 @@ from hnnembed.words import (
     is_cyclically_reduced,
     is_reduced,
     least_rotation,
+    least_rotation_start,
     literal_period,
     random_reduced_word,
     relabel,
@@ -289,10 +290,13 @@ def test_cyclic_equality_vs_oracle(letters, max_len, seed):
 def test_least_rotation_vs_every_rotation(letters, max_len, seed):
     """The least rotation is the least of all rotations, on every word over
     ``letters`` up to ``max_len`` and on seeded powers with one letter
-    changed."""
+    changed, and the rotation at the start offset returned is that one."""
     for w in {w for pair in cyclic_cases(letters, max_len, seed) for w in pair}:
         ls = w.letters
-        assert least_rotation(w) == min((ls[r:] + ls[:r] for r in range(len(ls))), default=()), w
+        least = min((ls[r:] + ls[:r] for r in range(len(ls))), default=())
+        assert least_rotation(w) == least, w
+        start = least_rotation_start(ls)
+        assert 0 <= start < max(len(ls), 1) and ls[start:] + ls[:start] == least, w
 
 
 def test_digrams():
