@@ -100,9 +100,9 @@ def _load(path: str, parse=parse_source):
         raise CliError(f"{path}: {e}") from None
 
 
-def _parse_cli_word(p: Presentation, text: str) -> Word:
+def _parse_cli_word(alphabet: Alphabet, text: str) -> Word:
     try:
-        return parse_word(p.alphabet, text)
+        return parse_word(alphabet, text)
     except ParseError as e:
         raise CliError(f"word {text!r}: {e.message}") from None
 
@@ -244,7 +244,7 @@ def _cmd_check_rel(args) -> int:
                         "relator": parent.relator_names[v.relator],
                         "before": v.before,
                         "after": v.after,
-                        "reason": v.reason,
+                        "reason": "exponent changed",
                     }
                     for v in powers.violations
                 ],
@@ -277,7 +277,7 @@ def _cmd_fold(args) -> int:
     }
     code = 0
     if args.word is not None:
-        w = _parse_cli_word(Presentation(alphabet, ()), args.word)
+        w = _parse_cli_word(alphabet, args.word)
         member = membership(core, w)
         out["word"] = args.word
         out["member"] = member
@@ -389,7 +389,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_word_solve(args) -> int:
     p = _load(args.pres, parse_presentation)
-    w = _parse_cli_word(p, args.word)
+    w = _parse_cli_word(p.alphabet, args.word)
     res = DehnSolver(p).solve(w)
     check_replay(p, w, res)
     _emit(

@@ -178,13 +178,18 @@ def build_complex_pair(h: PartialAscendingHNN, g: PartialAscendingHNN) -> Subcom
     """Presentation complex of the completed group over the input's subcomplex.
 
     The parent is ``g``'s own presentation, one cell t x t' image(x)'
-    per generator x; the subcomplex keeps the input's generators, the
-    stable letter, and exactly the prescribed cells.
+    per generator x; the subcomplex keeps the input's generators and the
+    stable letter, and so every cell that reads only those.
     """
+    # Those cells are exactly the prescribed ones, the first
+    # len(h.ascending): a prescribed image reads only old letters (the
+    # input is validated), a free generator's image reads a new generator
+    # (certify_completion rejects one that does not, and _escalate builds
+    # every such image from family words), and the cell of c1 or c2 reads
+    # that generator.
     parent = g.presentation()
     t = parent.alphabet.size
-    old = frozenset(range(1, len(h.ascending) + len(h.free) + 1)) | {t}
-    return SubcomplexSpec(parent, old, tuple(range(len(h.ascending))))
+    return SubcomplexSpec(parent, frozenset(range(1, len(h.ascending) + len(h.free) + 1)) | {t})
 
 
 def generate_relator_family(count: int, alphabet: Alphabet, scale: int = 1) -> list[Word]:

@@ -1,12 +1,13 @@
 """Subcomplex quotients and the relative cell checks.
 
 A subcomplex of a presentation complex is spanned by a subset of the
-generators together with every chosen relator cell supported on them.
-Collapsing the subcomplex to a point deletes its letters from the other
-relator boundaries.  Everything downstream works with those projected
-boundary words verbatim: backtracks introduced by the deletion are kept,
-nothing is freely reduced, and exponents are literal.  A spec projects
-once, and :func:`quotient` and every check below read that projection.
+generators together with every cell whose boundary reads only those
+generators.  Collapsing the subcomplex to a point deletes its letters
+from the other relator boundaries, none of which becomes empty.
+Everything downstream works with those projected boundary words
+verbatim: backtracks introduced by the deletion are kept, nothing is
+freely reduced, and exponents are literal.  A spec projects once, and
+:func:`quotient` and every check below read that projection.
 
 The two relative checks ask whether collapsing changes boundary-word
 structure: power counts must be preserved cell by cell, and distinct
@@ -38,56 +39,39 @@ from .words import (
 
 @dataclass(frozen=True)
 class SubcomplexSpec:
-    """A subcomplex: generator subset plus the relator cells inside it."""
+    """A subcomplex: a generator subset and every cell that reads only it."""
 
     parent: Presentation
     sub_generators: frozenset[int]  # positive letter numbers of the parent
-    sub_relators: tuple[int, ...]
 
     def __post_init__(self) -> None:
         for g in self.sub_generators:
             if not 1 <= g <= self.parent.alphabet.size:
                 raise ValueError(f"subcomplex generator {g} out of range")
-        seen = set()
-        for i in self.sub_relators:
-            if not 0 <= i < len(self.parent.relators):
-                raise ValueError(f"subcomplex relator index {i} out of range")
-            if i in seen:
-                raise ValueError(f"duplicate subcomplex relator index {i}")
-            seen.add(i)
-            for x in self.parent.relators[i]:
-                if abs(x) not in self.sub_generators:
-                    raise ValueError(
-                        f"relator {self.parent.relator_names[i]} leaves the subcomplex"
-                    )
 
     @classmethod
     def spanned_by(cls, parent: Presentation, gen_names: Iterable[str]) -> "SubcomplexSpec":
-        """Subcomplex on the named generators and every relator inside them."""
-        gens = frozenset(abs(parent.alphabet.letter(n)) for n in gen_names)
-        rels = tuple(
-            i
-            for i, r in enumerate(parent.relators)
-            if all(abs(x) in gens for x in r)
-        )
-        return cls(parent, gens, rels)
-
-    def outside_relators(self) -> list[int]:
-        inside = set(self.sub_relators)
-        return [i for i in range(len(self.parent.relators)) if i not in inside]
+        """Subcomplex on the named generators."""
+        return cls(parent, frozenset(abs(parent.alphabet.letter(n)) for n in gen_names))
 
     @cached_property
     def projection(self) -> "QuotientPresentation":
-        """The collapsed boundaries, built on first use and then kept."""
+        """The collapsed boundaries, built on first use and then kept.
+
+        Every cell is relabelled once.  A cell whose projection is empty
+        reads only killed generators, so it lies in the subcomplex and is
+        dropped; every other projection is nonempty.
+        """
         parent = self.parent
         kept = [i + 1 for i in range(parent.alphabet.size) if i + 1 not in self.sub_generators]
         table = {s * g: s * k for k, g in enumerate(kept, 1) for s in (1, -1)}
         alphabet = Alphabet(tuple(parent.alphabet.names[g - 1] for g in kept))
-        projected = tuple(
-            ProjectedRelator(i, relabel(parent.relators[i], table))
-            for i in self.outside_relators()
+        words = [relabel(r, table) for r in parent.relators]
+        return QuotientPresentation(
+            alphabet,
+            tuple(ProjectedRelator(i, w) for i, w in enumerate(words) if w),
+            tuple(i for i, w in enumerate(words) if not w),
         )
-        return QuotientPresentation(alphabet, projected, tuple(self.sub_relators))
 
 
 @dataclass(frozen=True)
@@ -100,9 +84,9 @@ class ProjectedRelator:
 class QuotientPresentation:
     """Projected boundaries of the cells outside the subcomplex.
 
-    Not a :class:`Presentation`: words may be empty or unreduced, so they
-    are held raw, each tagged with its source cell.  ``dropped`` lists
-    the cells that lived inside the subcomplex.
+    Not a :class:`Presentation`: words may be unreduced, so they are held
+    raw, each tagged with its source cell.  Every projected word is
+    nonempty.  ``dropped`` lists the cells inside the subcomplex.
     """
 
     alphabet: Alphabet
@@ -118,8 +102,7 @@ def quotient(spec: SubcomplexSpec) -> QuotientPresentation:
 class PowerViolation:
     relator: int
     before: int
-    after: Optional[int]  # None: the cell projects to a point
-    reason: str
+    after: int
 
 
 @dataclass(frozen=True)
@@ -134,12 +117,9 @@ def check_no_extra_powers(spec: SubcomplexSpec) -> NoExtraPowersReport:
     bad = []
     for pr in q.projected:
         before = exponent(spec.parent.relators[pr.source])
-        if not pr.word:
-            bad.append(PowerViolation(pr.source, before, None, "projects to point"))
-        else:
-            after = exponent(pr.word)
-            if after != before:
-                bad.append(PowerViolation(pr.source, before, after, "exponent changed"))
+        after = exponent(pr.word)
+        if after != before:
+            bad.append(PowerViolation(pr.source, before, after))
     return NoExtraPowersReport(not bad, tuple(bad))
 
 
@@ -157,16 +137,16 @@ def check_no_duplicates(spec: SubcomplexSpec) -> NoDuplicatesReport:
 
     Two words are equal up to rotation exactly when their least rotations
     are.  Rotation and inversion keep a word's length and the sum of its
-    letters' absolute values, so only the nonempty projections that share
-    both with some other cell are grouped by least rotation, which costs
-    a Python step per letter.  Each cell then walks the later cells of
+    letters' absolute values, so only the projections that share both
+    with some other cell are grouped by least rotation, which costs a
+    Python step per letter.  Each cell then walks the later cells of
     its own group and of its inverse's, skipping in one step each run of
     cells whose parent has the least rotation of its own parent (or of
     that parent's inverse), so the work is linear in the letters plus
     the pairs reported.  Pairs come out in cell order.
     """
     q = quotient(spec)
-    cells = [(pr.source, spec.parent.relators[pr.source], pr.word) for pr in q.projected if pr.word]
+    cells = [(pr.source, spec.parent.relators[pr.source], pr.word) for pr in q.projected]
     shapes = [(len(p), sum(map(abs, p.letters))) for _, _, p in cells]
     shared = Counter(shapes)
     cells = [c for c, n in zip(cells, shapes) if shared[n] > 1]
@@ -259,9 +239,8 @@ def liftability_counterexample_search(spec: SubcomplexSpec) -> Optional[LiftFail
     groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], int]]] = {}
     for pr in quotient(spec).projected:
         p = pr.word.letters
-        if p:
-            z = least_rotation_start(p)
-            groups.setdefault(p[z:] + p[:z], []).append((pr.source, p, z))
+        z = least_rotation_start(p)
+        groups.setdefault(p[z:] + p[:z], []).append((pr.source, p, z))
     for key, cells in groups.items():
         d = literal_period(key)
         if len(cells) == 1 and d == len(key):

@@ -160,6 +160,14 @@ def all_starts_piece_decomposition(per_offset) -> int | None:
     return best
 
 
+def inside_cells(spec: SubcomplexSpec) -> tuple[int, ...]:
+    """The cells whose boundary reads only the subcomplex's generators,
+    letter by letter: an oracle for ``quotient(spec).dropped``, which the
+    projection reads off the empty projected words."""
+    gens = spec.sub_generators
+    return tuple(i for i, r in enumerate(spec.parent.relators) if all(abs(x) in gens for x in r))
+
+
 def pairwise_no_duplicates(spec: SubcomplexSpec) -> NoDuplicatesReport:
     """Every pair of cells compared: an oracle for
     :func:`hnnembed.subquotient.check_no_duplicates`, which compares only

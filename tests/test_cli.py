@@ -258,6 +258,67 @@ def test_check_rel_flags_duplicates(files, capsys):
     assert data["no_duplicates"]["collisions"] == [["r1", "r2"]]
 
 
+# 32,000 one-letter powers of a, a long one, and two cells that leave a:
+# killing a collapses almost every cell of the file.
+MOSTLY_INSIDE = (
+    "gens: a b\n"
+    + "".join(f"rel: ( a )^{1 + k % 40}\n" for k in range(32000))
+    + "rel: ( a )^2097152\nrel: ( a b )^1000\nrel: a b a b b\n"
+)
+
+
+def _relative_check_cases():
+    """(file text, kill list) pairs: X1, X2, the mostly-inside file, and
+    seeded files shaped like the benchmark's small checks, with 1-3
+    outside and 1-2 inside generators and 1-3 relators of 1-10 letters,
+    some of them one-letter powers of an inside generator.  Each seeded
+    file is collapsed along its inside generators, along none of its
+    generators and along all of them."""
+    cases = [(X1, k) for k in ("a", "c", "", "a b c")]
+    cases += [(X2, k) for k in ("a", "c", "", "a b c")]
+    cases.append((MOSTLY_INSIDE, "a"))
+    rng = random.Random(33)
+    for _ in range(300):
+        names = ["a", "b", "c"][: rng.randint(1, 3)] + ["y", "z"][: rng.randint(1, 2)]
+        inside = [n for n in names if n in ("y", "z")]
+        lines = ["gens: " + " ".join(names)]
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.25:
+                lines.append(f"rel: ( {rng.choice(inside)} )^{rng.randint(1, 10)}")
+                continue
+            # drawn here, not by a package helper, so the pinned digest
+            # moves only when the two commands' output does
+            n = rng.randint(1, 10)
+            while True:
+                w = [rng.choice((1, -1)) * rng.randint(1, len(names))]
+                while len(w) < n:
+                    x = rng.choice((1, -1)) * rng.randint(1, len(names))
+                    if x != -w[-1]:
+                        w.append(x)
+                if n == 1 or w[0] != -w[-1]:
+                    break
+            lines.append("rel: " + " ".join(names[abs(x) - 1] + ("'" if x < 0 else "") for x in w))
+        text = "\n".join(lines) + "\n"
+        cases += [(text, " ".join(kill)) for kill in (inside, [], names)]
+    return cases
+
+
+def test_relative_check_stdout_is_pinned(tmp_path, capsys):
+    """The exit code and stdout of quotient and check-rel, byte for byte."""
+    digest = hashlib.sha256()
+    outcomes = collections.Counter()
+    for k, (text, kill) in enumerate(_relative_check_cases()):
+        path = tmp_path / f"{k}.pres"
+        path.write_text(text)
+        for command in ("quotient", "check-rel"):
+            code, out, err = run(capsys, command, str(path), "--kill", kill)
+            assert err == ""
+            outcomes[command, code] += 1
+            digest.update(f"{command} {k} {code}\n".encode() + out.encode() + b"\0")
+    assert outcomes == {("quotient", 0): 909, ("check-rel", 0): 845, ("check-rel", 1): 64}
+    assert digest.hexdigest() == "1acbc04f8bee877e56f1b10cd2d3d13001b886e4655543439322ccda8bdb52d4"
+
+
 def test_fold_membership_exit_codes(files, capsys):
     code, data = run_json(capsys, "fold", files["subgroup"])
     assert code == 0

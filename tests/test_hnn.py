@@ -66,6 +66,7 @@ from helpers import (
     hang,
     hnn_from_strings,
     hostile_group,
+    inside_cells,
     letter_match_table,
     pairwise_distinct,
     pairwise_plain_image_rank,
@@ -138,7 +139,7 @@ def test_build_complex_pair_shapes():
     assert spec.parent.alphabet.names == ("a", "b", "c", "c1", "c2", "t")
     assert len(spec.parent.relators) == 5
     assert spec.parent.relator_names == ("a", "b", "c", "c1", "c2")
-    assert spec.sub_relators == (0, 1)
+    assert quotient(spec).dropped == (0, 1)
     assert spec.sub_generators == frozenset({1, 2, 3, 6})
 
 
@@ -226,7 +227,7 @@ def test_construct_embedding_identity_image():
 def test_construct_embedding_no_ascending_part():
     h = PartialAscendingHNN((), ("b",), ())
     res = construct_embedding(h)
-    assert build_complex_pair(h, res.group).sub_relators == ()
+    assert quotient(build_complex_pair(h, res.group)).dropped == ()
     assert res.certificate.all_true()
 
 
@@ -1109,6 +1110,32 @@ def test_cell_verdicts_agree_with_the_subquotient_checks(monkeypatch):
         certify_completion(h, g, False)
     assert len(seen) > 2 * len(inputs)
     assert (False, True) in seen and (True, False) in seen and (True, True) in seen
+
+
+def test_the_complex_pair_drops_exactly_the_prescribed_cells(monkeypatch):
+    """The complex pair names only its generators, and its projection
+    drops the cells that read only them.  On every certificate built
+    while completing the 2+2 ... 8+8 sweep inputs and the seed-101
+    ``complete`` inputs with both constructions, those are the prescribed
+    cells, as scanning each cell letter by letter finds them, and every
+    other cell projects to a nonempty word."""
+    certify = hnn._certify
+    seen = []
+
+    def oracle(h, g, core, stored, report):
+        pair = build_complex_pair(h, g)
+        q = quotient(pair)
+        assert q.dropped == inside_cells(pair) == tuple(range(len(h.ascending)))
+        assert all(pr.word for pr in q.projected)
+        seen.append(h)
+        return certify(h, g, core, stored, report)
+
+    monkeypatch.setattr(hnn, "_certify", oracle)
+    inputs = [sweep_input(n) for n in (2, 4, 6, 8)] + complete_workload_inputs(101)
+    for construct in (construct_embedding, construct_irreducible_embedding):
+        for h in inputs:
+            assert construct(h).certificate.all_true()
+    assert len(seen) >= 2 * len(inputs)
 
 
 def test_certify_takes_each_cell_exponent_once(monkeypatch):

@@ -25,6 +25,7 @@ from hnnembed.words import (
 from helpers import (
     cancellable_alignment,
     count_projections,
+    inside_cells,
     pairwise_liftability_search,
     pairwise_no_duplicates,
     presentation_from_strings,
@@ -51,12 +52,8 @@ def test_checks_on_one_spec_share_one_projection(monkeypatch):
 def test_spec_validation():
     spec = SubcomplexSpec.spanned_by(X1, ["a"])
     assert spec.sub_generators == frozenset({1})
-    assert spec.sub_relators == ()
-    assert spec.outside_relators() == [0]
     with pytest.raises(ValueError):
-        SubcomplexSpec(X1, frozenset({1}), (0,))  # relator leaves the subcomplex
-    with pytest.raises(ValueError):
-        SubcomplexSpec(X1, frozenset({9}), ())
+        SubcomplexSpec(X1, frozenset({9}))
 
 
 def test_quotient_kill_a():
@@ -93,6 +90,37 @@ def test_quotient_drops_inside_cells():
     assert [(pr.source, pr.word.letters) for pr in q.projected] == [(1, (1,))]
 
 
+def test_dropped_cells_are_the_cells_inside_the_subcomplex():
+    """The projection drops exactly the cells that read only killed
+    generators, as scanning each cell letter by letter finds them, and
+    projects every other cell to a nonempty word.  Seeded presentations
+    over a, b, c, y and z, with one-letter powers among random cells,
+    collapsed along a random set of generators, none or all of them."""
+    rng = random.Random(304)
+    names = ["a", "b", "c", "y", "z"]
+    seen = {"dropped": 0, "projected": 0, "none killed": 0, "all killed": 0}
+    for _ in range(2000):
+        rels = []
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.3:
+                rels.append(Word((rng.choice([1, -1]) * rng.randint(1, 5),) * rng.randint(1, 4)))
+            else:
+                rels.append(random_cyclically_reduced_word(rng, 5, rng.randint(1, 10)))
+        killed = [n for n in names if rng.random() < 0.5]
+        if rng.random() < 0.1:
+            killed = rng.choice([[], names])
+        spec = SubcomplexSpec.spanned_by(Presentation(Alphabet.of(*names), tuple(rels)), killed)
+        q = quotient(spec)
+        assert q.dropped == inside_cells(spec), (rels, killed)
+        assert all(pr.word for pr in q.projected)
+        assert sorted(q.dropped + tuple(pr.source for pr in q.projected)) == list(range(len(rels)))
+        seen["dropped"] += len(q.dropped)
+        seen["projected"] += len(q.projected)
+        seen["none killed"] += not killed
+        seen["all killed"] += len(killed) == len(names)
+    assert min(seen.values()) > 100, seen
+
+
 def test_projection_length_identity():
     rng = random.Random(301)
     for _ in range(100):
@@ -115,15 +143,6 @@ def test_no_extra_powers_examples():
     assert rep.violations[0].before == 1 and rep.violations[0].after == 3
     assert check_no_extra_powers(SubcomplexSpec.spanned_by(X1, ["c"])).verdict
     assert check_no_extra_powers(SubcomplexSpec.spanned_by(X2, ["a"])).verdict
-
-
-def test_projects_to_point_fails():
-    p = presentation_from_strings("a b", ["a a", "a b"])
-    spec = SubcomplexSpec(p, frozenset({1}), ())  # keep the a a cell outside
-    rep = check_no_extra_powers(spec)
-    assert not rep.verdict
-    assert rep.violations[0].reason == "projects to point"
-    assert rep.violations[0].after is None
 
 
 def test_no_duplicates_examples():
@@ -242,9 +261,8 @@ def test_duplicate_originals_are_fine():
 def _duplicate_rich_spec(rng):
     """Up to 24 cells over a, b and y, many equal or inverse up to rotation
     once y is killed: rotations and inverses of earlier cells, earlier
-    cells with y letters added or changed, and cells of y alone.  Some of
-    the cells inside the subcomplex stay outside it, so they project to
-    the empty word."""
+    cells with y letters added or changed, and cells of y alone, which
+    lie inside the subcomplex."""
     relators = []
     while len(relators) < rng.randint(1, 24):
         pick = rng.random()
@@ -265,23 +283,21 @@ def _duplicate_rich_spec(rng):
         w = Word(tuple(ls))
         if is_cyclically_reduced(w):
             relators.append(w)
-    parent = Presentation(Alphabet.of("a", "b", "y"), tuple(relators))
-    inside = [i for i, r in enumerate(relators) if all(abs(x) == 3 for x in r)]
-    return SubcomplexSpec(parent, frozenset({3}), tuple(i for i in inside if rng.random() < 0.5))
+    return SubcomplexSpec.spanned_by(Presentation(Alphabet.of("a", "b", "y"), tuple(relators)), ["y"])
 
 
 def test_no_duplicates_against_every_pair():
     """Grouping by least rotation finds the pairs, in the order, that
     comparing every pair of cells finds."""
     rng = random.Random(300)
-    seen = {"collisions": 0, "inverted": 0, "empty": 0}
+    seen = {"collisions": 0, "inverted": 0, "dropped": 0}
     for _ in range(1500):
         spec = _duplicate_rich_spec(rng)
         got = check_no_duplicates(spec)
         assert got == pairwise_no_duplicates(spec), spec.parent
         seen["collisions"] += len(got.collisions)
         seen["inverted"] += len(got.inverted_collisions)
-        seen["empty"] += sum(not pr.word for pr in quotient(spec).projected)
+        seen["dropped"] += len(quotient(spec).dropped)
     assert min(seen.values()) > 100, seen
 
 
