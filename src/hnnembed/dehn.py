@@ -45,6 +45,12 @@ the first class whose cap min(ell, n) is strictly shorter than the best
 match so far: no match of that class or of any later one is longer than
 its cap, so none can win.  A class whose cap equals the best length is
 still read, since a shorter relator with a lower index wins that tie.
+Piece counting reads the same windows: at each position its greedy
+segmentation lands on, a class's automaton is walked over at most b
+letters, and a walk that reads all b names the one diagonal the segment
+can lie on, which slice comparisons follow.  The replayer shares none of
+this: each step builds only its own oriented relator and cyclically
+reduces the whole word it makes.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Callable
 
 from .presentation import Presentation, check_cprime
@@ -106,8 +113,10 @@ class DehnSolver:
     over all classes is the exhaustive search's pick.  The classes left
     unsearched have caps strictly below the best length, so none of them
     holds a rival.
-    ``piece_count`` walks each automaton from its root at the positions
-    its greedy segmentation lands on, and reads no other position.
+    ``piece_count`` walks each automaton from its root over at most b
+    letters at the positions its greedy segmentation lands on, extends a
+    walk that reads all b along its window's one diagonal by slice
+    comparisons, and reads no other position.
     """
 
     def __init__(self, presentation: Presentation):
@@ -140,7 +149,7 @@ class DehnSolver:
             ell = self._lengths[j]
             d = self._doubled[j][srank]
             w2 = cur.letters + cur.letters
-            complement = tuple(-x for x in reversed(d[off + length : off + ell]))
+            complement = tuple(map(neg, reversed(d[off + length : off + ell])))
             # both parts are cyclic subwords shorter than their cyclic words,
             # so freely reduced, and only the seams can cancel
             cur = cyclic_join(complement, w2[pos + length : pos + len(cur)])
@@ -229,27 +238,45 @@ class DehnSolver:
         """Greedy count of relator-subword segments spelling free_reduce(w);
         None when some letter occurs in no relator.  Segments are taken from
         the right end, each the longest suffix of the rest that is a cyclic
-        subword of some oriented relator: at most ell letters read right to
-        left from the root of a class's automaton.  Classes come longest
-        first, and none after one with ell <= the longest walk so far can
-        walk farther.  Relator subwords are closed under subwords, so greedy
-        from either end gives the least count."""
+        subword of some oriented relator, at most ell letters.  Relator
+        subwords are closed under subwords, so greedy from either end gives
+        the least count.
+
+        At position pos, each class's automaton is walked from its root
+        over at most b letters to the left, b the class's window width.  A
+        walk that stops short is the longest suffix the class spells.  A
+        walk that reads b letters ends at a state whose key (j, s, o) is
+        the window's only appearance in the class (see the module
+        docstring): letters[pos - b:pos] = d[o:o + b], d relator j's doubled
+        text in orientation s, o below the relator's period.  Every longer
+        suffix the class spells ends in that window, so it lies on that
+        diagonal, and it is spelled exactly when its letters agree with d
+        read back from o + ell, at most ell letters in all: a slice of ell
+        letters or fewer of d is a cyclic subword, and d repeats with
+        period ell.  So the window plus the letters on which
+        letters[:pos - b] and d[:o + ell] agree from their ends, up to
+        min(ell, pos) - b, is the class's longest suffix.  Classes come
+        longest first, and none after one with ell <= the longest suffix so
+        far can give a longer one."""
         letters = free_reduce(w).letters
         pos = len(letters)
         segments = 0
         while pos:
             jump = 0
-            for ell, ((trans, _, _, _), _) in self._classes.items():
+            for ell, ((trans, _, _, keys), b) in self._classes.items():
                 if ell <= jump:
                     break
-                state = 0
+                state: int | None = 0
                 k = 0
-                stop = min(ell, pos)
+                stop = min(b, pos)
                 while k < stop:
                     state = trans[state].get(letters[pos - 1 - k])
                     if state is None:
                         break
                     k += 1
+                if k == b:
+                    j, s, o = keys[state]
+                    k += _agree_back(letters, pos - b, self._doubled[j][s], o + ell, min(ell, pos) - b)
                 jump = max(jump, k)
             if jump == 0:
                 return None
@@ -356,27 +383,30 @@ def verify_steps(
 ) -> tuple[bool, Word]:
     """Replay a step log with no searching: check every claimed match against
     the relators letter for letter and redo the replacements.  Returns
-    (valid, final_word); a trivial verdict is certified by (True, empty)."""
-    doubled = [(r.letters * 2, r.inverse().letters * 2) for r in presentation.relators]
+    (valid, final_word); a trivial verdict is certified by (True, empty).
+    Each step builds only its own oriented relator, rotated to its offset,
+    and fully cyclically reduces the word it makes."""
+    relators = presentation.relators
     cur = cyclic_reduce(w)[0]
     for st in steps:
         n = len(cur)
-        if not 0 <= st.relator < len(presentation.relators):
+        if not 0 <= st.relator < len(relators):
             return False, cur
-        ell = len(presentation.relators[st.relator])
+        r = relators[st.relator]
+        ell = len(r)
         if st.orientation not in (1, -1) or not 0 <= st.offset < ell:
             return False, cur
         if not 0 <= st.position < n or not st.length <= min(ell, n):
             return False, cur
         if 2 * st.length <= ell:
             return False, cur
-        d = doubled[st.relator][0 if st.orientation == 1 else 1]
-        w2 = cur.letters + cur.letters
-        if w2[st.position : st.position + st.length] != d[st.offset : st.offset + st.length]:
+        oriented = r.letters if st.orientation == 1 else r.inverse().letters
+        rel = oriented[st.offset :] + oriented[: st.offset]
+        word = cur.letters[st.position :] + cur.letters[: st.position]
+        if word[: st.length] != rel[: st.length]:
             return False, cur
-        complement = tuple(-x for x in reversed(d[st.offset + st.length : st.offset + ell]))
-        replaced = _word(complement + w2[st.position + st.length : st.position + n])
-        nxt = cyclic_reduce(replaced)[0]
+        complement = tuple(map(neg, reversed(rel[st.length :])))
+        nxt = cyclic_reduce(_word(complement + word[st.length :]))[0]
         if len(nxt) >= n:
             return False, cur
         cur = nxt

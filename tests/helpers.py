@@ -134,6 +134,18 @@ def random_cyclically_reduced_word(rng, rank: int, length: int) -> Word:
             return w
 
 
+def stack_free_reduce(w: Word) -> Word:
+    """``free_reduce`` as one stack pass over every letter, the oracle for
+    the numpy-cut version."""
+    out: list[int] = []
+    for x in w.letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return Word(tuple(out))
+
+
 def min_piece_decomposition(per_offset) -> int | None:
     """Fewest pieces whose concatenation is some rotation of the word."""
     return best_piece_decomposition(per_offset)
@@ -468,6 +480,35 @@ def reading_best_match(solver, cur: Word):
         if best is None or (-cand[0], *cand[1:]) < (-best[0], *best[1:]):
             best = cand
     return best
+
+
+def letter_walk_segment_ends(solver, w: Word) -> list[int] | None:
+    """Where ``DehnSolver.piece_count``'s greedy segments of free_reduce(w)
+    end, right to left, found by walking each class's automaton letter by
+    letter, up to ell letters, with no window; None when some letter occurs
+    in no relator.  Its length is the piece count."""
+    letters = stack_free_reduce(w).letters
+    pos = len(letters)
+    ends = []
+    while pos:
+        jump = 0
+        for ell, ((trans, _, _, _), _) in solver._classes.items():
+            if ell <= jump:
+                break
+            state = 0
+            k = 0
+            stop = min(ell, pos)
+            while k < stop:
+                state = trans[state].get(letters[pos - 1 - k])
+                if state is None:
+                    break
+                k += 1
+            jump = max(jump, k)
+        if jump == 0:
+            return None
+        ends.append(pos)
+        pos -= jump
+    return ends
 
 
 def _random_input(rng: random.Random, ni: int, nj: int) -> PartialAscendingHNN:

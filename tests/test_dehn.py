@@ -6,8 +6,10 @@ on an input small enough to check by hand.
 """
 
 import copy
+import functools
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,7 @@ from hnnembed.parsing import parse_word
 from hnnembed.presentation import Presentation, check_cprime
 from hnnembed.words import EMPTY, Alphabet, Word, cyclic_reduce, free_reduce
 
-from helpers import _read, reading_best_match
+from helpers import _read, letter_walk_segment_ends, reading_best_match
 
 
 SURF = Alphabet.of("a", "b", "c", "d")
@@ -111,7 +113,7 @@ def test_solver_is_deterministic_across_instances():
     assert first == second
 
 
-def test_replay_rejects_tampered_logs():
+def test_replay_rejects_tampered_logs(setup):
     res = DehnSolver(P_SURF).solve(R)
     (step,) = res.steps
     bad_position = DehnStep(3, step.relator, step.orientation, 1, step.length)
@@ -122,6 +124,45 @@ def test_replay_rejects_tampered_logs():
     assert not verify_steps(P_SURF, R, (too_short,))[0]
     # a valid log for a different word fails on the match check
     assert not verify_steps(P_SURF, parse_word(SURF, "a b c d a b c d"), res.steps)[0]
+
+    # count-3 family logs, with both orientations, offsets up to ell - 1
+    # (each oriented relator rotated to start at its last letter) and
+    # matches shorter than their cap (turns with a letter changed): moving
+    # one step's position or offset by one, lengthening it or flipping its
+    # orientation fails the replay.  A step one letter shorter that still
+    # covers more than half its relator is a valid step to the same word:
+    # the complement gains the inverse of the letter left in place, and
+    # the two cancel.
+    presentation, solver = setup
+    words = random_trivial_words(presentation, 8, 4, seed=5)
+    words += turns_and_wraps(presentation, random.Random(5))
+    for r in presentation.relators:
+        ell = len(r)
+        words += [Word(d[ell - 1 : 2 * ell - 1]) for d in (r.letters * 2, r.inverse().letters * 2)]
+    seen = set()
+    for w in words:
+        res = solver.solve(w)
+        steps = res.steps
+        assert verify_steps(presentation, w, steps) == (True, res.residue)
+        for i, st in enumerate(steps):
+            ell = len(presentation.relators[st.relator])
+            seen.add((st.orientation, st.offset == ell - 1))
+
+            def replay(**change):
+                return verify_steps(presentation, w, (*steps[:i], replace(st, **change), *steps[i + 1 :]))
+
+            for change in (
+                {"position": st.position - 1},
+                {"position": st.position + 1},
+                {"offset": st.offset - 1},
+                {"offset": st.offset + 1},
+                {"length": st.length + 1},
+                {"orientation": -st.orientation},
+            ):
+                assert not replay(**change)[0], (w, i, change)
+            shorter = replay(length=st.length - 1)
+            assert shorter == (True, res.residue) if 2 * st.length > ell + 2 else not shorter[0]
+    assert seen == {(1, False), (1, True), (-1, False), (-1, True)}
 
 
 def test_piece_count_greedy_segments():
@@ -179,12 +220,16 @@ def test_area_ratios_stay_linear_on_random_samples():
     assert rep.max_ratio is not None and rep.max_ratio <= 1
 
 
+@functools.cache
+def family(scale):
+    pair = Alphabet.of("c1", "c2")
+    presentation = Presentation(pair, tuple(generate_relator_family(3, pair, scale)))
+    return presentation, DehnSolver(presentation)
+
+
 @pytest.fixture(scope="module")
 def setup():
-    pair = Alphabet.of("c1", "c2")
-    family = generate_relator_family(3, pair)
-    presentation = Presentation(pair, tuple(family))
-    return presentation, DehnSolver(presentation)
+    return family(1)
 
 
 class TestConstructedFamilyPresentation:
@@ -533,6 +578,56 @@ def test_sampled_search_matches_reading_every_letter(index):
     rng = random.Random(200 + index)
     for w in oracle_words(presentation, rng) + turns_and_wraps(presentation, rng):
         assert_searches_read_every_letter(solver, w)
+
+
+def changed_near_segment_ends(solver, words, rng):
+    """Each word with one letter changed, to a letter that keeps it
+    reduced, so that b - 1, b or b + 1 letters lie between it and the right
+    end of one of the word's first two segments, for each class's window
+    width b: a walk from that end then stops one letter short of its
+    window, reads exactly the window, or extends it by one letter."""
+    rank = solver.presentation.alphabet.size
+    signed = [x for x in range(-rank, rank + 1) if x]
+    out = []
+    for w in words:
+        letters = free_reduce(w).letters
+        for end in (letter_walk_segment_ends(solver, w) or [])[:2]:
+            for _, b in solver._classes.values():
+                for i in (end - b, end - b - 1, end - b - 2):
+                    if i < 0:
+                        continue
+                    near = {letters[i]} | {-letters[j] for j in (i - 1, i + 1) if 0 <= j < len(letters)}
+                    choices = [x for x in signed if x not in near]
+                    if choices:
+                        out.append(Word(letters[:i] + (rng.choice(choices),) + letters[i + 1 :]))
+    return out
+
+
+def assert_piece_count_is_the_letter_walk(solver, words):
+    for w in words:
+        ends = letter_walk_segment_ends(solver, w)
+        assert solver.piece_count(w) == (None if ends is None else len(ends)), w
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_windowed_piece_count_matches_the_letter_walk_on_the_family(scale, seed):
+    presentation, solver = family(scale)
+    rng = random.Random(seed)
+    words = random_trivial_words(presentation, 12, 4, seed=seed)
+    words += turns_and_wraps(presentation, rng)
+    changed = changed_near_segment_ends(solver, [*presentation.relators, *words[:3]], rng)
+    assert_piece_count_is_the_letter_walk(solver, words + changed)
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_PRESENTATIONS) + len(POWERS)))
+def test_windowed_piece_count_matches_the_letter_walk(index):
+    presentation = (ORACLE_PRESENTATIONS + POWERS)[index]
+    solver = DehnSolver(presentation)
+    rng = random.Random(400 + index)
+    words = oracle_words(presentation, rng) + turns_and_wraps(presentation, rng)
+    words += [r * r for r in presentation.relators]
+    assert_piece_count_is_the_letter_walk(solver, words + changed_near_segment_ends(solver, words, rng))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -6,6 +6,7 @@ import pytest
 
 from hnnembed.parsing import ParseError, parse_word
 from hnnembed.words import (
+    _NUMPY_CUTOFF,
     EMPTY,
     Alphabet,
     Word,
@@ -26,7 +27,7 @@ from hnnembed.words import (
     signed_letters,
 )
 
-from helpers import digrams, random_cyclically_reduced_word
+from helpers import digrams, random_cyclically_reduced_word, stack_free_reduce
 
 
 # Oracles.  Each recomputes the target property by a different route than
@@ -140,6 +141,48 @@ def test_free_reduce_random_vs_oracle():
         assert is_reduced(got)
         # Reduction of w * w^-1 must vanish.
         assert free_reduce(w * w.inverse()) == EMPTY
+
+
+def kernel_cases(seed: int):
+    """Words of 0 to 4x the numpy cutoff over 1-3 generators: uniform ones,
+    which cancel often, and reduced ones with a cancellation put first,
+    last, in the middle, or as a cascade u u^-1 that empties the letters
+    copied before the first cut and runs on into what follows; plus
+    letters at and past the edges of 32 and 64 bits."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        lets = signed_letters(rng.randint(1, 3))
+        n = rng.randint(0, 4 * _NUMPY_CUTOFF)
+        yield Word(tuple(rng.choice(lets) for _ in range(n)))
+        if n < 2:
+            continue
+        rank = max(2, len(lets) // 2)
+        w = random_reduced_word(rng, rank, n).letters
+        u = random_reduced_word(rng, rank, rng.randint(1, n)).letters
+        v = random_reduced_word(rng, rank, rng.randint(0, n)).letters
+        yield Word(w)
+        yield Word((-w[0],) + w)
+        yield Word(w + (-w[-1],))
+        yield Word(w[: n // 2] + (rank + 1, -rank - 1) + w[n // 2 :])
+        yield Word(u + tuple(-x for x in reversed(u)) + v)
+        yield Word(u + tuple(-x for x in reversed(u)) + w + (-w[-1],))
+    edge = (2**31 - 1, -(2**31), 2**31, 2**63, -(2**63))
+    for x in edge:
+        for y in edge:
+            yield Word((x, y) * _NUMPY_CUTOFF)
+            yield Word((x, -x) + (y, 1) * _NUMPY_CUTOFF)
+
+
+def test_free_reduce_and_is_reduced_vs_the_stack_loop():
+    cut = 0
+    for w in kernel_cases(97):
+        reduced = stack_free_reduce(w)
+        assert free_reduce(w) == reduced
+        assert is_reduced(w) == (reduced == w)
+        if reduced == w and len(w) >= _NUMPY_CUTOFF:
+            assert free_reduce(w) is w  # a reduced long word is not copied
+        cut += len(w) >= _NUMPY_CUTOFF and reduced != w
+    assert cut > 500
 
 
 def test_cyclic_reduce_conjugator_identity():
