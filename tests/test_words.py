@@ -6,6 +6,7 @@ import pytest
 
 from hnnembed.parsing import ParseError, parse_word
 from hnnembed.words import (
+    _DENSE_CUTS,
     _NUMPY_CUTOFF,
     EMPTY,
     Alphabet,
@@ -174,15 +175,23 @@ def kernel_cases(seed: int):
 
 
 def test_free_reduce_and_is_reduced_vs_the_stack_loop():
-    cut = 0
+    # long unreduced words that free_reduce joins run by run (sparse) and
+    # that it pushes letter by letter (dense) must both occur
+    sparse = dense = 0
     for w in kernel_cases(97):
         reduced = stack_free_reduce(w)
         assert free_reduce(w) == reduced
         assert is_reduced(w) == (reduced == w)
-        if reduced == w and len(w) >= _NUMPY_CUTOFF:
+        if len(w) < _NUMPY_CUTOFF:
+            continue
+        if reduced == w:
             assert free_reduce(w) is w  # a reduced long word is not copied
-        cut += len(w) >= _NUMPY_CUTOFF and reduced != w
-    assert cut > 500
+            continue
+        ls = w.letters
+        cuts = sum(y == -x for x, y in zip(ls, ls[1:]))
+        dense += cuts * _DENSE_CUTS > len(ls)
+        sparse += cuts * _DENSE_CUTS <= len(ls)
+    assert sparse > 500 and dense > 200
 
 
 def test_cyclic_reduce_conjugator_identity():
