@@ -59,12 +59,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
-from typing import Callable
 
 from .presentation import Presentation, check_cprime
 from .words import (
     EMPTY,
     Word,
+    _agree,
+    _gallop,
     _word,
     cyclic_join,
     cyclic_reduce,
@@ -285,28 +286,6 @@ class DehnSolver:
         return segments
 
 
-def _gallop(agree: Callable[[int, int], bool], limit: int) -> int:
-    """The largest k <= ``limit`` such that letters 0 .. k - 1 agree, where
-    ``agree(k, m)`` compares letters k .. k + m - 1 as one slice: chunks
-    double while they agree, then halve down to the first disagreement."""
-    k = 0
-    m = 1
-    grow = True
-    while m:
-        if k + m <= limit and agree(k, m):
-            k += m
-            m = m * 2 if grow else m // 2
-        else:
-            grow = False
-            m //= 2
-    return k
-
-
-def _agree(a: tuple[int, ...], i: int, b: tuple[int, ...], j: int, limit: int) -> int:
-    """Letters on which a[i:] and b[j:] agree, up to ``limit``."""
-    return _gallop(lambda k, m: a[i + k : i + k + m] == b[j + k : j + k + m], limit)
-
-
 def _agree_back(a: tuple[int, ...], i: int, b: tuple[int, ...], j: int, limit: int) -> int:
     """Letters on which a[:i] and b[:j] agree from their ends, up to
     ``limit``, which is at most i and j."""
@@ -405,11 +384,12 @@ def verify_steps(
         word = cur.letters[st.position :] + cur.letters[: st.position]
         if word[: st.length] != rel[: st.length]:
             return False, cur
+        # the step shortens the word without a check: the complement's
+        # ell - length letters and the word's other n - length make
+        # n + ell - 2 length < n, as 2 length > ell, and reducing only
+        # shortens
         complement = tuple(map(neg, reversed(rel[st.length :])))
-        nxt = cyclic_reduce(_word(complement + word[st.length :]))[0]
-        if len(nxt) >= n:
-            return False, cur
-        cur = nxt
+        cur = cyclic_reduce(_word(complement + word[st.length :]))[0]
     return True, cur
 
 

@@ -15,10 +15,12 @@ rotated to start right after a change of letter, which every word but a
 power of one letter allows.  The words' own sections come first; the
 inverse sections follow, last word first, as the same letters read
 backwards and negated, since the inverse of a doubled rotation is the
-doubled rotation of the inverse.  The text is built from int64 arrays: one
-conversion per word, slices, one concatenation into the first half and one
-negation into the second, with zeros where the sentinels go until the least
-letter is known.
+doubled rotation of the inverse.  From ``_NUMPY_CUTOFF`` letters of
+own-half text up, the text is built from int64 arrays: one conversion per
+word, slices, one concatenation into the first half and one negation into
+the second, with zeros where the sentinels go until the least letter is
+known.  Smaller families are laid out by Python steps (Small families,
+below).
 The text is run-length encoded into (letter, run length) tokens, and runs
 never cross a sentinel.  A *live* position is one of the first p letters of
 a section, p the word's literal period: one position per appearance class.
@@ -30,8 +32,9 @@ then the text from the run's next token.  A power of one letter x^n is one
 run x^2n up to the sentinel, with one live position at level 2n.
 
 Token order.  Token ids rank tokens by (letter, length), and the suffix
-array is built on token ids.  Let F(u, v) be the number of letters on which
-the text from token u agrees with the text from token v: the letters of
+array is built on token ids; letters too far apart for one int64 id are
+first ranked densely.  Let F(u, v) be the number of letters on which the
+text from token u agrees with the text from token v: the letters of
 their t equal leading tokens, plus the shorter of the next two runs when
 those share a letter.  Along the token suffix array, F between any two
 suffixes is the minimum of the adjacent F values between them.  The
@@ -43,6 +46,21 @@ F with either is at least F(u, w).  Ranking by length first would put runs
 of other letters between runs of x, and the minimum would drop to the t
 whole tokens.  :func:`lcp_array` finds t for any pair of suffixes by binary
 lifting over the ranks of the doubling rounds.
+
+Small families.  Below ``_NUMPY_CUTOFF`` letters of own-half text, where
+numpy's fixed cost per call outweighs its speed per letter, Python steps
+over runs build the same three things: the token text, the order of the
+live runs and their links F.  Each word's rotation is tokenized once, one
+period of it, and its doubled section repeats those tokens; a one-letter
+power's section is one run, with no live run.  An inverse section is the
+own one's tokens reversed and negated.  Each section ends in a sentinel
+token below every letter, unique and falling along the text as above.
+The live runs sort by letter and then by the flat (letter, length) tuple
+from the next token through the section's sentinel: tuples compare as
+token ids do, and the unique sentinel decides a comparison at the
+latest, so the order is the suffix order.  A link is read off the first
+difference of two neighbours' tuples, found by galloping slice
+comparisons.  Both front ends hand the sweeps the same lists.
 
 Match lengths.  Two live positions of letter x at levels m and m' agree on
 min(m, m') letters when m != m', and on m + F(their next tokens) letters
@@ -84,11 +102,13 @@ nonempty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
+from operator import neg
 from typing import Sequence
 
 import numpy as np
 
-from .words import literal_period
+from .words import _agree, literal_period
 
 
 def suffix_array(text: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -185,6 +205,16 @@ class PieceReport:
 _UNBOUNDED = 1 << 62
 _UNQUERIED = -(1 << 62)  # output offset of an inverse section
 _GAP = np.zeros(1, dtype=np.int64)  # where a sentinel goes; read, never written
+
+# Below this many letters of own-half text, the sum of 2 len(w) + 1 over
+# the words, match_table builds its front end by Python steps over runs,
+# since numpy's fixed cost per call outweighs its speed per letter there.
+# Crossover on a 2-core x86 host, median of 15 alternating passes of 200
+# scans of random cyclically reduced families (one word over two
+# generators, three over three, six over four), Python against numpy: at
+# 40 letters (text 81-86) 358/377, 342/367 and 241/252 us, at 44 letters
+# (text 89-94) 251/242, 251/232 and 241/228 us.
+_NUMPY_CUTOFF = 88
 
 
 def _sweep(length, cap, letter, links):
@@ -335,39 +365,69 @@ def _fill(out, end, lk, ck, head, left, right, numbers):
         out[end - lk] = head
 
 
-def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True) -> PieceReport:
-    """The longest different-appearance match at every rotation of every
-    word, and each word's longest, by the run sweeps of the module
-    docstring: Python steps visit runs, and each run's values are written
-    as a few ramps and constants.  Raises ValueError on an empty family
-    or an empty word."""
-    words = [tuple(r) for r in relators]
-    if not words:
-        raise ValueError("no relators to scan")
-    if any(len(w) == 0 for w in words):
-        raise ValueError("empty word in scan input")
+def _python_front(words, layout, include_inverses):
+    """The live runs in scan order, as lists of lengths, letters, caps and
+    output ends (-1 in an inverse section), and the links between
+    neighbours, by Python steps over each word's runs.  A section is a
+    flat tuple of (letter, run length) pairs closed by its sentinel pair;
+    a live run sorts by its letter and then the pairs after it."""
+    nw = len(words)
+    # sentinels below every letter, falling along the text as in the
+    # numpy front end
+    low = -1 - max(max(map(max, words)), -min(map(min, words)))
+    live = []  # (letter, pairs after the run, length, cap, end)
+    for j, (w, (slot, period, shift)) in enumerate(zip(words, layout)):
+        if period == 1:
+            continue  # no live run: the power's section is one run of 2 lw
+        # the pairs of one period of the rotation, which starts and ends
+        # on a change of letter, so the doubled section repeats them
+        seg = w[shift:period] + w[:shift]
+        flat = [seg[0], 1]
+        for x in islice(seg, 1, None):
+            if x == flat[-2]:
+                flat[-1] += 1
+            else:
+                flat += (x, 1)
+        lw = len(w)
+        times = 2 * (lw // period)
+        heads = range(2, len(flat) + 1, 2)
+        own = (*flat * times, low - j, 1)
+        ends = islice(accumulate(flat[1::2], initial=slot), 1, None)
+        live += zip(flat[::2], [own[k:] for k in heads], flat[1::2], repeat(lw), ends)
+        if include_inverses:
+            # the inverse section reads the own section backwards, negated
+            inv = flat[:]
+            inv[::2] = map(neg, flat[-2::-2])
+            inv[1::2] = flat[-1::-2]
+            mirror = (*inv * times, low - 2 * nw + 1 + j, 1)
+            live += zip(inv[::2], [mirror[k:] for k in heads], inv[1::2], repeat(lw), repeat(-1))
+    if not live:
+        return [], [], [], [], []
+    live.sort()
+    letter, after, length, capl, endl = map(list, zip(*live))
+    links = [0] * (len(live) - 1)
+    for k in range(1, len(live)):
+        u = after[k - 1]
+        v = after[k]
+        if letter[k] != letter[k - 1] or u[0] != v[0]:
+            continue  # the sweeps skip the link, or it is 0
+        d = _agree(u, 0, v, 0, min(len(u), len(v)))
+        f = sum(u[1:d:2])
+        if d & 1:
+            f += u[d] if u[d] < v[d] else v[d]
+        links[k - 1] = f
+    return length, letter, capl, endl, links
 
-    # Sections: each word rotated to start after a change of letter, doubled
-    # per reading direction, then one unique sentinel.  The live positions
-    # are the first period letters of a section, one per appearance class;
-    # those of a word's own section take up ``slot`` onwards in the output,
-    # and an inverse section is swept but not filled.  A power of one letter
-    # has one live position, whose run fills its section; it is set at the
-    # end.
-    longest = max(map(len, words))
+
+def _numpy_front(words, layout, include_inverses, longest):
+    """The same five lists as :func:`_python_front`, from one combined
+    int64 text, its token suffix array and pair LCPs."""
     parts = []
     sections: list[int] = []  # per section: end of its live letters, cap, slot - start
     mirrored = []  # per word: its live letter count less its section's end, cap
-    layout = []  # per word: its first slot, period and rotation
-    powers = []  # (letter, cap, slot) of one-letter powers, slot -1 if inverse
-    slot = start = 0
-    for w in words:
+    start = 0
+    for w, (slot, period, shift) in zip(words, layout):
         lw = len(w)
-        period = literal_period(w)
-        shift = 0
-        if w[-1] == w[0] and period > 1:
-            shift = next(i for i, x in enumerate(w) if x != w[0])
-        layout.append((slot, period, shift))
         live = period if period > 1 else 0
         # the rotation by ``shift``, doubled, is w[shift:] w w[:shift]
         a = np.array(w, dtype=np.int64)
@@ -375,11 +435,6 @@ def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True
         sections += (start + live, lw, slot - start)
         start += 2 * lw + 1
         mirrored.append((live - start, lw))
-        if period == 1:
-            powers.append((w[0], lw, slot))
-            if include_inverses:
-                powers.append((-w[0], lw, -1))
-        slot += period
     text = np.empty(2 * start if include_inverses else start, dtype=np.int64)
     np.concatenate(parts, out=text[:start])
     del parts
@@ -409,8 +464,14 @@ def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True
     tlen = bounds[1:] - first
     tokens = np.array((first, tlen, tletter))
     del text, change
-    # token ids ranked by (letter, length); a run is at most two word lengths
-    _, history = suffix_array((tletter - sep) * (2 * longest + 1) + tlen)
+    # token ids ranked by (letter, length); a run is at most two word
+    # lengths.  Letters too far apart for int64 ids are ranked densely.
+    width = 2 * longest + 1
+    if (int(tletter.max()) - sep + 1) * width < 2**63:
+        symbol = tletter - sep
+    else:
+        symbol = np.unique(tletter, return_inverse=True)[1].astype(np.int64) + 1
+    _, history = suffix_array(symbol * width + tlen)
 
     # Live runs, sorted by letter and then by the rank of the next token.
     # A live position p with m letters of its run left reads x^m and then
@@ -435,7 +496,49 @@ def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True
     sec = sec[runs]
     at, length, letter = tokens[:, runs]
     length, letter, capl, endl = np.array((length, letter, cap[sec], delta[sec] + at + length)).tolist()
-    links = links.tolist()
+    return length, letter, capl, endl, links.tolist()
+
+
+def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True) -> PieceReport:
+    """The longest different-appearance match at every rotation of every
+    word, and each word's longest, by the run sweeps of the module
+    docstring: Python steps visit runs, and each run's values are written
+    as a few ramps and constants.  The runs and their links come from the
+    Python front end below ``_NUMPY_CUTOFF`` letters of own-half text and
+    from the numpy one at or above it.  Raises ValueError on an empty
+    family or an empty word."""
+    words = [tuple(r) for r in relators]
+    if not words:
+        raise ValueError("no relators to scan")
+    if any(len(w) == 0 for w in words):
+        raise ValueError("empty word in scan input")
+
+    # Sections: each word rotated to start after a change of letter, doubled
+    # per reading direction, then one unique sentinel.  The live positions
+    # are the first period letters of a section, one per appearance class;
+    # those of a word's own section take up ``slot`` onwards in the output,
+    # and an inverse section is swept but not filled.  A power of one letter
+    # has one live position, whose run fills its section; it is set at the
+    # end.
+    longest = max(map(len, words))
+    layout = []  # per word: its first slot, period and rotation
+    powers = []  # (letter, cap, slot) of one-letter powers, slot -1 if inverse
+    slot = 0
+    for w in words:
+        period = literal_period(w)
+        shift = 0
+        if w[-1] == w[0] and period > 1:
+            shift = next(i for i, x in enumerate(w) if x != w[0])
+        layout.append((slot, period, shift))
+        if period == 1:
+            powers.append((w[0], len(w), slot))
+            if include_inverses:
+                powers.append((-w[0], len(w), -1))
+        slot += period
+    if 2 * sum(map(len, words)) + len(words) < _NUMPY_CUTOFF:
+        length, letter, capl, endl, links = _python_front(words, layout, include_inverses)
+    else:
+        length, letter, capl, endl, links = _numpy_front(words, layout, include_inverses, longest)
     left = _sweep(length, capl, letter, [0, *links])
     out = [0] * slot
     numbers = list(range(longest + 1))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import ne, neg
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -262,6 +262,28 @@ def conjugator_length(letters: tuple[int, ...]) -> int:
         i += 1
         j -= 1
     return i
+
+
+def _gallop(agree: Callable[[int, int], bool], limit: int) -> int:
+    """The largest k <= ``limit`` such that items 0 .. k - 1 agree, where
+    ``agree(k, m)`` compares items k .. k + m - 1 as one slice: chunks
+    double while they agree, then halve down to the first disagreement."""
+    k = 0
+    m = 1
+    grow = True
+    while m:
+        if k + m <= limit and agree(k, m):
+            k += m
+            m = m * 2 if grow else m // 2
+        else:
+            grow = False
+            m //= 2
+    return k
+
+
+def _agree(a: tuple[int, ...], i: int, b: tuple[int, ...], j: int, limit: int) -> int:
+    """Items on which a[i:] and b[j:] agree, up to ``limit``."""
+    return _gallop(lambda k, m: a[i + k : i + k + m] == b[j + k : j + k + m], limit)
 
 
 def is_cyclically_reduced(w: Word) -> bool:

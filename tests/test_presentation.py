@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from hnnembed import suffixes
 from hnnembed.presentation import (
     best_piece_decomposition,
     check_cp,
@@ -154,7 +155,15 @@ def test_precondition_errors():
         piece_stats([])
 
 
-def test_match_table_vs_oracle_random():
+def each_front(monkeypatch):
+    """Yield the name of each front end of the piece scan, with its size
+    cutoff moved so that every family takes that front end."""
+    for front, cutoff in (("python", 1 << 62), ("numpy", 0)):
+        monkeypatch.setattr(suffixes, "_NUMPY_CUTOFF", cutoff)
+        yield front
+
+
+def test_match_table_vs_oracle_random(monkeypatch):
     rng = random.Random(201)
     for trial in range(250):
         nwords = rng.randrange(1, 4)
@@ -163,10 +172,11 @@ def test_match_table_vs_oracle_random():
             for _ in range(nwords)
         ]
         inv = rng.random() < 0.7
-        got = match_table(words, include_inverses=inv)
         want_off, want_max = brute_table(words, include_inverses=inv)
-        assert list(got.per_offset) == want_off, (words, inv)
-        assert list(got.max_piece) == want_max, (words, inv)
+        for front in each_front(monkeypatch):
+            got = match_table(words, include_inverses=inv)
+            assert list(got.per_offset) == want_off, (words, inv, front)
+            assert list(got.max_piece) == want_max, (words, inv, front)
 
 
 def test_match_table_handles_unreduced_words():
@@ -203,23 +213,26 @@ def _run_heavy_family(rng):
     return words
 
 
-def test_match_table_equals_letter_scan_on_run_heavy_families():
+def test_match_table_equals_letter_scan_on_run_heavy_families(monkeypatch):
     rng = random.Random(206)
     for trial in range(400):
         words = _run_heavy_family(rng)
         for inv in (True, False):
-            assert match_table(words, inv) == letter_match_table(words, inv), (words, inv)
+            want = letter_match_table(words, inv)
+            for front in each_front(monkeypatch):
+                assert match_table(words, inv) == want, (words, inv, front)
 
 
-def test_match_table_vs_brute_on_run_heavy_families():
+def test_match_table_vs_brute_on_run_heavy_families(monkeypatch):
     rng = random.Random(207)
     for trial in range(150):
         words = _run_heavy_family(rng)
         inv = rng.random() < 0.7
-        got = match_table(words, include_inverses=inv)
         want_off, want_max = brute_table(words, include_inverses=inv)
-        assert list(got.per_offset) == want_off, (words, inv)
-        assert list(got.max_piece) == want_max, (words, inv)
+        for front in each_front(monkeypatch):
+            got = match_table(words, include_inverses=inv)
+            assert list(got.per_offset) == want_off, (words, inv, front)
+            assert list(got.max_piece) == want_max, (words, inv, front)
 
 
 @pytest.mark.parametrize(
@@ -292,14 +305,16 @@ def _power_rich_family(rng):
     return words
 
 
-def test_match_table_equals_letter_scan_on_power_rich_families():
+def test_match_table_equals_letter_scan_on_power_rich_families(monkeypatch):
     """A power's best partner is read off the largest and second largest
     power caps of its letter, inverse powers included."""
     rng = random.Random(212)
     for trial in range(500):
         words = _power_rich_family(rng)
         for inv in (True, False):
-            assert match_table(words, inv) == letter_match_table(words, inv), (words, inv)
+            want = letter_match_table(words, inv)
+            for front in each_front(monkeypatch):
+                assert match_table(words, inv) == want, (words, inv, front)
 
 
 def test_match_table_on_many_one_letter_powers_is_fast():
@@ -366,18 +381,95 @@ def test_match_table_on_letters_beyond_two_to_the_31():
             assert got == match_table(words, inv), (words, inv)
 
 
-def test_match_table_entries_are_python_ints():
+def test_match_table_entries_are_python_ints(monkeypatch):
     families = [
         [(1,) * 7, (1,) * 3, (-1,) * 5],  # powers of one letter
         [(1, 1, 2, 1), (2, 1, 1, 2, 1, 1), (1, 2, 1, 2)],  # rotated before the scan
         *CAP_FAMILIES.values(),
         *(_run_heavy_family(random.Random(seed)) for seed in range(20)),
     ]
-    for words in families:
+    for front in each_front(monkeypatch):
+        for words in families:
+            for inv in (True, False):
+                got = match_table(words, inv)
+                entries = [x for row in got.per_offset for x in row] + list(got.max_piece)
+                assert {type(x) for x in entries} == {int}, (words, inv, front)
+
+
+def _straddling_family(rng):
+    """1-6 words over 1-4 generators, from a few letters to about 70 in
+    all, so that the scan's text falls on either side of the front-end
+    cutoff.  Each word is a one-letter power, a proper power, a copy or the
+    inverse of an earlier word, a word that begins and ends with one
+    letter, or a random word; words are not reduced."""
+    rank = rng.randint(1, 4)
+
+    def letter():
+        return rng.choice([-1, 1]) * rng.randint(1, rank)
+
+    words = []
+    for _ in range(rng.randint(1, 6)):
+        pick = rng.random()
+        if pick < 0.15:
+            w = (letter(),) * rng.randint(1, 14)
+        elif pick < 0.3:
+            w = tuple(letter() for _ in range(rng.randint(1, 4))) * rng.randint(2, 5)
+        elif pick < 0.45 and words:
+            w = rng.choice(words)
+            if rng.random() < 0.5:
+                w = _inverse(w)
+        elif pick < 0.6:
+            x = letter()
+            w = (x, *(letter() for _ in range(rng.randint(0, 12))), x)
+        else:
+            w = tuple(letter() for _ in range(rng.randint(1, 16)))
+        words.append(w)
+    return words
+
+
+def test_front_ends_agree_on_families_straddling_the_cutoff(monkeypatch):
+    """The Python and numpy front ends give equal reports, also on letters
+    near 2**31 and 2**62, whose match lengths are those of the small
+    letters; every 10th case is checked against the letter scan."""
+    cutoff = suffixes._NUMPY_CUTOFF
+    rng = random.Random(215)
+    sides = set()
+    for trial in range(400):
+        words = _straddling_family(rng)
+        sides.add(sum(2 * len(w) + 1 for w in words) < cutoff)
+        scale = (0, 2**31, 2**62)[trial % 3]
+        wide = [tuple(x + scale if x > 0 else x - scale for x in w) for w in words]
         for inv in (True, False):
-            got = match_table(words, inv)
-            entries = [x for row in got.per_offset for x in row] + list(got.max_piece)
-            assert {type(x) for x in entries} == {int}, (words, inv)
+            got = {front: match_table(wide, inv) for front in each_front(monkeypatch)}
+            assert got["python"] == got["numpy"], (wide, inv)
+            if scale:
+                assert got["python"] == match_table(words, inv), (wide, inv)
+            if trial % 10 == 0:
+                assert got["python"] == letter_match_table(wide, inv), (wide, inv)
+    assert sides == {True, False}
+
+
+def test_match_table_under_the_cutoff_is_fast():
+    """The Python front end's worst families just under its cutoff: copies
+    of one word, whose runs agree with their copies' up to the sentinels,
+    (a b)^k, and a one-letter power beside copies of its letter.  A
+    neighbour comparison is a few slice comparisons, so 200 scans of each
+    take well under the budget."""
+    cutoff = suffixes._NUMPY_CUTOFF
+    word = (1, 2, 1, 1, 2, -1, 1, 2, 2, 1)
+    families = [
+        [word] * ((cutoff - 1) // (2 * len(word) + 1)),
+        [(1, 2) * ((cutoff - 2) // 4)],
+        [(1,) * ((cutoff - 16) // 2), (1,), (1,), (1,), (1, 2)],
+    ]
+    for words in families:
+        text = sum(2 * len(w) + 1 for w in words)
+        assert cutoff - 2 * len(word) - 1 <= text < cutoff, words
+        start = time.perf_counter()
+        for _ in range(200):
+            got = match_table(words)
+        assert time.perf_counter() - start < 2, words
+        assert got == letter_match_table(words)
 
 
 def test_match_table_run_at_the_seam():
