@@ -51,6 +51,12 @@ letters, and a walk that reads all b names the one diagonal the segment
 can lie on, which slice comparisons follow.  The replayer shares none of
 this: each step builds only its own oriented relator and cyclically
 reduces the whole word it makes.
+
+A job reads a reduced input word once.  ``solve``, ``piece_count`` and
+``verify_steps`` each reduce it through :mod:`hnnembed.words`, whose
+first check of a long word marks it reduced, and the later ones read the
+mark, not the letters.  The words a replay makes are new and unmarked,
+so the replayer still reduces each of them in full.
 """
 
 from __future__ import annotations

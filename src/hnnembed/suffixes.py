@@ -33,7 +33,11 @@ run x^2n up to the sentinel, with one live position at level 2n.
 
 Token order.  Token ids rank tokens by (letter, length), and the suffix
 array is built on token ids; letters too far apart for one int64 id are
-first ranked densely.  Let F(u, v) be the number of letters on which the
+first ranked densely.  Letters int64 cannot hold, or so near -2**63 that
+the sentinels below them would not fit, are relabelled before the text
+is built, by the rank of their absolute value among the family's, with
+their sign: that keeps their order, their equality and their inverses.
+Let F(u, v) be the number of letters on which the
 text from token u agrees with the text from token v: the letters of
 their t equal leading tokens, plus the shorter of the next two runs when
 those share a letter.  Along the token suffix array, F between any two
@@ -421,7 +425,9 @@ def _python_front(words, layout, include_inverses):
 
 def _numpy_front(words, layout, include_inverses, longest):
     """The same five lists as :func:`_python_front`, from one combined
-    int64 text, its token suffix array and pair LCPs."""
+    int64 text, its token suffix array and pair LCPs.  A family with a
+    letter int64 cannot hold, or whose sentinels would fall below -2**63,
+    is scanned relabelled (:func:`_relabelled`)."""
     parts = []
     sections: list[int] = []  # per section: end of its live letters, cap, slot - start
     mirrored = []  # per word: its live letter count less its section's end, cap
@@ -430,7 +436,10 @@ def _numpy_front(words, layout, include_inverses, longest):
         lw = len(w)
         live = period if period > 1 else 0
         # the rotation by ``shift``, doubled, is w[shift:] w w[:shift]
-        a = np.array(w, dtype=np.int64)
+        try:
+            a = np.array(w, dtype=np.int64)
+        except OverflowError:
+            return _relabelled(words, layout, include_inverses, longest)
         parts += (a[shift:], a, a[:shift], _GAP) if shift else (a, a, _GAP)
         sections += (start + live, lw, slot - start)
         start += 2 * lw + 1
@@ -452,6 +461,10 @@ def _numpy_front(words, layout, include_inverses, longest):
     # negative and below every letter
     low = int(text.min()) - 1
     sep = low - len(sections) // 3
+    if sep < -(2**63):
+        # the least sentinel, sep + 1, or a letter -2**63, whose negation
+        # wraps, is out of range
+        return _relabelled(words, layout, include_inverses, longest)
     text[text == 0] = np.arange(low, sep, -1)
 
     # Runs: token t covers text[bounds[t] : bounds[t + 1]].
@@ -497,6 +510,20 @@ def _numpy_front(words, layout, include_inverses, longest):
     at, length, letter = tokens[:, runs]
     length, letter, capl, endl = np.array((length, letter, cap[sec], delta[sec] + at + length)).tolist()
     return length, letter, capl, endl, links.tolist()
+
+
+def _relabelled(words, layout, include_inverses, longest):
+    """:func:`_numpy_front` on the family with each letter x replaced by
+    the rank of abs(x) among the family's absolute values, signed as x,
+    and the letters it returns mapped back.  The map is increasing and
+    commutes with negation, so it keeps the order of letters, their
+    equality and their inverses, and with them the layout and the scan."""
+    size = sorted({abs(x) for w in words for x in w})
+    rank = {a: k for k, a in enumerate(size, 1)}
+    small = [tuple(rank[x] if x > 0 else -rank[-x] for x in w) for w in words]
+    length, letter, capl, endl, links = _numpy_front(small, layout, include_inverses, longest)
+    back = [size[x - 1] if x > 0 else -size[-x - 1] for x in letter]
+    return length, back, capl, endl, links
 
 
 def match_table(relators: Sequence[Sequence[int]], include_inverses: bool = True) -> PieceReport:

@@ -5,6 +5,16 @@ its formal inverse is ``-i``.  A word is a tuple of letters wrapped in
 :class:`Word`.  Nothing here reduces implicitly; every function states
 whether it works with the literal letter sequence or reduces first.
 
+A word of at least ``_NUMPY_CUTOFF`` letters remembers, once a check has
+shown it, that its letters are freely reduced: :func:`free_reduce`,
+:func:`is_reduced` and :func:`cyclic_reduce` set that mark on a long
+word their check finds reduced and on the reduced long words they
+build, and answer a marked word without reading its letters.  The mark
+only skips a check whose answer is already known; it is never set
+without one, and it takes no part in equality, hashing, ``repr``,
+copying or pickling.  So a job that hands one long word to several
+reducing steps reads its letters once.
+
 The canonical order on signed letters is ``1 < -1 < 2 < -2 < ...``,
 the order :func:`signed_letters` lists them in.  Deterministic
 constructions below always walk letters in that order.
@@ -12,7 +22,7 @@ constructions below always walk letters in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from operator import ne, neg
@@ -35,9 +45,11 @@ class Word:
     """Immutable letter sequence.  Multiplication is literal concatenation.
 
     ``Word(...)`` and ``Word.of(...)`` check every letter; words derived
-    here from valid words are built by :func:`_word`, unchecked."""
+    here from valid words are built by :func:`_word`, unchecked.
+    ``_reduced`` is the reducedness mark of the module docstring."""
 
     letters: tuple[int, ...] = ()
+    _reduced: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for x in self.letters:
@@ -47,6 +59,10 @@ class Word:
     @classmethod
     def of(cls, *letters: int) -> "Word":
         return cls(tuple(letters))
+
+    def __reduce__(self):
+        # copies and pickles carry the letters only, never the mark
+        return Word, (self.letters,)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -73,11 +89,13 @@ class Word:
         return max(map(abs, self.letters), default=0)
 
 
-def _word(letters: tuple[int, ...]) -> Word:
+def _word(letters: tuple[int, ...], reduced: bool = False) -> Word:
     """``Word(letters)`` without the letter check, for ``letters`` that are
-    already known to be a tuple of nonzero ints."""
+    already known to be a tuple of nonzero ints; ``reduced`` sets the mark,
+    for letters proved freely reduced."""
     w = object.__new__(Word)
     object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "_reduced", reduced)
     return w
 
 
@@ -167,6 +185,17 @@ def _cancellations(letters: tuple[int, ...]) -> list[int]:
     return np.flatnonzero((right == -left) & (right != left)).tolist()
 
 
+def _mark(w: Word) -> Word:
+    """Record that the long word ``w`` was checked freely reduced."""
+    object.__setattr__(w, "_reduced", True)
+    return w
+
+
+def _reduced_word(letters: tuple[int, ...]) -> Word:
+    """A word of the freely reduced ``letters``, marked when long."""
+    return _word(letters, len(letters) >= _NUMPY_CUTOFF)
+
+
 def _stack_reduce(out: list[int], letters: Iterable[int]) -> tuple[int, ...]:
     """Push ``letters`` one at a time onto the reduced stack ``out``,
     popping its top wherever the next letter is the top's inverse."""
@@ -197,15 +226,21 @@ def free_reduce(w: Word) -> Word:
     cut on.  It has paid numpy's pass by then, so it costs about 1.6 times
     the stack pass alone: a random 25,000-letter word over three generators,
     one cut per 6 letters, takes 2.1 ms against 1.4 ms on a 2-core host,
-    inside the 0.18 s of ``hnnembed fold --word``."""
+    inside the 0.18 s of ``hnnembed fold --word``.
+
+    A long word marked reduced comes back at once.  A long word found
+    reduced is marked, and a long result is built marked: the stack and
+    the joined runs meet no inverse pair, so it is reduced."""
     ls = w.letters
     if len(ls) < _NUMPY_CUTOFF:
         return _word(_stack_reduce([], ls))
+    if w._reduced:
+        return w
     cuts = _cancellations(ls)
     if not cuts:
-        return w
+        return _mark(w)
     if len(cuts) * _DENSE_CUTS > len(ls):
-        return _word(_stack_reduce(list(ls[: cuts[0]]), islice(ls, cuts[0], None)))
+        return _reduced_word(_stack_reduce(list(ls[: cuts[0]]), islice(ls, cuts[0], None)))
     out = list(ls[: cuts[0] + 1])
     cuts.append(len(ls) - 1)
     for last, stop in zip(cuts, islice(cuts, 1, None)):
@@ -214,7 +249,7 @@ def free_reduce(w: Word) -> Word:
             out.pop()
             k += 1
         out += ls[k : stop + 1]
-    return _word(tuple(out))
+    return _reduced_word(tuple(out))
 
 
 def relabel(w: Word, table: dict[int, int]) -> Word:
@@ -225,20 +260,28 @@ def relabel(w: Word, table: dict[int, int]) -> Word:
 
 
 def is_reduced(w: Word) -> bool:
+    """Whether no letter of ``w`` is followed by its inverse.  A long word
+    marked reduced is answered at once, and one found reduced is marked."""
     ls = w.letters
-    if len(ls) >= _NUMPY_CUTOFF:
-        return not _cancellations(ls)
-    return all(map(ne, islice(ls, 1, None), map(neg, ls)))
+    if len(ls) < _NUMPY_CUTOFF:
+        return all(map(ne, islice(ls, 1, None), map(neg, ls)))
+    if not w._reduced:
+        if _cancellations(ls):
+            return False
+        _mark(w)
+    return True
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Return ``(core, conj)`` with ``w = conj * core * conj.inverse()`` freely.
 
-    ``core`` is cyclically reduced.  The input is freely reduced first.
+    ``core`` is cyclically reduced.  The input is freely reduced first, by
+    :func:`free_reduce`, which answers a marked word at once; both parts
+    are subwords of that reduction, so each long one is built marked.
     """
     ls = free_reduce(w).letters
     i = conjugator_length(ls)
-    return _word(ls[i : len(ls) - i]), _word(ls[:i])
+    return _reduced_word(ls[i : len(ls) - i]), _reduced_word(ls[:i])
 
 
 def cyclic_join(u: tuple[int, ...], v: tuple[int, ...]) -> Word:

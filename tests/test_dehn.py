@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from hnnembed import words
 from hnnembed.dehn import (
     AreaRow,
     DehnSolver,
@@ -653,6 +654,36 @@ def test_each_step_word_is_the_full_cyclic_reduction(setup, seed, monkeypatch):
             ok, cur = verify_steps(presentation, cur, (step,))
             assert ok
         assert cur == EMPTY
+
+
+def test_a_dehn_job_reads_its_word_once(setup, monkeypatch):
+    # solve, piece_count and verify_steps each reduce the reduced input,
+    # and only the first reads its letters; area_bound_check's samples
+    # come marked from random_trivial_words, so it reads none of them
+    presentation, solver = setup
+    seen = []
+    kernel = words._cancellations
+
+    def counting(letters):
+        seen.append(letters)
+        return kernel(letters)
+
+    monkeypatch.setattr(words, "_cancellations", counting)
+    rels = presentation.relators
+    for w in (rels[0] * rels[1].inverse(), rels[2], Word.of(1, 2) * rels[1] * Word.of(-2, -1)):
+        w = Word(free_reduce(w).letters)  # reduced, but nothing has checked this copy
+        assert len(w) >= words._NUMPY_CUTOFF
+        seen.clear()
+        result = solver.solve(w)
+        assert solver.piece_count(w) is not None
+        assert verify_steps(presentation, w, result.steps) == (True, EMPTY)
+        assert sum(letters == w.letters for letters in seen) == 1
+    samples = random_trivial_words(presentation, 20, 4, seed=5)
+    assert all(len(w) >= words._NUMPY_CUTOFF for w in samples)
+    seen.clear()
+    area_bound_check(presentation, samples)
+    assert seen  # the replays reduce the words they make
+    assert not any(letters == w.letters for letters in seen for w in samples)
 
 
 def test_solver_builds_its_index_once():

@@ -429,24 +429,36 @@ def _straddling_family(rng):
 
 def test_front_ends_agree_on_families_straddling_the_cutoff(monkeypatch):
     """The Python and numpy front ends give equal reports, also on letters
-    near 2**31 and 2**62, whose match lengths are those of the small
-    letters; every 10th case is checked against the letter scan."""
+    near 2**31, 2**62 and 2**63 - 1 and past 2**64, whose match lengths are
+    those of the small letters.  Three cases in every ten, one at each
+    shift below 2**63, where the letter scan's int64 text holds them, are
+    checked against the letter scan.  The numpy front end relabels the
+    letters that int64 or its sentinels cannot hold."""
     cutoff = suffixes._NUMPY_CUTOFF
     rng = random.Random(215)
     sides = set()
+    relabelled = []
+    relabel = suffixes._relabelled
+
+    def spy(words, *rest):
+        relabelled.append(max(max(map(abs, w)) for w in words))
+        return relabel(words, *rest)
+
+    monkeypatch.setattr(suffixes, "_relabelled", spy)
     for trial in range(400):
         words = _straddling_family(rng)
         sides.add(sum(2 * len(w) + 1 for w in words) < cutoff)
-        scale = (0, 2**31, 2**62)[trial % 3]
+        scale = (0, 2**31, 2**62, 2**63 - 5, 2**64)[trial % 5]
         wide = [tuple(x + scale if x > 0 else x - scale for x in w) for w in words]
         for inv in (True, False):
             got = {front: match_table(wide, inv) for front in each_front(monkeypatch)}
             assert got["python"] == got["numpy"], (wide, inv)
             if scale:
                 assert got["python"] == match_table(words, inv), (wide, inv)
-            if trial % 10 == 0:
+            if trial % 10 < 3:
                 assert got["python"] == letter_match_table(wide, inv), (wide, inv)
     assert sides == {True, False}
+    assert min(relabelled) > 2**63 - 5 and 2**63 - 1 in relabelled and max(relabelled) > 2**64
 
 
 def test_match_table_under_the_cutoff_is_fast():

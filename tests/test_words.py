@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import time
 
@@ -192,6 +194,113 @@ def test_free_reduce_and_is_reduced_vs_the_stack_loop():
         dense += cuts * _DENSE_CUTS > len(ls)
         sparse += cuts * _DENSE_CUTS <= len(ls)
     assert sparse > 500 and dense > 200
+
+
+def mark_cases(seed: int):
+    """Words of 96 to 400 letters over 2-3 generators: reduced ones, ones
+    that cancel every few letters, ones with one cancelling pair, and
+    reduced and unreduced ones between conjugator ends g ... g^-1, whose
+    ends cancel."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        rank = rng.randint(2, 3)
+        n = rng.randint(_NUMPY_CUTOFF, 390)
+        w = random_reduced_word(rng, rank, n).letters
+        g = random_reduced_word(rng, rank, rng.randint(1, 5)).letters
+        ginv = tuple(-x for x in reversed(g))
+        i = rng.randrange(1, n)
+        cut = w[:i] + (-w[i - 1],) + w[i:]
+        yield w
+        yield tuple(rng.choice(signed_letters(rank)) for _ in range(n))
+        yield cut
+        yield g + w + ginv
+        yield g + cut + ginv
+
+
+def cyclic_reduce_oracle(letters: tuple[int, ...]) -> tuple[Word, Word]:
+    # the stack loop, then one end pair stripped at a time
+    ls = list(stack_free_reduce(Word(letters)).letters)
+    conj = []
+    while len(ls) > 1 and ls[0] == -ls[-1]:
+        conj.append(ls.pop(0))
+        ls.pop()
+    return Word(tuple(ls)), Word(tuple(conj))
+
+
+REDUCERS = {"free": free_reduce, "is": is_reduced, "cyclic": cyclic_reduce}
+
+
+def test_the_reduced_mark_never_changes_an_answer():
+    # every order of the three calls, each order run twice so that the
+    # second round meets whatever marks the first one set; the results
+    # they build are checked the same way
+    kinds = set()
+    for letters in mark_cases(211):
+        reduced = stack_free_reduce(Word(letters))
+        want = {
+            "free": reduced,
+            "is": reduced.letters == letters,
+            "cyclic": cyclic_reduce_oracle(letters),
+        }
+        kinds.add((want["is"], len(reduced) < len(letters) - 2))
+        for order in itertools.permutations(REDUCERS):
+            w = Word(letters)
+            for name in order + order:
+                assert REDUCERS[name](w) == want[name], (name, order, letters)
+            assert w._reduced == want["is"]
+            assert is_cyclically_reduced(w) == (want["is"] and want["cyclic"][1] == EMPTY)
+            for built in (free_reduce(w), *cyclic_reduce(w)):
+                assert built._reduced == (len(built) >= _NUMPY_CUTOFF)
+                for name in order:
+                    expect = {"free": built, "is": True, "cyclic": cyclic_reduce_oracle(built.letters)}
+                    assert REDUCERS[name](built) == expect[name], (name, order, letters)
+    assert kinds == {(True, False), (False, False), (False, True)}
+
+
+def test_a_word_with_a_cancelling_pair_is_never_reported_reduced():
+    # the pair at every place of a long reduced word, before and after the
+    # word and its neighbours have been through every reducer
+    rng = random.Random(212)
+    w = random_reduced_word(rng, 2, 2 * _NUMPY_CUTOFF).letters
+    for i in range(len(w) + 1):
+        x = 3 if i % 2 else -3
+        bad = Word(w[:i] + (x, -x) + w[i:])
+        for _ in range(2):
+            assert not is_reduced(bad) and not bad._reduced
+            assert free_reduce(bad) == Word(w) and not bad._reduced
+            assert cyclic_reduce(bad) == cyclic_reduce_oracle(bad.letters)
+            assert not is_reduced(bad) and not is_cyclically_reduced(bad)
+
+
+def test_short_words_are_never_marked():
+    # below the cutoff every call reads the letters and sets nothing
+    rng = random.Random(213)
+    for n in range(_NUMPY_CUTOFF):
+        w = random_reduced_word(rng, 2, n)
+        assert is_reduced(w) and free_reduce(w) == w
+        core, conj = cyclic_reduce(Word((3,) + w.letters + (-3,)))
+        assert not (w._reduced or free_reduce(w)._reduced or core._reduced or conj._reduced)
+
+
+def test_the_reduced_mark_is_invisible():
+    letters = random_reduced_word(random.Random(214), 2, 3 * _NUMPY_CUTOFF).letters
+    marked, plain = Word(letters), Word(letters)
+    assert is_reduced(marked) and marked._reduced and not plain._reduced
+    assert marked == plain and hash(marked) == hash(plain) and repr(marked) == repr(plain)
+    assert len({marked, plain}) == 1
+    assert pickle.dumps(marked) == pickle.dumps(plain)
+    for twin in (
+        copy.copy(marked),
+        copy.deepcopy(marked),
+        pickle.loads(pickle.dumps(marked)),
+        pickle.loads(pickle.dumps(plain)),
+    ):
+        assert type(twin) is Word and not twin._reduced
+        assert twin == marked and hash(twin) == hash(marked) and repr(twin) == repr(marked)
+        assert free_reduce(twin) == plain and is_reduced(twin) and twin._reduced
+    # a copy of an unreduced word is as unreduced as the word
+    bad = Word(letters + (-letters[-1],))
+    assert not is_reduced(copy.copy(bad)) and not is_reduced(pickle.loads(pickle.dumps(bad)))
 
 
 def test_cyclic_reduce_conjugator_identity():
