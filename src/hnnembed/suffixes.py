@@ -32,11 +32,11 @@ then the text from the run's next token.  A power of one letter x^n is one
 run x^2n up to the sentinel, with one live position at level 2n.
 
 Token order.  Token ids rank tokens by (letter, length), and the suffix
-array is built on token ids; letters too far apart for one int64 id are
-first ranked densely.  Letters int64 cannot hold, or so near -2**63 that
-the sentinels below them would not fit, are relabelled before the text
-is built, by the rank of their absolute value among the family's, with
-their sign: that keeps their order, their equality and their inverses.
+array is built on token ids.  Letters int64 cannot hold, so near -2**63
+that the sentinels below them would not fit, or too far apart for one
+int64 id, are relabelled and the family scanned again, each letter
+replaced by the rank of its absolute value among the family's, with its
+sign: that keeps their order, their equality and their inverses.
 Let F(u, v) be the number of letters on which the
 text from token u agrees with the text from token v: the letters of
 their t equal leading tokens, plus the shorter of the next two runs when
@@ -426,8 +426,9 @@ def _python_front(words, layout, include_inverses):
 def _numpy_front(words, layout, include_inverses, longest):
     """The same five lists as :func:`_python_front`, from one combined
     int64 text, its token suffix array and pair LCPs.  A family with a
-    letter int64 cannot hold, or whose sentinels would fall below -2**63,
-    is scanned relabelled (:func:`_relabelled`)."""
+    letter int64 cannot hold, whose sentinels would fall below -2**63, or
+    whose token ids would not fit in int64, is scanned relabelled
+    (:func:`_relabelled`)."""
     parts = []
     sections: list[int] = []  # per section: end of its live letters, cap, slot - start
     mirrored = []  # per word: its live letter count less its section's end, cap
@@ -478,13 +479,14 @@ def _numpy_front(words, layout, include_inverses, longest):
     tokens = np.array((first, tlen, tletter))
     del text, change
     # token ids ranked by (letter, length); a run is at most two word
-    # lengths.  Letters too far apart for int64 ids are ranked densely.
+    # lengths.  Letters too far apart for int64 ids are relabelled.  A
+    # relabelled family never relabels again: its letters lie within ±d, d
+    # the number of distinct letters, so its ids stay below about 8 N**2
+    # for N letters, under 2**63 for any text that fits in memory.
     width = 2 * longest + 1
-    if (int(tletter.max()) - sep + 1) * width < 2**63:
-        symbol = tletter - sep
-    else:
-        symbol = np.unique(tletter, return_inverse=True)[1].astype(np.int64) + 1
-    _, history = suffix_array(symbol * width + tlen)
+    if (int(tletter.max()) - sep + 1) * width >= 2**63:
+        return _relabelled(words, layout, include_inverses, longest)
+    _, history = suffix_array((tletter - sep) * width + tlen)
 
     # Live runs, sorted by letter and then by the rank of the next token.
     # A live position p with m letters of its run left reads x^m and then

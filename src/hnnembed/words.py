@@ -165,10 +165,6 @@ class Alphabet:
 # for free_reduce of a reduced word and at 96-128 for is_reduced.
 _NUMPY_CUTOFF = 96
 
-# free_reduce joins runs between cancellations while there is at most one
-# cancellation per this many letters, and pushes letter by letter beyond.
-_DENSE_CUTS = 8
-
 
 def _cancellations(letters: tuple[int, ...]) -> list[int]:
     """The indices i at which letters[i + 1] is the inverse of letters[i],
@@ -196,59 +192,37 @@ def _reduced_word(letters: tuple[int, ...]) -> Word:
     return _word(letters, len(letters) >= _NUMPY_CUTOFF)
 
 
-def _stack_reduce(out: list[int], letters: Iterable[int]) -> tuple[int, ...]:
-    """Push ``letters`` one at a time onto the reduced stack ``out``,
-    popping its top wherever the next letter is the top's inverse."""
-    for x in letters:
+def free_reduce(w: Word) -> Word:
+    """Delete inverse pairs until none remain.
+
+    The letters are pushed one at a time onto a reduced stack, whose top
+    is popped wherever the next letter is its inverse.  A word of
+    ``_NUMPY_CUTOFF`` letters or more is first read by
+    :func:`_cancellations`: the push starts at its first cut, the letters
+    before that being reduced already, and a word with no cut is returned
+    itself.  So a long word pays numpy's pass plus a Python step per
+    letter from its first cut on: on a 2-core host a 100,000-letter word
+    with one cut in its middle takes about 6.5 ms, and one with a cut
+    every 64 letters about 10 ms.
+
+    A long word marked reduced comes back at once.  A long word found
+    reduced is marked, and a long result is built marked: the stack meets
+    no inverse pair, so it is reduced."""
+    ls = w.letters
+    start = 0
+    if len(ls) >= _NUMPY_CUTOFF:
+        if w._reduced:
+            return w
+        cuts = _cancellations(ls)
+        if not cuts:
+            return _mark(w)
+        start = cuts[0]
+    out = list(ls[:start])
+    for x in ls[start:]:
         if out and out[-1] == -x:
             out.pop()
         else:
             out.append(x)
-    return tuple(out)
-
-
-def free_reduce(w: Word) -> Word:
-    """Delete inverse pairs until none remain.
-
-    Below ``_NUMPY_CUTOFF`` letters a stack pass reads every letter.  A
-    longer word is cut after each letter that its inverse follows, into
-    runs that are each reduced, and a reduced word, one run, is returned
-    itself.  The runs are joined left to right onto a reduced stack: a run
-    cancels letter by letter against the stack's top, and once the next
-    letter does not cancel, the rest of the run is reduced and meets no
-    inverse at the join, so it is copied whole.  Python steps are paid per
-    run and per cancelled pair, copies per letter.
-
-    Runs pay off only while they are long: at one cut per 6 letters the
-    join costs as much as the stack pass, about 50 ns a letter, and at one
-    per 2 it costs three times as much.  So a word with more than one cut
-    per ``_DENSE_CUTS`` letters is pushed letter by letter from its first
-    cut on.  It has paid numpy's pass by then, so it costs about 1.6 times
-    the stack pass alone: a random 25,000-letter word over three generators,
-    one cut per 6 letters, takes 2.1 ms against 1.4 ms on a 2-core host,
-    inside the 0.18 s of ``hnnembed fold --word``.
-
-    A long word marked reduced comes back at once.  A long word found
-    reduced is marked, and a long result is built marked: the stack and
-    the joined runs meet no inverse pair, so it is reduced."""
-    ls = w.letters
-    if len(ls) < _NUMPY_CUTOFF:
-        return _word(_stack_reduce([], ls))
-    if w._reduced:
-        return w
-    cuts = _cancellations(ls)
-    if not cuts:
-        return _mark(w)
-    if len(cuts) * _DENSE_CUTS > len(ls):
-        return _reduced_word(_stack_reduce(list(ls[: cuts[0]]), islice(ls, cuts[0], None)))
-    out = list(ls[: cuts[0] + 1])
-    cuts.append(len(ls) - 1)
-    for last, stop in zip(cuts, islice(cuts, 1, None)):
-        k = last + 1  # the run is ls[k : stop + 1]
-        while k <= stop and out and out[-1] == -ls[k]:
-            out.pop()
-            k += 1
-        out += ls[k : stop + 1]
     return _reduced_word(tuple(out))
 
 

@@ -433,7 +433,9 @@ def test_front_ends_agree_on_families_straddling_the_cutoff(monkeypatch):
     those of the small letters.  Three cases in every ten, one at each
     shift below 2**63, where the letter scan's int64 text holds them, are
     checked against the letter scan.  The numpy front end relabels the
-    letters that int64 or its sentinels cannot hold."""
+    letters that int64, its sentinels or its token ids cannot hold, and
+    only those: never the unshifted or 2**31-shifted ones, and never a
+    family it has relabelled."""
     cutoff = suffixes._NUMPY_CUTOFF
     rng = random.Random(215)
     sides = set()
@@ -450,6 +452,7 @@ def test_front_ends_agree_on_families_straddling_the_cutoff(monkeypatch):
         sides.add(sum(2 * len(w) + 1 for w in words) < cutoff)
         scale = (0, 2**31, 2**62, 2**63 - 5, 2**64)[trial % 5]
         wide = [tuple(x + scale if x > 0 else x - scale for x in w) for w in words]
+        before = len(relabelled)
         for inv in (True, False):
             got = {front: match_table(wide, inv) for front in each_front(monkeypatch)}
             assert got["python"] == got["numpy"], (wide, inv)
@@ -457,8 +460,10 @@ def test_front_ends_agree_on_families_straddling_the_cutoff(monkeypatch):
                 assert got["python"] == match_table(words, inv), (wide, inv)
             if trial % 10 < 3:
                 assert got["python"] == letter_match_table(wide, inv), (wide, inv)
+        if scale < 2**62:
+            assert len(relabelled) == before, wide
     assert sides == {True, False}
-    assert min(relabelled) > 2**63 - 5 and 2**63 - 1 in relabelled and max(relabelled) > 2**64
+    assert min(relabelled) > 2**62 and 2**63 - 1 in relabelled and max(relabelled) > 2**64
 
 
 def test_match_table_under_the_cutoff_is_fast():

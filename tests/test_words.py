@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import pickle
@@ -8,7 +9,6 @@ import pytest
 
 from hnnembed.parsing import ParseError, parse_word
 from hnnembed.words import (
-    _DENSE_CUTS,
     _NUMPY_CUTOFF,
     EMPTY,
     Alphabet,
@@ -177,9 +177,10 @@ def kernel_cases(seed: int):
 
 
 def test_free_reduce_and_is_reduced_vs_the_stack_loop():
-    # long unreduced words that free_reduce joins run by run (sparse) and
-    # that it pushes letter by letter (dense) must both occur
-    sparse = dense = 0
+    # long unreduced words must occur whose first cut, where free_reduce's
+    # stack starts, is at index 0, in the middle, at the last pair, and at
+    # the start of a cascade u u^-1 that pops the letters before it
+    firsts = collections.Counter()
     for w in kernel_cases(97):
         reduced = stack_free_reduce(w)
         assert free_reduce(w) == reduced
@@ -190,10 +191,16 @@ def test_free_reduce_and_is_reduced_vs_the_stack_loop():
             assert free_reduce(w) is w  # a reduced long word is not copied
             continue
         ls = w.letters
-        cuts = sum(y == -x for x, y in zip(ls, ls[1:]))
-        dense += cuts * _DENSE_CUTS > len(ls)
-        sparse += cuts * _DENSE_CUTS <= len(ls)
-    assert sparse > 500 and dense > 200
+        c = next(i for i, (x, y) in enumerate(zip(ls, ls[1:])) if y == -x)
+        if c == 0:
+            firsts["first"] += 1
+        elif c == len(ls) - 2:
+            firsts["last"] += 1
+        elif ls[c - 1] == -ls[c + 2]:
+            firsts["cascade"] += 1
+        else:
+            firsts["middle"] += 1
+    assert min(firsts[k] for k in ("first", "middle", "last", "cascade")) > 100, firsts
 
 
 def mark_cases(seed: int):
